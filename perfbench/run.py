@@ -1,8 +1,9 @@
 """End-to-end and per-layer benchmark of the restarted Arnoldi engine.
 
     python3 perfbench/run.py                                # all workloads, fresh process each
-    python3 perfbench/run.py --workload lap3d-s32-m50 --seed 0 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload lap3d-s32-m50 --seed 0 --seconds 30 --trace 0
     python3 perfbench/run.py --workload cd3d-s32-m20 --trace 1    # per-layer run
+    python3 perfbench/run.py --workload lap2d-s32-m10 --trace 1   # not in BENCHMARK.json
     python3 perfbench/run.py --selftest                     # exact-count self-test
 
 One caller runs a closed loop: the next solve starts when the previous one
@@ -134,15 +135,18 @@ def run_untraced(w, seed: int, seconds: float) -> tuple[dict, dict, int, int, li
     cpu = time.process_time() - cpu_start
     t_val, t_pct, t_beyond = tail(times)
     per_start = [st.matvecs for st in prep.starts]
+    # Only the tail is a gated solve time. On a shared host, solves run in a
+    # fast (core to itself) and a slow (core shared) mode, in phases of
+    # seconds to a minute; which mode a run's median or fastest solves fall
+    # in is chance, while the slow mode is in nearly every run.
     metrics = {
-        "solve_s_p50": (statistics.median(times), "s"),
         "solve_s_tail": (t_val, "s"),
-        "solves_per_s": (len(times) / wall, "1/s"),
         "matvecs": (statistics.fmean(per_start), "count"),
         "setup_s": (statistics.median(prep.setup_s), "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
     detail = {
+        "solve_s_p50": statistics.median(times), "solves_per_s": len(times) / wall,
         "failed_frac": len(reasons) / len(times), "solves": len(times), "loop_wall_s": wall,
         "loop_cpu_s": cpu, "tail_percentile": t_pct, "tail_beyond": t_beyond,
         "setup_runs_s": prep.setup_s, "matvecs_per_start": per_start,
@@ -231,6 +235,8 @@ def run_one(args) -> int:
             note = f"  (median of {len(detail['setup_runs_s'])} set-ups)"
         print(f"  {name:40s} {value:.6g} {unit}{note}")
     if not args.trace:
+        print(f"  {'solve_s_p50':40s} {detail['solve_s_p50']:.6g} s  (not gated, see README.md)")
+        print(f"  {'solves_per_s':40s} {detail['solves_per_s']:.6g} 1/s  (not gated, see README.md)")
         print(f"  {'failed_frac':40s} {detail['failed_frac']:.6g} ratio  ({failed} of {attempted} solves)")
     else:
         print("  self seconds per solve by layer: "
@@ -297,7 +303,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", default="all", choices=["all"] + WORKLOAD_NAMES)
     p.add_argument("--seed", type=int, default=0, help="draws the start vectors")
     p.add_argument("--seconds", type=float,
-                   help="length of the timed loop (default 15, or 1 with --selftest)")
+                   help="length of the timed loop (default 30, or 1 with --selftest)")
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--selftest", action="store_true",
                    help="run each workload traced twice and compare the exact counts")
@@ -307,7 +313,7 @@ def main(argv=None) -> int:
         return 2
     names = WORKLOAD_NAMES if args.workload == "all" else [args.workload]
     if args.seconds is None:
-        args.seconds = 1.0 if args.selftest else 15.0
+        args.seconds = 1.0 if args.selftest else 30.0
     if args.selftest:
         return selftest(args, names)
     if args.workload == "all":
