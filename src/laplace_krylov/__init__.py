@@ -12,7 +12,7 @@ from .operators import (
     read_matrix_market,
     write_matrix_market,
 )
-from .krylov import KrylovDecomposition, arnoldi, arnoldi_approximation
+from .krylov import KrylovDecomposition, arnoldi
 from .quadrature import QuadratureRule, apply_rule_matrix, build_laplace_rule, gk15
 from .restart import (
     ConvergenceRegionError,

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from laplace_krylov.krylov import arnoldi, arnoldi_approximation
-from laplace_krylov.operators import LinearOperator, SparseMatrix
+from laplace_krylov.krylov import arnoldi
+from laplace_krylov.operators import (
+    LinearOperator,
+    SparseMatrix,
+    convection_diffusion_nd,
+    laplacian_nd,
+)
 
 
 def op_from_dense(a, hermitian=None):
@@ -16,6 +21,26 @@ def relation_residual(op, dec):
     if dec.h_next != 0.0:
         r[:, -1] -= dec.h_next * dec.v_next
     return np.linalg.norm(r)
+
+
+def mgs_reference(a, b, m):
+    """Column-by-column modified Gram-Schmidt Arnoldi with one
+    re-orthogonalization pass; no breakdown handling."""
+    n = len(b)
+    V = np.zeros((n, m + 1))
+    H = np.zeros((m + 1, m))
+    V[:, 0] = b / np.linalg.norm(b)
+    for j in range(m):
+        w = a @ V[:, j]
+        for i in range(j + 1):
+            H[i, j] = V[:, i] @ w
+            w = w - H[i, j] * V[:, i]
+        corr = V[:, : j + 1].T @ w
+        w = w - V[:, : j + 1] @ corr
+        H[: j + 1, j] += corr
+        H[j + 1, j] = np.linalg.norm(w)
+        V[:, j + 1] = w / H[j + 1, j]
+    return V[:, :m], H[:m, :m], H[m, m - 1]
 
 
 class TestArnoldiBasics:
@@ -42,11 +67,45 @@ class TestArnoldiBasics:
     def test_invariants_random_50(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((50, 50))
+        b = rng.standard_normal(50)
         op = op_from_dense(a)
-        dec = arnoldi(op, rng.standard_normal(50), 20)
+        dec = arnoldi(op, b, 20)
         assert np.linalg.norm(dec.V.conj().T @ dec.V - np.eye(20)) <= 1e-10
         scale = np.linalg.norm(a) * np.linalg.norm(dec.V)
         assert relation_residual(op_from_dense(a), dec) <= 1e-10 * scale
+        V, H, h_next = mgs_reference(a, b, 20)
+        assert np.abs(dec.V - V).max() <= 1e-12
+        assert np.abs(dec.H - H).max() <= 1e-12 * np.linalg.norm(a)
+        assert dec.h_next == pytest.approx(h_next, rel=1e-12)
+
+    def test_operator_returning_its_argument(self):
+        # orthogonalizing the matvec result in place would zero V[:, 0]
+        op = LinearOperator(lambda x: x, 3, hermitian=True)
+        dec = arnoldi(op, np.array([3.0, 4.0, 0.0]), 2)
+        assert dec.m == 1
+        assert dec.breakdown
+        assert dec.V[:, 0] == pytest.approx([0.6, 0.8, 0.0])
+
+    @pytest.mark.parametrize("make", [
+        lambda: laplacian_nd(30, 2),
+        lambda: convection_diffusion_nd(30, 1e-3, 2),
+    ], ids=["laplacian", "convection_diffusion"])
+    def test_long_cycle_stays_orthonormal(self, make):
+        # one classical Gram-Schmidt pass loses orthogonality entirely here
+        mat = make()
+        b = np.random.default_rng(9).standard_normal(mat.n)
+        dec = arnoldi(LinearOperator.from_matrix(mat), b, 150)
+        assert dec.m == 150
+        assert np.abs(dec.V.T @ dec.V - np.eye(150)).max() <= 1e-13
+
+    def test_complex_operator_upgrades_real_start(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        op = LinearOperator.from_dense(a)
+        dec = arnoldi(op, rng.standard_normal(8), 5)
+        assert np.iscomplexobj(dec.H)
+        assert np.linalg.norm(dec.V.conj().T @ dec.V - np.eye(5)) <= 1e-12
+        assert relation_residual(op, dec) <= 1e-12 * np.linalg.norm(a)
 
     def test_rejects_zero_start(self):
         with pytest.raises(ValueError):
@@ -67,10 +126,12 @@ class TestArnoldiBasics:
 
 
 class TestArnoldiApproximation:
+    """beta * V * F(H) e_1 from one decomposition."""
+
     def test_identity_function(self):
         dec = arnoldi(op_from_dense(np.diag([1.0, 2.0, 3.0])),
                       np.array([1.0, 0.0, 0.0]), 1)
-        out = arnoldi_approximation(dec, lambda h: np.array([1.0]))
+        out = dec.beta * dec.V @ np.array([1.0])
         assert out == pytest.approx([1.0, 0.0, 0.0])
 
     def test_inverse_full_space(self):
@@ -78,8 +139,7 @@ class TestArnoldiApproximation:
         a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
         b = rng.standard_normal(6)
         dec = arnoldi(op_from_dense(a), b, 6)
-        out = arnoldi_approximation(
-            dec, lambda h: la.solve(h, np.eye(len(h))[:, 0]))
+        out = dec.beta * dec.V @ la.solve(dec.H, np.eye(6)[:, 0])
         assert np.allclose(out, la.solve(a, b), atol=1e-9 * np.linalg.norm(b))
 
     def test_exp_full_space(self):
@@ -88,20 +148,12 @@ class TestArnoldiApproximation:
         a = a + a.T
         b = rng.standard_normal(7)
         dec = arnoldi(op_from_dense(a), b, 7)
-
-        def small(h):
-            w, q = la.eigh(h)
-            return q @ (np.exp(-w) * q.T[:, 0])
+        w, q = la.eigh(dec.H)
+        out = dec.beta * dec.V @ (q @ (np.exp(-w) * q.T[:, 0]))
 
         w, q = la.eigh(a)
         exact = q @ (np.exp(-w) * (q.T @ b))
-        assert np.allclose(arnoldi_approximation(dec, small), exact,
-                           atol=1e-10 * np.linalg.norm(exact))
-
-    def test_dimension_mismatch(self):
-        dec = arnoldi(op_from_dense(np.eye(3)), np.ones(3), 1)
-        with pytest.raises(ValueError):
-            arnoldi_approximation(dec, lambda h: np.ones(5))
+        assert np.allclose(out, exact, atol=1e-10 * np.linalg.norm(exact))
 
 
 class TestShiftAndSignStructure:
