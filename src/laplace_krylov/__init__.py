@@ -19,13 +19,10 @@ from .restart import (
     RestartConfig,
     RestartReport,
     TransformFunction,
-    bernstein_apply,
     builtin_kernels,
     restarted_laplace,
-    stieltjes_restart,
     transform_value,
-    two_sided_apply,
 )
-from .spline import CubicSpline, spline_fit, spline_refine_nodes
+from .spline import spline_fit, spline_refine_nodes
 
 __version__ = "0.1.0"

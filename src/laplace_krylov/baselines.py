@@ -15,7 +15,7 @@ import scipy.linalg as la
 
 from .krylov import arnoldi
 from .operators import LinearOperator
-from .restart import RestartConfig, TransformFunction, stieltjes_restart
+from .restart import RestartConfig, TransformFunction, restarted_laplace
 
 __all__ = [
     "TwoPassReport",
@@ -321,6 +321,5 @@ def stieltjes_pipeline(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     else:
         c = op.apply(b)
         first = 1
-    ref2 = reference
-    x, report = stieltjes_restart(op, c, fn, cfg, reference=ref2)
+    x, report = restarted_laplace(op, c, fn, cfg, reference=reference)
     return x, report, first

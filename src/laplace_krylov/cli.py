@@ -114,30 +114,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _dispatch_method(op, b, fn, cfg, reference, method: str):
-    if method == "auto":
-        method = {"laplace": "laplace", "two_sided": "laplace",
-                  "bernstein": "laplace", "stieltjes": "stieltjes"}[fn.kind]
-    if method == "two-pass":
-        x, rep = baselines.two_pass_lanczos(op, b, fn, cfg.tol, cfg.m,
-                                            reference=reference)
-        return x, rep, ("converged" if rep.converged else "max_cycles")
-    if method == "stieltjes":
-        if fn.kind != "stieltjes":
-            raise SystemExit(f"{fn.name} has no Stieltjes representation")
-        x, rep = restart.stieltjes_restart(op, b, fn, cfg, reference=reference)
-    elif method == "laplace":
-        runner = {"laplace": restart.restarted_laplace,
-                  "two_sided": restart.two_sided_apply,
-                  "bernstein": restart.bernstein_apply}.get(fn.kind)
-        if runner is None:
-            raise SystemExit(f"{fn.name} ({fn.kind}) has no Laplace-chain runner")
-        x, rep = runner(op, b, fn, cfg, reference=reference)
-    else:
-        raise SystemExit(f"unknown method {method!r}")
-    return x, rep, ("converged" if rep.converged else "max_cycles")
-
-
 def cmd_run(args) -> int:
     mat = _load_matrix(args.matrix)
     op = operators.LinearOperator.from_matrix(mat)
@@ -148,15 +124,19 @@ def cmd_run(args) -> int:
         m=args.m, tol=args.tol, max_cycles=args.max_cycles,
         stopping="reference_error" if reference is not None else "update_norm",
     )
-    x, rep, status = _dispatch_method(op, b, fn, cfg, reference, args.method)
+    if args.method == "two-pass":
+        x, rep = baselines.two_pass_lanczos(op, b, fn, cfg.tol, cfg.m,
+                                            reference=reference)
+    else:
+        x, rep = restart.restarted_laplace(op, b, fn, cfg, reference=reference)
+    status = "converged" if rep.converged else "max_cycles"
     if args.output:
         write_vector(args.output, np.real(x))
     if args.csv:
         records = getattr(rep, "records", None)
         if records is not None:
             write_report_csv(args.csv, records)
-    matvecs = getattr(rep, "matvecs", op.matvec_count)
-    print(f"method={args.method} function={fn.name} n={op.n} matvecs={matvecs} "
+    print(f"method={args.method} function={fn.name} n={op.n} matvecs={rep.matvecs} "
           f"status={status}")
     if status != "converged":
         return 2
@@ -179,10 +159,10 @@ def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
         b = rng.standard_normal(n)
         return b / np.linalg.norm(b)
 
-    def run(tag, op, fn, runner, b, reference, first_phase=0):
+    def run(tag, op, fn, b, reference, first_phase=0):
         cfg = restart.RestartConfig(m=m, tol=tol, stopping="reference_error")
         t0 = time.perf_counter()
-        x, rep = runner(op, b, fn, cfg, reference=reference)
+        x, rep = restart.restarted_laplace(op, b, fn, cfg, reference=reference)
         wall = 1e3 * (time.perf_counter() - t0)
         total = rep.matvecs + first_phase
         frac = first_phase / total if first_phase else 0.0
@@ -191,7 +171,6 @@ def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
             "final_error": rep.records[-1].rel_error,
             "wall_ms": wall, "first_phase_fraction": frac,
         })
-        return rep
 
     if experiment == "s32":
         fn = kernels["power-neg-3-2"]
@@ -200,15 +179,14 @@ def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
         ref = baselines.reference_apply(
             operators.LinearOperator.from_matrix(mat), None, b, fn)
         op = operators.LinearOperator.from_matrix(mat)
-        run("laplace", op, fn, restart.restarted_laplace, b, ref)
+        run("laplace", op, fn, b, ref)
 
         op = operators.LinearOperator.from_matrix(mat)
         c, first = baselines.cg_solve(op, b, 1e-9)
         g = kernels["inv-sqrt-stieltjes"]
         ref2 = baselines.reference_apply(
             operators.LinearOperator.from_matrix(mat), None, c, g)
-        run("stieltjes", op, g, restart.stieltjes_restart, c, ref2,
-            first_phase=first)
+        run("stieltjes", op, g, c, ref2, first_phase=first)
 
         op = operators.LinearOperator.from_matrix(mat)
         t0 = time.perf_counter()
@@ -227,7 +205,7 @@ def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
         ref = baselines.reference_apply(
             operators.LinearOperator.from_matrix(mat), dense, b, fn)
         op = operators.LinearOperator.from_matrix(mat)
-        run("laplace", op, fn, restart.two_sided_apply, b, ref)
+        run("laplace", op, fn, b, ref)
     elif experiment == "sqrt":
         fn = kernels["sqrt"]
         mat = operators.laplacian_nd(n_size, 3)
@@ -235,7 +213,7 @@ def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
         ref = baselines.reference_apply(
             operators.LinearOperator.from_matrix(mat), None, b, fn)
         op = operators.LinearOperator.from_matrix(mat)
-        run("laplace", op, fn, restart.bernstein_apply, b, ref)
+        run("laplace", op, fn, b, ref)
     elif experiment == "fracdiff":
         fn = restart.builtin_kernels(tau=1.0)["exp-sqrt"]
         rng = np.random.default_rng(0 if seed is None else seed)
@@ -246,7 +224,7 @@ def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
         ref = baselines.reference_apply(
             operators.LinearOperator.from_matrix(mat), dense, b, fn)
         op = operators.LinearOperator.from_matrix(mat)
-        run("laplace", op, fn, restart.restarted_laplace, b, ref)
+        run("laplace", op, fn, b, ref)
     else:
         raise SystemExit(f"unknown experiment {experiment!r}")
     return rows
@@ -314,7 +292,7 @@ def main(argv=None) -> int:
     r.add_argument("--tol", type=float, default=1e-7)
     r.add_argument("--max-cycles", type=int, default=60)
     r.add_argument("--method", default="auto",
-                   choices=["auto", "laplace", "stieltjes", "two-pass"])
+                   choices=["auto", "two-pass"])
     r.add_argument("--reference", help="LKV1 vector file with the reference")
     r.add_argument("--b-file", help="LKV1 vector file with the start vector")
     r.add_argument("--seed", type=int, help="random unit start vector")

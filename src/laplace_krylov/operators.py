@@ -275,81 +275,46 @@ def graph_from_matrix(mat: SparseMatrix) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Matrix Market coordinate format (real / integer / pattern,
-# general / symmetric). Array format is deliberately rejected.
+# general / symmetric). Array format is deliberately rejected. scipy.io is
+# imported on use: at package import it would add ~1.6 MB of resident
+# memory to every program, also those that read and write no matrix file.
 # ---------------------------------------------------------------------------
 
 def read_matrix_market(path) -> SparseMatrix:
     """Parse a Matrix Market coordinate file into a SparseMatrix.
 
-    Symmetric storage is expanded, pattern entries get unit values and
-    1-based indices are converted to 0-based.
+    Symmetric storage is expanded and pattern entries get unit values.
     """
-    with open(path, "r") as fh:
-        header = fh.readline()
-        parts = header.strip().split()
-        if len(parts) != 5 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
-            raise MatrixMarketError(f"malformed Matrix Market header: {header!r}")
-        fmt, field_kind, symmetry = (p.lower() for p in parts[2:5])
-        if fmt != "coordinate":
-            raise MatrixMarketError(f"unsupported format {fmt!r}; only coordinate is handled")
-        if field_kind not in ("real", "integer", "pattern"):
-            raise MatrixMarketError(f"unsupported field {field_kind!r}")
-        if symmetry not in ("general", "symmetric"):
-            raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
+    import scipy.io
 
-        line = fh.readline()
-        while line and (line.startswith("%") or not line.strip()):
-            line = fh.readline()
-        try:
-            nrows, ncols, nnz = (int(tok) for tok in line.split())
-        except Exception as exc:
-            raise MatrixMarketError(f"malformed size line: {line!r}") from exc
-        if nrows != ncols:
-            raise MatrixMarketError("only square matrices are supported")
-
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.ones(nnz, dtype=np.float64)
-        k = 0
-        for line in fh:
-            if not line.strip() or line.startswith("%"):
-                continue
-            tok = line.split()
-            if k >= nnz:
-                raise MatrixMarketError("more entries than declared")
-            i, j = int(tok[0]) - 1, int(tok[1]) - 1
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise MatrixMarketError(f"index out of range on line {line!r}")
-            rows[k], cols[k] = i, j
-            if field_kind != "pattern":
-                vals[k] = float(tok[2])
-            k += 1
-        if k != nnz:
-            raise MatrixMarketError(f"expected {nnz} entries, found {k}")
-
-    if symmetry == "symmetric":
-        off = rows != cols
-        rows, cols, vals = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]),
-        )
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, nrows)).tocsr()
-    return SparseMatrix.from_scipy(mat, symmetric=(symmetry == "symmetric"))
+    try:
+        nrows, ncols, _, fmt, field_kind, symmetry = scipy.io.mminfo(path)
+    except ValueError as exc:
+        raise MatrixMarketError(f"malformed Matrix Market header: {exc}") from exc
+    if fmt != "coordinate":
+        raise MatrixMarketError(f"unsupported format {fmt!r}; only coordinate is handled")
+    if field_kind not in ("real", "integer", "pattern"):
+        raise MatrixMarketError(f"unsupported field {field_kind!r}")
+    if symmetry not in ("general", "symmetric"):
+        raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
+    if nrows != ncols:
+        raise MatrixMarketError("only square matrices are supported")
+    try:
+        # scipy reports out-of-range indices and too many or too few entries
+        coo = scipy.io.mmread(path)
+    except ValueError as exc:
+        raise MatrixMarketError(str(exc)) from exc
+    return SparseMatrix.from_scipy(coo.astype(np.float64),
+                                   symmetric=(symmetry == "symmetric"))
 
 
 def write_matrix_market(mat: SparseMatrix, path, symmetric: bool | None = None) -> None:
     """Write in coordinate real format (symmetric storage keeps i >= j)."""
+    import scipy.io
+
     if symmetric is None:
         symmetric = mat.symmetric
-    coo = mat.to_scipy().tocoo()
-    rows, cols, vals = coo.row, coo.col, coo.data
-    if symmetric:
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    sym = "symmetric" if symmetric else "general"
-    with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {sym}\n")
-        fh.write(f"{mat.n} {mat.n} {len(vals)}\n")
-        for i, j, v in zip(rows, cols, vals):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+    # an open file, because scipy appends ".mtx" to a path without it
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, mat.to_scipy(), field="real", precision=17,
+                         symmetry="symmetric" if symmetric else "general")

@@ -5,12 +5,14 @@ approximates the remaining error. The error of a cycle is itself the action
 of a Laplace transform whose kernel is a half-line convolution of the
 previous kernel with the small-matrix impulse response
 g(tau) = e_m^T exp(-tau H) e_1, so each cycle only has to evaluate small
-quadrature sums. Stieltjes functions get a comparator implementation that
-integrates shifted resolvents against the density instead.
+quadrature sums.
 
+:func:`restarted_laplace` is the one entry point for every transform kind.
 Two-sided transforms run two kernel chains (for A and -A) over a shared
 Krylov basis; complete Bernstein functions run the standard chain after a
-sign flip, with the linear part applied directly.
+sign flip, with the linear part applied directly; Stieltjes functions, a
+special case of Laplace transforms, run a chain that integrates shifted
+resolvents against the density.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ __all__ = [
     "ErrorModel",
     "ConvergenceRegionError",
     "restarted_laplace",
-    "stieltjes_restart",
-    "two_sided_apply",
-    "bernstein_apply",
     "error_function_values",
     "builtin_kernels",
     "transform_value",
@@ -357,23 +356,113 @@ class _LaplaceChain:
         return self.later_cycle(dec, k, prev_iterate_norm)
 
 
-def _run_cycles(op: LinearOperator, b: np.ndarray, cfg: RestartConfig,
-                cycle_fn, reference: np.ndarray | None,
-                initial: np.ndarray | None = None) -> tuple[np.ndarray, RestartReport]:
-    """Shared restart loop: Arnoldi build, update, bookkeeping, stopping."""
+class _StieltjesChain:
+    """Resolvent-based error chain for Stieltjes functions.
+
+    The cycle-k update integrates
+    rho(t) * prod_j psi^(j)(t) * (H^(k) + tI)^{-1} e_1 over the half line by
+    adaptive quadrature, with psi^(j)(t) = e_m^T (H^(j) + tI)^{-1} e_1 from
+    the earlier cycles' Hessenberg matrices.
+    """
+
+    def __init__(self, rho, cfg: RestartConfig, beta1: float):
+        self.rho = rho
+        self.cfg = cfg
+        self.beta = beta1
+        self.psis: list[Callable[[float], float]] = []
+
+    @staticmethod
+    def _psi(H: np.ndarray, cache: SpectralCache | None):
+        if cache is None:
+            return lambda t: float(np.real(resolvent_entry(H, t)))
+        row = cache.X[H.shape[0] - 1, :] * cache.x_e1
+        return lambda t: float(row @ (1.0 / (cache.D + t)))
+
+    def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
+        H = dec.H
+        cache = eig_hermitian(H) if dec.hermitian else None
+        if k == 1:
+            nu = smallmat_nu(H)
+            if nu <= 0:
+                raise ConvergenceRegionError(
+                    f"Stieltjes restart needs spec(A) off (-inf, 0]; anchor nu={nu:.6g}"
+                )
+        if cache is not None:
+            def resolve(t):
+                return cache.X @ (cache.x_e1 / (cache.D + t))
+        else:
+            e1 = np.zeros(H.shape[0], dtype=H.dtype)
+            e1[0] = 1.0
+            eye = np.eye(H.shape[0], dtype=H.dtype)
+
+            def resolve(t):
+                return np.real(la.solve(H + t * eye, e1))
+
+        def integrand(t):
+            w = float(self.rho(t))
+            for p in self.psis:
+                w *= p(t)
+            return w * resolve(t)
+
+        contribution = self.beta * integrate_halfline_vector(integrand, self.cfg.eps_q)
+        self.psis.append(self._psi(H, cache))
+        self.beta = -self.beta * dec.h_next
+        return contribution
+
+
+def _chains(fn: TransformFunction, cfg: RestartConfig, bnorm: float) -> list:
+    """The error chains that together carry the update of one transform kind."""
+    if fn.kind == "stieltjes":
+        return [_StieltjesChain(fn.kernel, cfg, bnorm)]
+    if fn.kind == "two_sided":
+        # both one-sided parts share the Krylov basis; the reflected part
+        # works on (-H, -h_next)
+        return [
+            _LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg,
+                          beta1=bnorm, label=f"{fn.name} (positive side)"),
+            _LaplaceChain(lambda t: fn.kernel(-np.asarray(t)), fn.abscissa_neg,
+                          fn.boundary_closed, cfg, beta1=bnorm, flip=True,
+                          label=f"{fn.name} (reflected side)"),
+        ]
+    # Bernstein: grouped (1 - exp(-tH)) integrand in cycle 1, sign-flipped
+    # error chain afterwards
+    bernstein = fn.kind == "bernstein"
+    return [_LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg,
+                          beta1=bnorm, first_one_minus=bernstein,
+                          sign_flip_after_first=bernstein, label=fn.name)]
+
+
+def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
+                      cfg: RestartConfig, reference: np.ndarray | None = None):
+    """Approximate F(A) b by the restarted Arnoldi method.
+
+    The method follows ``fn.kind``: one Laplace chain, two chains over a
+    shared basis for two-sided transforms, the affine part (c I + a A) b
+    applied directly plus one Laplace chain for Bernstein functions, or
+    resolvent-based updates for Stieltjes functions.
+    """
+    bnorm = float(np.linalg.norm(b))
+    if not (math.isfinite(bnorm) and bnorm > 0):
+        raise ValueError("b must be finite and nonzero")
     if cfg.stopping == "reference_error" and reference is None:
         raise ValueError("reference_error stopping needs a reference vector")
+    chains = _chains(fn, cfg, bnorm)
+    fm = np.zeros(op.n)
+    if fn.kind == "bernstein":
+        fm = fn.c * b
+        if fn.a != 0.0:
+            fm = fm + fn.a * op.apply(b)
     ref_norm = float(np.linalg.norm(reference)) if reference is not None else 0.0
-    base_count = op.matvec_count
+    base_count = op.matvec_count  # the report leaves out the affine matvec
     report = RestartReport()
-    fm = initial.copy() if initial is not None else np.zeros(op.n)
     start = b
 
     for k in range(1, cfg.max_cycles + 1):
         t0 = time.perf_counter()
         dec = arnoldi(op, start, cfg.m)
         prev_norm = float(np.linalg.norm(fm))
-        coeff, beta_k = cycle_fn(dec, k, prev_norm)
+        beta_k = chains[0].beta
+        coeff = sum(chain.cycle(dec, k, prev_norm) for chain in chains)
         d = dec.V @ coeff
         fm = fm + d
         wall_ms = 1e3 * (time.perf_counter() - t0)
@@ -406,167 +495,9 @@ def _run_cycles(op: LinearOperator, b: np.ndarray, cfg: RestartConfig,
     return fm, report
 
 
-def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
-                      cfg: RestartConfig, reference: np.ndarray | None = None):
-    """Approximate F(A) b for F = L{f} by the restarted Arnoldi method."""
-    if fn.kind != "laplace":
-        raise ValueError("restarted_laplace expects a one-sided Laplace kernel")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0:
-        raise ValueError("b must be nonzero")
-    chain = _LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg,
-                          beta1=bnorm, label=fn.name)
-
-    def cycle_fn(dec, k, prev_norm):
-        beta_k = chain.beta
-        return chain.cycle(dec, k, prev_norm), beta_k
-
-    return _run_cycles(op, b, cfg, cycle_fn, reference)
-
-
-def two_sided_apply(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
-                    cfg: RestartConfig, reference: np.ndarray | None = None):
-    """Approximate F(A) b for a two-sided transform.
-
-    Both one-sided parts share the same Krylov basis per cycle; the
-    reflected part works on (-H, -h_next) through the flipped chain.
-    """
-    if fn.kind != "two_sided":
-        raise ValueError("two_sided_apply expects a two-sided kernel")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0:
-        raise ValueError("b must be nonzero")
-    pos = _LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg,
-                        beta1=bnorm, label=f"{fn.name} (positive side)")
-    neg = _LaplaceChain(lambda t: fn.kernel(-np.asarray(t)), fn.abscissa_neg,
-                        fn.boundary_closed, cfg, beta1=bnorm, flip=True,
-                        label=f"{fn.name} (reflected side)")
-
-    def cycle_fn(dec, k, prev_norm):
-        beta_k = pos.beta
-        return pos.cycle(dec, k, prev_norm) + neg.cycle(dec, k, prev_norm), beta_k
-
-    return _run_cycles(op, b, cfg, cycle_fn, reference)
-
-
-def bernstein_apply(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
-                    cfg: RestartConfig, reference: np.ndarray | None = None):
-    """Approximate F(A) b for a complete Bernstein function.
-
-    The affine part (c I + a A) b is applied directly; the integral part
-    runs the Laplace machinery with the grouped (1 - exp(-tH)) integrand in
-    cycle 1 and a sign-flipped error chain afterwards.
-    """
-    if fn.kind != "bernstein":
-        raise ValueError("bernstein_apply expects a Bernstein kernel")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0:
-        raise ValueError("b must be nonzero")
-    initial = fn.c * b
-    if fn.a != 0.0:
-        initial = initial + fn.a * op.apply(b)
-    chain = _LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg,
-                          beta1=bnorm, first_one_minus=True,
-                          sign_flip_after_first=True, label=fn.name)
-
-    def cycle_fn(dec, k, prev_norm):
-        beta_k = chain.beta
-        return chain.cycle(dec, k, prev_norm), beta_k
-
-    return _run_cycles(op, b, cfg, cycle_fn, reference, initial=initial)
-
-
-def stieltjes_restart(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
-                      cfg: RestartConfig, reference: np.ndarray | None = None):
-    """Restarted Arnoldi for Stieltjes functions (resolvent-based updates).
-
-    The cycle-k update integrates
-    rho(t) * prod_j psi^(j)(t) * (H^(k) + tI)^{-1} e_1 over the half line by
-    adaptive quadrature, with psi^(j)(t) = e_m^T (H^(j) + tI)^{-1} e_1 from
-    the stored Hessenberg history.
-    """
-    if fn.kind != "stieltjes":
-        raise ValueError("stieltjes_restart expects a Stieltjes density")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0:
-        raise ValueError("b must be nonzero")
-    rho = fn.kernel
-    state = {"beta": bnorm, "hessenbergs": [], "caches": [], "nu": None}
-
-    def psi_factories():
-        out = []
-        for Hj, cj in zip(state["hessenbergs"], state["caches"]):
-            if cj is not None:
-                mj = Hj.shape[0]
-                row = cj.X[mj - 1, :] * cj.x_e1
-                out.append(lambda t, row=row, D=cj.D: float(row @ (1.0 / (D + t))))
-            else:
-                out.append(lambda t, Hj=Hj: float(np.real(resolvent_entry(Hj, t))))
-        return out
-
-    def cycle_fn(dec, k, prev_norm):
-        H = dec.H
-        cache = eig_hermitian(H) if dec.hermitian else None
-        if k == 1:
-            state["nu"] = smallmat_nu(H)
-            if state["nu"] <= 0:
-                raise ConvergenceRegionError(
-                    f"Stieltjes restart needs spec(A) off (-inf, 0]; anchor nu="
-                    f"{state['nu']:.6g}"
-                )
-        psis = psi_factories()
-        m = H.shape[0]
-        e1 = np.zeros(m, dtype=H.dtype)
-        e1[0] = 1.0
-        eye = np.eye(m, dtype=H.dtype)
-
-        if cache is not None:
-            def resolve(t):
-                return cache.X @ (cache.x_e1 / (cache.D + t))
-        else:
-            def resolve(t):
-                return np.real(la.solve(H + t * eye, e1))
-
-        def integrand(t):
-            w = float(rho(t))
-            for p in psis:
-                w *= p(t)
-            return w * resolve(t)
-
-        y = integrate_halfline_vector(integrand, cfg.eps_q)
-        beta_k = state["beta"]
-        state["hessenbergs"].append(H)
-        state["caches"].append(cache)
-        state["beta"] = -state["beta"] * dec.h_next
-        return beta_k * y, beta_k
-
-    return _run_cycles(op, b, cfg, cycle_fn, reference)
-
-
 # ---------------------------------------------------------------------------
 # Kernel catalog and scalar transform evaluation
 # ---------------------------------------------------------------------------
-
-_SQRT_KERNEL_CONSTANT: float | None = None
-
-
-def _verified_sqrt_constant() -> float:
-    """Prefactor C with C * L{sqrt(t)}(s) = s^(-3/2), checked numerically.
-
-    The analytic value is 2/sqrt(pi) (since L{sqrt(t)}(1) = sqrt(pi)/2);
-    the numerical check guards the wiring of the builtin kernel.
-    """
-    global _SQRT_KERNEL_CONSTANT
-    if _SQRT_KERNEL_CONSTANT is None:
-        val = integrate_halfline(np.sqrt, nu=1.0, eps=1e-13)
-        c = 2.0 / math.sqrt(math.pi)
-        if abs(c * val - 1.0) > 1e-9:
-            raise AssertionError(
-                f"sqrt-kernel constant check failed: C*L{{sqrt}}(1) = {c * val!r}"
-            )
-        _SQRT_KERNEL_CONSTANT = c
-    return _SQRT_KERNEL_CONSTANT
-
 
 def _exp_sqrt_kernel(tau: float):
     pref = tau / (2.0 * math.sqrt(math.pi))
@@ -605,7 +536,7 @@ def _safe_sqrt(s):
 
 def builtin_kernels(tau: float = 1.0) -> dict[str, TransformFunction]:
     """The benchmark transforms with verified constants and abscissas."""
-    c32 = _verified_sqrt_constant()
+    c32 = 2.0 / math.sqrt(math.pi)  # L{sqrt(t)}(s) = (sqrt(pi)/2) s^(-3/2)
     kernels = {
         "power-neg-3-2": TransformFunction(
             name="power-neg-3-2", kind="laplace",

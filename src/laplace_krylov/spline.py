@@ -1,40 +1,24 @@
 """Not-a-knot cubic splines with end-polynomial extrapolation.
 
-Used to represent error-function kernels between quadrature nodes. Fewer
-than four knots fall back to exact polynomial interpolation of degree q-1,
-which can happen when a quadrature rule is very small.
+Used to represent error-function kernels between quadrature nodes. The fit
+is scipy's ``CubicSpline``, which interpolates two knots by their line and
+three by their parabola, so very small quadrature rules stay exact too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.interpolate import CubicSpline as _SciCubicSpline
-from scipy.interpolate import PPoly
+from scipy.interpolate import CubicSpline
 
-__all__ = ["CubicSpline", "spline_fit", "spline_refine_nodes"]
-
-
-@dataclass
-class CubicSpline:
-    """Piecewise cubic with not-a-knot boundary rule.
-
-    Evaluation outside [knots[0], knots[-1]] extrapolates with the first and
-    last interval polynomials.
-    """
-
-    knots: np.ndarray
-    coefficients: np.ndarray   # (4, q-1) per-interval coefficients, highest first
-    _ppoly: PPoly
-    boundary: str = "not-a-knot"
-
-    def __call__(self, x):
-        return self._ppoly(np.asarray(x, dtype=float))
+__all__ = ["spline_fit", "spline_refine_nodes"]
 
 
 def spline_fit(x, y) -> CubicSpline:
-    """Interpolate (x_i, y_i) by a not-a-knot cubic spline."""
+    """Interpolate (x_i, y_i) by a not-a-knot cubic spline.
+
+    Evaluation outside [x[0], x[-1]] extrapolates with the first and last
+    interval polynomials.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -43,21 +27,7 @@ def spline_fit(x, y) -> CubicSpline:
         raise ValueError("need at least 2 points")
     if np.any(np.diff(x) <= 0):
         raise ValueError("knots must be strictly ascending")
-    q = x.size
-    if q >= 4:
-        pp = _SciCubicSpline(x, y, bc_type="not-a-knot", extrapolate=True)
-        return CubicSpline(knots=x, coefficients=pp.c, _ppoly=pp)
-    # exact interpolating polynomial of degree q-1, replicated per interval
-    deg = q - 1
-    poly = np.polynomial.Polynomial.fit(x, y, deg).convert()
-    c = np.zeros((4, q - 1))
-    for j in range(q - 1):
-        shifted = poly(np.polynomial.Polynomial([x[j], 1.0]))  # p(x_j + s)
-        cf = shifted.coef
-        for k, ck in enumerate(cf):
-            c[3 - k, j] = ck
-    pp = PPoly(c, x, extrapolate=True)
-    return CubicSpline(knots=x, coefficients=c, _ppoly=pp)
+    return CubicSpline(x, y, bc_type="not-a-knot", extrapolate=True)
 
 
 def spline_refine_nodes(knots) -> np.ndarray:

@@ -32,11 +32,8 @@ from laplace_krylov.quadrature import G7_WEIGHTS, GK15_NODES, GK15_WEIGHTS
 from laplace_krylov.restart import (
     RestartConfig,
     TransformFunction,
-    bernstein_apply,
     builtin_kernels,
     restarted_laplace,
-    stieltjes_restart,
-    two_sided_apply,
 )
 from laplace_krylov.spline import spline_fit, spline_refine_nodes
 
@@ -126,7 +123,7 @@ class TestCriterion3:
         g = builtin_kernels()["inv-sqrt-stieltjes"]
         ref2 = reference_apply(LinearOperator.from_matrix(al3d), None, c, g)
         cfg = RestartConfig(m=50, tol=TOL, stopping="reference_error")
-        _, rep = stieltjes_restart(op, c, g, cfg, reference=ref2)
+        _, rep = restarted_laplace(op, c, g, cfg, reference=ref2)
         total = first + rep.matvecs
         fraction = first / total
         assert abs(total - 185) <= 15
@@ -144,7 +141,7 @@ class TestCriterion4:
         ref = reference_apply(LinearOperator.from_matrix(mat), mat.toarray(), b, fn)
         op = LinearOperator.from_matrix(mat)
         cfg = RestartConfig(m=50, tol=TOL, stopping="reference_error")
-        _, rep = two_sided_apply(op, b, fn, cfg, reference=ref)
+        _, rep = restarted_laplace(op, b, fn, cfg, reference=ref)
         assert rep.converged
         # 100 matvecs +- one cycle of m=50
         assert 50 <= rep.matvecs <= 150
@@ -160,7 +157,7 @@ class TestCriterion5:
         ref = reference_apply(LinearOperator.from_matrix(al3d), None, b, fn)
         op = LinearOperator.from_matrix(al3d)
         cfg = RestartConfig(m=50, tol=TOL, stopping="reference_error")
-        _, rep = bernstein_apply(op, b, fn, cfg, reference=ref)
+        _, rep = restarted_laplace(op, b, fn, cfg, reference=ref)
         assert rep.converged
         assert rep.cycles == 1
         assert rep.matvecs == 50
@@ -285,7 +282,7 @@ class TestCriterion7Properties:
             kernel=lambda t: 1.0 / np.sqrt(math.pi * np.asarray(t, dtype=float)),
             abscissa=0.0)
         x_lap, _ = restarted_laplace(LinearOperator.from_dense(a), b, lap, cfg)
-        x_sti, _ = stieltjes_restart(LinearOperator.from_dense(a), b,
+        x_sti, _ = restarted_laplace(LinearOperator.from_dense(a), b,
                                      builtin_kernels()["inv-sqrt-stieltjes"], cfg)
         w, q = la.eigh(a)
         scale = np.linalg.norm(q @ (w**-0.5 * (q.T @ b)))

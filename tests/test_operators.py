@@ -192,10 +192,12 @@ class TestMatrixMarket:
 
     def test_rejects_out_of_range_index(self, tmp_path):
         p = tmp_path / "bad.mtx"
-        p.write_text("%%MatrixMarket matrix coordinate real general\n"
-                     "2 2 1\n3 1 1.0\n")
-        with pytest.raises(MatrixMarketError):
-            read_matrix_market(p)
+        # out-of-range row, then more and fewer entries than declared
+        for body in ("2 2 1\n3 1 1.0\n", "2 2 1\n1 1 1.0\n2 2 2.0\n",
+                     "2 2 3\n1 1 1.0\n2 2 2.0\n"):
+            p.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+            with pytest.raises(MatrixMarketError):
+                read_matrix_market(p)
 
     def test_symmetric_round_trip(self, tmp_path):
         mat = laplacian_nd(3, 2)

@@ -13,13 +13,10 @@ from laplace_krylov.restart import (
     ErrorModel,
     RestartConfig,
     TransformFunction,
-    bernstein_apply,
     builtin_kernels,
     error_function_values,
     restarted_laplace,
-    stieltjes_restart,
     transform_value,
-    two_sided_apply,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -79,6 +76,7 @@ class TestConfigAndTypes:
 class TestBuiltinKernels:
     def test_power_neg_3_2_scalar(self):
         fn = builtin_kernels()["power-neg-3-2"]
+        assert transform_value(fn, 1.0) == pytest.approx(1.0, abs=1e-9)
         assert transform_value(fn, 4.0) == pytest.approx(0.125, abs=1e-9)
 
     def test_exp_sqrt_scalar(self):
@@ -223,6 +221,17 @@ class TestRestartedLaplace:
         with pytest.raises(ValueError):
             restarted_laplace(op, np.zeros(2), sqrt_kernel(), RestartConfig(m=1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [sqrt_kernel(), builtin_kernels()["inv-sqrt-stieltjes"]],
+                             ids=["laplace", "stieltjes"])
+    def test_rejects_nonfinite_b_before_any_matvec(self, fn, bad):
+        op = LinearOperator.from_matrix(laplacian_nd(10, 2))
+        b = np.ones(op.n)
+        b[3] = bad
+        with pytest.raises(ValueError):
+            restarted_laplace(op, b, fn, RestartConfig(m=10))
+        assert op.matvec_count == 0
+
 
 class TestErrorRepresentation:
     def test_error_function_constant_kernel_m1(self):
@@ -316,7 +325,7 @@ class TestStieltjes:
         op = diag_op([1.0, 4.0, 9.0])
         b = np.ones(3) / math.sqrt(3.0)
         fn = builtin_kernels()["inv-sqrt-stieltjes"]
-        x, rep = stieltjes_restart(op, b, fn, RestartConfig(m=2, tol=1e-7))
+        x, rep = restarted_laplace(op, b, fn, RestartConfig(m=2, tol=1e-7))
         exact = np.array([1.0, 0.5, 1.0 / 3.0]) * b
         assert rep.converged
         assert np.abs(x - exact).max() <= 1e-7 * np.abs(exact).max()
@@ -328,7 +337,7 @@ class TestStieltjes:
         fn = builtin_kernels()["inv-sqrt-stieltjes"]
         cfg = RestartConfig(m=4, tol=1e-7, eps_q=1e-12, max_cycles=1)
         cfg.tol = 1e-30
-        x, _ = stieltjes_restart(op, b, fn, cfg)
+        x, _ = restarted_laplace(op, b, fn, cfg)
         dec = arnoldi(LinearOperator.from_dense(a), b, 4)
         w, q = la.eigh(dec.H)
         direct = dec.beta * (dec.V @ (q @ (w**-0.5 * q.T[:, 0])))
@@ -339,7 +348,7 @@ class TestStieltjes:
         b = np.ones(2) / math.sqrt(2.0)
         fn = builtin_kernels()["inv-sqrt-stieltjes"]
         with pytest.raises(ConvergenceRegionError):
-            stieltjes_restart(op, b, fn, RestartConfig(m=2, tol=1e-6))
+            restarted_laplace(op, b, fn, RestartConfig(m=2, tol=1e-6))
 
     def test_laplace_and_stieltjes_chains_agree(self):
         # Cor. consistency: the same function driven through both error
@@ -354,7 +363,7 @@ class TestStieltjes:
         op1 = LinearOperator.from_dense(a)
         x_lap, _ = restarted_laplace(op1, b, inv_sqrt_laplace(), cfg)
         op2 = LinearOperator.from_dense(a)
-        x_sti, _ = stieltjes_restart(op2, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg)
+        x_sti, _ = restarted_laplace(op2, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg)
         exact = spectral_apply(a, b, lambda w: w**-0.5)
         assert np.linalg.norm(x_lap - x_sti) <= 10 * eps_q * np.linalg.norm(exact)
         # cross-method agreement within 2 tol of each other's converged runs
@@ -362,7 +371,7 @@ class TestStieltjes:
         op3 = LinearOperator.from_dense(a)
         y_lap, rep1 = restarted_laplace(op3, b, inv_sqrt_laplace(), cfg2)
         op4 = LinearOperator.from_dense(a)
-        y_sti, rep2 = stieltjes_restart(op4, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg2)
+        y_sti, rep2 = restarted_laplace(op4, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg2)
         assert rep1.converged and rep2.converged
         assert np.linalg.norm(y_lap - y_sti) <= 2 * cfg2.tol * np.linalg.norm(exact)
 
@@ -370,15 +379,15 @@ class TestStieltjes:
 class TestTwoSided:
     def test_gamma_scalar_one(self):
         op = diag_op([1.0])
-        x, rep = two_sided_apply(op, np.array([1.0]), builtin_kernels()["gamma"],
-                                 RestartConfig(m=1, tol=1e-9))
+        x, rep = restarted_laplace(op, np.array([1.0]), builtin_kernels()["gamma"],
+                                   RestartConfig(m=1, tol=1e-9))
         assert x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_gamma_integer_diagonal(self):
         op = diag_op([1.0, 2.0, 3.0])
         b = np.ones(3) / math.sqrt(3.0)
-        x, rep = two_sided_apply(op, b, builtin_kernels()["gamma"],
-                                 RestartConfig(m=2, tol=1e-7, max_cycles=40))
+        x, rep = restarted_laplace(op, b, builtin_kernels()["gamma"],
+                                   RestartConfig(m=2, tol=1e-7, max_cycles=40))
         exact = np.array([1.0, 1.0, 2.0]) * b
         assert rep.converged
         assert np.abs(x - exact).max() <= 1e-6 * np.abs(exact).max()
@@ -387,22 +396,22 @@ class TestTwoSided:
         op = diag_op([-1.0, 1.0])
         b = np.ones(2) / math.sqrt(2.0)
         with pytest.raises(ConvergenceRegionError):
-            two_sided_apply(op, b, builtin_kernels()["gamma"],
-                            RestartConfig(m=2, tol=1e-7))
+            restarted_laplace(op, b, builtin_kernels()["gamma"],
+                              RestartConfig(m=2, tol=1e-7))
 
 
 class TestBernstein:
     def test_sqrt_scalar(self):
         op = diag_op([4.0])
-        x, _ = bernstein_apply(op, np.array([1.0]), builtin_kernels()["sqrt"],
-                               RestartConfig(m=1, tol=1e-8))
+        x, _ = restarted_laplace(op, np.array([1.0]), builtin_kernels()["sqrt"],
+                                 RestartConfig(m=1, tol=1e-8))
         assert x[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_sqrt_diagonal(self):
         op = diag_op([1.0, 4.0, 9.0])
         b = np.ones(3) / math.sqrt(3.0)
-        x, rep = bernstein_apply(op, b, builtin_kernels()["sqrt"],
-                                 RestartConfig(m=2, tol=1e-7))
+        x, rep = restarted_laplace(op, b, builtin_kernels()["sqrt"],
+                                   RestartConfig(m=2, tol=1e-7))
         exact = np.array([1.0, 2.0, 3.0]) * b
         assert rep.converged
         assert np.abs(x - exact).max() <= 1e-6 * np.abs(exact).max()
@@ -415,7 +424,7 @@ class TestBernstein:
         op = diag_op([1.0, 4.0, 9.0])
         b = np.ones(3) / math.sqrt(3.0)
         cfg = RestartConfig(m=2, tol=1e-7)
-        x, rep = bernstein_apply(op, b, affine, cfg)
+        x, rep = restarted_laplace(op, b, affine, cfg)
         assert op.matvec_count == rep.matvecs + 1
         exact = (2.0 + 0.5 * np.array([1.0, 4.0, 9.0])
                  + np.array([1.0, 2.0, 3.0])) * b

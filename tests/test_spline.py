@@ -32,7 +32,7 @@ class TestFit:
         x = np.linspace(0, 3, 8)
         y = np.exp(-x) + 0.1 * rng.standard_normal(8)
         s = spline_fit(x, y)
-        d2 = s._ppoly.derivative(2)
+        d2 = s.derivative(2)
         for xi in x[1:-1]:
             left = d2(xi - 1e-12)
             right = d2(xi + 1e-12)
@@ -44,7 +44,7 @@ class TestFit:
         x = np.linspace(0, 4, 9)
         y = np.sin(x)
         s = spline_fit(x, y)
-        d3 = s._ppoly.derivative(3)
+        d3 = s.derivative(3)
         for xi in (x[1], x[-2]):
             assert d3(xi - 1e-9) == pytest.approx(d3(xi + 1e-9), rel=1e-5, abs=1e-7)
 
@@ -63,9 +63,9 @@ class TestFit:
         y = np.cos(x)
         s = spline_fit(x, y)
         # the extrapolated values continue the last cubic smoothly
-        d2 = s._ppoly.derivative(2)
+        d2 = s.derivative(2)
         assert d2(2.0 - 1e-10) == pytest.approx(d2(2.0 + 1e-10), rel=1e-6)
-        d1 = s._ppoly.derivative(1)
+        d1 = s.derivative(1)
         assert d1(0.0 - 1e-10) == pytest.approx(d1(0.0 + 1e-10), rel=1e-6)
 
     def test_quadratic_fallback(self):
