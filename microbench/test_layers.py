@@ -1,0 +1,60 @@
+"""Layer micro-benchmarks (pytest-benchmark); not part of the test suite.
+
+    PYTHONPATH=src python -m pytest microbench --benchmark-only
+
+The inputs are those of the first cycle of F(s) = s^{-3/2} on the benchmark
+problems at N = 20 (n = 8000): the convection-diffusion operator with m = 20
+(non-Hermitian H, every node through the Taylor/Pade sweep) and the 3D
+Laplacian with m = 50 (Hermitian H, closed form from the eigendecomposition).
+Each rule is frozen once at eps_q = 1e-10, the default for tol = 1e-7.
+"""
+
+import numpy as np
+import pytest
+
+from laplace_krylov.krylov import arnoldi
+from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
+from laplace_krylov.quadrature import apply_rule_matrix, build_laplace_rule
+from laplace_krylov.restart import builtin_kernels
+from laplace_krylov.smallmat import eig_hermitian, expm_columns, smallmat_nu
+
+KERNEL = builtin_kernels()["power-neg-3-2"].kernel
+
+
+def first_cycle(mat, m):
+    op = LinearOperator.from_matrix(mat)
+    b = np.random.default_rng(0).standard_normal(op.n)
+    dec = arnoldi(op, b, m)
+    rule = build_laplace_rule(KERNEL, smallmat_nu(dec.H), 1e-10)
+    cache = eig_hermitian(dec.H) if dec.hermitian else None
+    return dec.H, np.eye(m)[:, 0], rule, cache
+
+
+@pytest.fixture(scope="module")
+def cd3d():
+    return first_cycle(convection_diffusion_nd(20, 1e-3, 3), 20)
+
+
+@pytest.fixture(scope="module")
+def lap3d():
+    return first_cycle(laplacian_nd(20, 3), 50)
+
+
+def test_propagator_non_hermitian(benchmark, cd3d):
+    H, e1, rule, _ = cd3d
+    E = benchmark(expm_columns, H, e1, rule.nodes)
+    assert E.shape == (20, rule.count)
+
+
+def test_apply_rule_matrix_non_hermitian(benchmark, cd3d):
+    H, e1, rule, _ = cd3d
+    E = expm_columns(H, e1, rule.nodes)
+    y = benchmark(apply_rule_matrix, rule, KERNEL(rule.nodes), E)
+    assert np.all(np.isfinite(y))
+
+
+def test_apply_rule_matrix_hermitian(benchmark, lap3d):
+    H, e1, rule, cache = lap3d
+    E = expm_columns(H, e1, rule.nodes, cache)
+    y = benchmark(apply_rule_matrix, rule, KERNEL(rule.nodes), E)
+    assert np.all(np.isfinite(y))

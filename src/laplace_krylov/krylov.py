@@ -41,9 +41,10 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int) -> KrylovDecompositio
     """Build a length-m Arnoldi decomposition from ``start``.
 
     On a lucky breakdown at step j < m the decomposition is truncated to
-    size j and h_next is 0. For Hermitian operators H is symmetrized before
-    it is returned so downstream eigendecompositions see an exactly
-    symmetric matrix. ``V`` and ``v_next`` are views of one basis array.
+    size j and h_next is 0; a non-finite matvec raises at its step. For
+    Hermitian operators H is symmetrized before it is returned so downstream
+    eigendecompositions see an exactly symmetric matrix. ``V`` and
+    ``v_next`` are views of one basis array.
     """
     start = np.asarray(start, dtype=complex if np.iscomplexobj(start) else float)
     n = op.n
@@ -69,6 +70,8 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int) -> KrylovDecompositio
         # a copy: the operator may return (a view of) the row it was given
         w = np.array(w, dtype=Q.dtype)
         norm_w = np.linalg.norm(w)
+        if not np.isfinite(norm_w) and not np.all(np.isfinite(w)):
+            raise ValueError(f"operator returned non-finite values at Arnoldi step {j + 1}")
         basis = Q[: j + 1]
         for _ in range(2):
             c = basis.conj() @ w

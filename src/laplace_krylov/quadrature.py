@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smallmat import SpectralCache, expm_action, one_minus_expm_action
+from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
 
 __all__ = [
     "GK15_NODES",
@@ -283,31 +283,17 @@ def integrate_halfline_vector(f, eps: float,
     return total
 
 
-def apply_rule_matrix(rule: QuadratureRule, values: np.ndarray, H: np.ndarray,
-                      cache: SpectralCache | None = None,
-                      one_minus: bool = False) -> np.ndarray:
-    """sum_i w_i f(t_i) exp(-t_i H) e_1 (or with I - exp(-t_i H)).
+def apply_rule_matrix(rule: QuadratureRule, values: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """sum_i w_i f(t_i) E[:, i] over the nodes with a nonzero term.
 
-    ``values`` are the kernel samples f(t_i) aligned with the rule nodes.
+    ``values`` are the kernel samples f(t_i) aligned with the rule nodes and
+    ``E`` holds the propagated columns exp(-t_i H) e_1 (or (I - exp(-t_i H))
+    e_1) from :func:`laplace_krylov.smallmat.expm_columns`.
     """
     values = np.asarray(values)
-    if values.shape != rule.nodes.shape:
+    E = np.asarray(E)
+    if values.shape != rule.nodes.shape or E.shape[1:] != rule.nodes.shape:
         raise ValueError("values are not aligned with the rule nodes")
-    H = np.asarray(H)
-    m = H.shape[0]
     coeff = rule.weights * values
-    live = coeff != 0.0   # zero kernel samples must not meet overflowing modes
-    nodes = rule.nodes[live]
-    coeff = coeff[live]
-    if cache is not None:
-        dt = np.outer(cache.D, nodes)
-        with np.errstate(over="ignore"):
-            ex = -np.expm1(-dt) if one_minus else np.exp(-dt)
-        return cache.X @ ((ex * cache.x_e1[:, None]) @ coeff)
-    e1 = np.zeros(m, dtype=H.dtype)
-    e1[0] = 1.0
-    out = np.zeros(m, dtype=complex if np.iscomplexobj(H) else float)
-    action = one_minus_expm_action if one_minus else expm_action
-    for ti, ci in zip(nodes, coeff):
-        out = out + ci * action(H, e1, ti)
-    return out
+    live = coeff != 0.0   # zero kernel samples must not meet overflowing columns
+    return E[:, live] @ coeff[live]

@@ -36,7 +36,8 @@ from .quadrature import (
     integrate_halfline,
     integrate_halfline_vector,
 )
-from .smallmat import SpectralCache, eig_hermitian, expm_action, resolvent_entry, smallmat_nu
+from .smallmat import SpectralCache, eig_hermitian, expm_columns, resolvent_entry, smallmat_nu
+from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
 from .spline import spline_fit, spline_refine_nodes
 
 __all__ = [
@@ -104,6 +105,10 @@ class RestartConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("restart length must be >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        if self.max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles}")
         if self.eps_q is None:
             self.eps_q = 1e-3 * self.tol
         if self.eps_s is None:
@@ -177,19 +182,6 @@ def _check_anchor(nu: float, abscissa: float, closed: bool, label: str) -> None:
         )
 
 
-def _g_values(H: np.ndarray, cache: SpectralCache | None, nodes: np.ndarray) -> np.ndarray:
-    """g(t_i) = e_m^T exp(-t_i H) e_1 for all rule nodes."""
-    m = H.shape[0]
-    if m == 1:
-        return np.exp(-nodes * H[0, 0])
-    if cache is not None:
-        row = cache.X[m - 1, :] * cache.x_e1
-        return np.exp(-np.outer(nodes, cache.D)) @ row
-    e1 = np.zeros(m, dtype=H.dtype)
-    e1[0] = 1.0
-    return np.array([expm_action(H, e1, float(t))[m - 1] for t in nodes])
-
-
 def _shifted_kernel(kernel, shift: float):
     """kernel(t) * exp(-shift * t) with underflow-safe products."""
     if shift == 0.0:
@@ -247,9 +239,6 @@ class _LaplaceChain:
             H = H - self.shift * np.eye(H.shape[0], dtype=H.dtype)
         return H, h
 
-    def _cache(self, H, dec) -> SpectralCache | None:
-        return eig_hermitian(H) if dec.hermitian else None
-
     def first_cycle(self, dec: KrylovDecomposition) -> np.ndarray:
         H0 = -dec.H if self.flip else dec.H
         self.nu = smallmat_nu(H0)
@@ -263,14 +252,19 @@ class _LaplaceChain:
         H, h = self._effective(dec)
         kind = "one_minus_exp" if self.first_one_minus else "exp"
         rule = build_laplace_rule(self.kernel, self.nu, self.cfg.eps_q, weight_kind=kind)
-        cache = self._cache(H, dec)
+        cache = eig_hermitian(H) if dec.hermitian else None
+        e1 = np.eye(dec.m, dtype=H.dtype)[0]
+        E = expm_columns(H, e1, rule.nodes, cache)
+        # the Bernstein integrand needs (I - exp(-t_i H)) e_1 as well; the
+        # difference of columns of E would cancel at small t_i
+        Y = expm_columns(H, e1, rule.nodes, cache, one_minus=True) if self.first_one_minus else E
         vals = np.asarray(_shifted_kernel(self.kernel, self.shift)(rule.nodes), dtype=float)
-        y = apply_rule_matrix(rule, vals, H, cache, one_minus=self.first_one_minus)
+        y = apply_rule_matrix(rule, vals, Y)
         contribution = self.beta * y
 
         self.first_rule = rule
         self.eval_rule = rule
-        self.eval_g = _g_values(H, cache, rule.nodes)
+        self.eval_g = E[-1]   # g(t_i) = e_m^T exp(-t_i H) e_1
         self.node_values = vals
         self.model = None  # surface for cycle 2 is the raw kernel itself
         beta_next = -self.beta * h
@@ -285,7 +279,6 @@ class _LaplaceChain:
 
     def later_cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
         H, h = self._effective(dec)
-        cache = self._cache(H, dec)
         raw_surface = k == 2  # cycle 2 uses the exact kernel as its surface
         knots = self.eval_rule.nodes
         values = self.node_values
@@ -306,8 +299,12 @@ class _LaplaceChain:
                 self.dead = True
                 self.beta = -self.beta * h
                 return np.zeros(dec.m)
+        # one propagator per cycle: the apply, every refinement round and
+        # the next cycle's g values share these columns
+        cache = eig_hermitian(H) if dec.hermitian else None
+        E = expm_columns(H, np.eye(dec.m, dtype=H.dtype)[0], rule.nodes, cache)
         node_vals = error_function_values(model, rule.nodes)
-        y = apply_rule_matrix(rule, node_vals, H, cache)
+        y = apply_rule_matrix(rule, node_vals, E)
 
         rounds = 0
         if not raw_surface:
@@ -330,7 +327,7 @@ class _LaplaceChain:
                 surface = spline_fit(knots, values)
                 model = self._f_eval(surface, k)
                 node_vals = error_function_values(model, rule.nodes)
-                y_new = apply_rule_matrix(rule, node_vals, H, cache)
+                y_new = apply_rule_matrix(rule, node_vals, E)
                 delta = abs(self.beta) * float(np.linalg.norm(y_new - y))
                 y = y_new
                 if delta <= target:
@@ -341,7 +338,7 @@ class _LaplaceChain:
 
         self.model = model
         self.eval_rule = rule
-        self.eval_g = _g_values(H, cache, rule.nodes)
+        self.eval_g = E[-1]
         self.node_values = node_vals
         self.beta = -self.beta * h
         return contribution

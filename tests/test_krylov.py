@@ -115,6 +115,28 @@ class TestArnoldiBasics:
         with pytest.raises(ValueError):
             arnoldi(op_from_dense(np.eye(3)), np.ones(3), 4)
 
+    def test_nan_in_matrix_fails_at_first_matvec(self):
+        mat = laplacian_nd(10, 2)
+        mat.values[5] = np.nan
+        op = LinearOperator.from_matrix(mat)
+        with pytest.raises(ValueError, match="step 1"):
+            arnoldi(op, np.ones(op.n), 10)
+        assert op.matvec_count == 1
+
+    def test_nonfinite_matvec_names_its_step(self):
+        a = np.diag(np.arange(1.0, 9.0))
+
+        def matvec(x):
+            y = a @ x
+            if op.matvec_count == 2:   # the third product
+                y[4] = np.inf
+            return y
+
+        op = LinearOperator(matvec, 8)
+        with pytest.raises(ValueError, match="step 3"):
+            arnoldi(op, np.ones(8), 6)
+        assert op.matvec_count == 3
+
     def test_truncation_on_breakdown(self):
         # b spans a 2-dimensional invariant subspace of a 4x4 diagonal
         a = np.diag([1.0, 2.0, 3.0, 4.0])

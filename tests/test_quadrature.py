@@ -15,7 +15,7 @@ from laplace_krylov.quadrature import (
     integrate_halfline,
     integrate_halfline_vector,
 )
-from laplace_krylov.smallmat import eig_hermitian
+from laplace_krylov.smallmat import eig_hermitian, expm_columns
 
 
 class TestGK15:
@@ -100,7 +100,7 @@ class TestApplyRuleMatrix:
         nu = 1.5
         rule = build_laplace_rule(np.sqrt, nu, 1e-10)
         vals = np.sqrt(rule.nodes)
-        out = apply_rule_matrix(rule, vals, np.array([[nu]]))
+        out = apply_rule_matrix(rule, vals, expm_columns(np.array([[nu]]), [1.0], rule.nodes))
         scalar = rule.apply_scalar(vals)
         assert out[0] == pytest.approx(scalar, rel=1e-12)
 
@@ -108,8 +108,8 @@ class TestApplyRuleMatrix:
         # with f = 1 the entries must be 1/H_jj
         rule = build_laplace_rule(lambda t: np.ones_like(t), 1.0, 1e-10)
         h = np.diag([1.0, 2.0])
-        out = apply_rule_matrix(rule, np.ones(rule.count), h,
-                                cache=eig_hermitian(h))
+        E = expm_columns(h, [1.0, 0.0], rule.nodes, cache=eig_hermitian(h))
+        out = apply_rule_matrix(rule, np.ones(rule.count), E)
         assert out[0] == pytest.approx(1.0, abs=1e-9)
         # e_1 has no second component, so only the (1,1) entry appears
         assert out[1] == pytest.approx(0.0, abs=1e-12)
@@ -120,16 +120,19 @@ class TestApplyRuleMatrix:
         h = a @ a.T + 4 * np.eye(4)  # spectrum well above 1
         eps = 1e-9
         rule = build_laplace_rule(np.sqrt, float(la.eigvalsh(h)[0]), eps)
-        out = apply_rule_matrix(rule, np.sqrt(rule.nodes), h,
-                                cache=eig_hermitian(h))
+        E = expm_columns(h, np.eye(4)[0], rule.nodes, cache=eig_hermitian(h))
+        out = apply_rule_matrix(rule, np.sqrt(rule.nodes), E)
         w, q = la.eigh(h)
         oracle = (math.sqrt(math.pi) / 2.0) * (q @ (w**-1.5 * q.T[:, 0]))
         assert np.linalg.norm(out - oracle) <= 10 * eps
 
     def test_alignment_check(self):
         rule = build_laplace_rule(np.sqrt, 1.0, 1e-8)
+        E = expm_columns(np.eye(2), [1.0, 0.0], rule.nodes)
         with pytest.raises(ValueError):
-            apply_rule_matrix(rule, np.ones(3), np.eye(2))
+            apply_rule_matrix(rule, np.ones(3), E)
+        with pytest.raises(ValueError):
+            apply_rule_matrix(rule, np.ones(rule.count), E[:, :3])
 
 
 class TestAnchoredRuleReuse:

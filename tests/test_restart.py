@@ -6,7 +6,15 @@ import scipy.integrate
 import scipy.linalg as la
 
 from laplace_krylov.krylov import arnoldi
-from laplace_krylov.operators import Graph, LinearOperator, SparseMatrix, graph_laplacian, laplacian_nd
+from laplace_krylov import restart
+from laplace_krylov.operators import (
+    Graph,
+    LinearOperator,
+    SparseMatrix,
+    convection_diffusion_nd,
+    graph_laplacian,
+    laplacian_nd,
+)
 from laplace_krylov.quadrature import build_laplace_rule
 from laplace_krylov.restart import (
     ConvergenceRegionError,
@@ -65,6 +73,17 @@ class TestConfigAndTypes:
             RestartConfig(m=5, tol=1e-8, eps_q=1e-6)
         with pytest.raises(ValueError):
             RestartConfig(m=5, stopping="nonsense")
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"tol": math.inf}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"max_cycles": 0}, "max_cycles"),
+        ({"max_cycles": -2}, "max_cycles"),
+    ], ids=["tol-inf", "tol-nan", "tol-zero", "max_cycles-zero", "max_cycles-negative"])
+    def test_rejects_bad_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            RestartConfig(m=5, **kwargs)
 
     def test_transform_kind_validation(self):
         with pytest.raises(ValueError):
@@ -231,6 +250,31 @@ class TestRestartedLaplace:
         with pytest.raises(ValueError):
             restarted_laplace(op, b, fn, RestartConfig(m=10))
         assert op.matvec_count == 0
+
+
+    def test_one_propagator_per_cycle(self, monkeypatch):
+        # nonsymmetric, so every node goes through the Taylor/Pade sweep;
+        # cycles >= 3 also run spline refinement rounds, which reuse E
+        op = LinearOperator.from_matrix(convection_diffusion_nd(8, 1e-3, 3))
+        b = np.ones(op.n) / math.sqrt(op.n)
+        arnoldi_calls = []
+        propagator_cycles = []
+        real_arnoldi, real_columns = restart.arnoldi, restart.expm_columns
+
+        def counting_arnoldi(*args, **kwargs):
+            arnoldi_calls.append(1)
+            return real_arnoldi(*args, **kwargs)
+
+        def counting_columns(*args, **kwargs):
+            propagator_cycles.append(len(arnoldi_calls))
+            return real_columns(*args, **kwargs)
+
+        monkeypatch.setattr(restart, "arnoldi", counting_arnoldi)
+        monkeypatch.setattr(restart, "expm_columns", counting_columns)
+        fn = builtin_kernels()["power-neg-3-2"]
+        _, rep = restarted_laplace(op, b, fn, RestartConfig(m=10, tol=1e-7))
+        assert rep.cycles >= 4
+        assert propagator_cycles == list(range(1, rep.cycles + 1))
 
 
 class TestErrorRepresentation:

@@ -1,11 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg as la
 
+from laplace_krylov.quadrature import QuadratureRule, apply_rule_matrix
 from laplace_krylov.smallmat import (
+    PADE_CHUNK,
+    PADE_SWITCH_SIGMA,
+    TAYLOR_DEGREE,
+    TAYLOR_THETA,
     eig_hermitian,
     expm_action,
+    expm_columns,
     one_minus_expm_action,
     resolvent_entry,
     smallmat_nu,
@@ -93,6 +101,162 @@ class TestExpmAction:
     def test_g_zero_at_origin(self):
         e1 = np.eye(4)[:, 0]
         assert expm_action(np.triu(np.ones((4, 4)), -1), e1, 0.0)[3] == 0.0
+
+
+def norm1(h):
+    return np.abs(h).sum(axis=0).max()
+
+
+def sigmas(h, t):
+    """Taylor step counts of the nodes t: ceil(t ||H - mu I||_1 / theta)."""
+    hs = h - np.trace(h) / h.shape[0] * np.eye(h.shape[0])
+    return np.ceil(t * norm1(hs) / TAYLOR_THETA)
+
+
+def nodes_with_sigmas(h, sig):
+    """One node in the middle of each given step count."""
+    hs = h - np.trace(h) / h.shape[0] * np.eye(h.shape[0])
+    return (np.asarray(sig) - 0.5) * TAYLOR_THETA / norm1(hs)
+
+
+def per_node_expm(h, v, t):
+    return np.column_stack([la.expm(-ti * h) @ v for ti in t])
+
+
+def per_node_one_minus(h, v, t):
+    """(I - exp(-tH)) v = tH phi_1(-tH) v, with phi_1(-tH) v read off the
+    exponential of the augmented matrix [[-tH, v], [0, 0]]: no cancellation."""
+    m = h.shape[0]
+    cols = []
+    for ti in t:
+        aug = np.zeros((m + 1, m + 1), dtype=np.result_type(h, v))
+        aug[:m, :m] = -ti * h
+        aug[:m, m] = v
+        cols.append(ti * h @ la.expm(aug)[:m, m])
+    return np.column_stack(cols)
+
+
+def per_node_scaled_taylor(h, v, t):
+    """The one-node scaled Taylor/Pade loop, kept as the reference the
+    batched sweep must reproduce."""
+    m = h.shape[0]
+    mu = np.trace(h) / m
+    hs = h - mu * np.eye(m)
+    cols = []
+    for ti in t:
+        sigma = int(np.ceil(ti * norm1(hs) / TAYLOR_THETA))
+        if sigma == 0:
+            cols.append(np.exp(-ti * mu) * v)
+            continue
+        if sigma > PADE_SWITCH_SIGMA:
+            cols.append(la.expm(-ti * h) @ v)
+            continue
+        b = (-ti / sigma) * hs
+        w = v.copy()
+        for _ in range(sigma):
+            term, acc = w, w.copy()
+            for j in range(1, TAYLOR_DEGREE + 1):
+                term = (b @ term) / j
+                acc = acc + term
+            w = np.exp(-ti * mu / sigma) * acc
+        cols.append(w)
+    return np.column_stack(cols)
+
+
+def max_rel(out, ref):
+    return float(np.max(np.linalg.norm(out - ref, axis=0) / np.linalg.norm(ref, axis=0)))
+
+
+def gaussian(m, rng, dtype):
+    """Dense random H. At m = 20 its 1-norm is ~3x its spectral radius, so
+    the Taylor truncation error stays far below the rounding error."""
+    h = rng.standard_normal((m, m))
+    if dtype is complex:
+        h = h + 1j * rng.standard_normal((m, m))
+    return h
+
+
+class TestExpmColumns:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_taylor_and_pade_nodes_match_per_node_expm(self, dtype):
+        rng = np.random.default_rng(11)
+        h = gaussian(20, rng, dtype)
+        v = rng.standard_normal(20)
+        t = np.concatenate([[0.0], nodes_with_sigmas(h, np.arange(1, 31))])
+        assert list(sigmas(h, t)) == list(range(31))
+        out = expm_columns(h, v, t)
+        assert out.shape == (20, 31)
+        assert np.array_equal(out[:, 0], v)
+        assert max_rel(out, per_node_expm(h, v, t)) <= 1e-13
+
+    def test_more_pade_nodes_than_one_chunk(self):
+        rng = np.random.default_rng(12)
+        h = gaussian(20, rng, float)
+        v = rng.standard_normal(20)
+        t = nodes_with_sigmas(h, np.linspace(26, 200, 2 * PADE_CHUNK + 7))
+        assert np.all(sigmas(h, t) > PADE_SWITCH_SIGMA)
+        assert max_rel(expm_columns(h, v, t), per_node_expm(h, v, t)) <= 1e-13
+
+    def test_unsorted_nodes_match_per_node_loop(self):
+        # a non-normal Hessenberg matrix, as the Arnoldi cycles produce;
+        # the loop reference runs the same arithmetic per node
+        rng = np.random.default_rng(13)
+        h = random_hessenberg(12, rng, spd_shift=2.0)
+        v = np.eye(12)[:, 0]
+        t = rng.permutation(np.concatenate([[0.0], nodes_with_sigmas(h, np.arange(1, 40))]))
+        assert max_rel(expm_columns(h, v, t), per_node_scaled_taylor(h, v, t)) <= 1e-13
+
+    def test_one_by_one(self):
+        t = np.array([0.0, 0.3, 4.0, 90.0])
+        for a in (-1.3, 0.0, 2.5):
+            out = expm_columns(np.array([[a]]), [0.7], t)
+            assert out[0] == pytest.approx(0.7 * np.exp(-t * a), rel=1e-15)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_minus_small_and_large_arguments(self, dtype):
+        rng = np.random.default_rng(14)
+        h = gaussian(20, rng, dtype)
+        v = rng.standard_normal(20)
+        t = np.array([1e-12, 1e-6, 0.4, 0.5, 0.6, 3.0, 30.0, 300.0]) / norm1(h)
+        out = expm_columns(h, v, t, one_minus=True)
+        assert max_rel(out, per_node_one_minus(h, v, t)) <= 1e-13
+
+    def test_hermitian_cache_matches_expm(self):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((6, 6))
+        h = (a + a.T) / 2
+        v = rng.standard_normal(6)
+        t = np.array([0.0, 0.01, 0.2, 0.5])
+        cache = eig_hermitian(h)
+        assert max_rel(expm_columns(h, v, t, cache), per_node_expm(h, v, t)) <= 1e-13
+        out = expm_columns(h, v, t[1:], cache, one_minus=True)
+        assert max_rel(out, per_node_one_minus(h, v, t[1:])) <= 1e-13
+
+    def test_overflowing_columns_are_masked_by_live_nodes(self):
+        # a negative eigenvalue makes exp(-t H) overflow at t = 1000; the
+        # zero kernel sample there must keep that column out of the sum
+        q, _ = la.qr(np.random.default_rng(16).standard_normal((4, 4)))
+        h = q @ np.diag([-1.0, 1.0, 2.0, 3.0]) @ q.T
+        h = (h + h.T) / 2
+        e1 = np.eye(4)[:, 0]
+        nodes = np.array([0.5, 1.0, 2.0, 1000.0])
+        rule = QuadratureRule(nodes=nodes, weights=np.array([0.3, 0.2, 0.1, 0.4]),
+                              eps_q=1e-10, nu=-1.0, value=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = expm_columns(h, e1, nodes, eig_hermitian(h))
+            out = apply_rule_matrix(rule, np.array([1.0, 2.0, 3.0, 0.0]), E)
+        assert not np.all(np.isfinite(E[:, 3]))
+        ref = per_node_expm(h, e1, nodes[:3]) @ (rule.weights[:3] * [1.0, 2.0, 3.0])
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_rejects_negative_and_nonfinite_t(self, bad, hermitian):
+        h = np.diag([1.0, 2.0])
+        cache = eig_hermitian(h) if hermitian else None
+        with pytest.raises(ValueError, match="^t must"):
+            expm_columns(h, np.ones(2), [0.5, bad], cache)
 
 
 class TestOneMinusExpm:
