@@ -4,7 +4,7 @@
 
 The inputs are those of the first cycle of F(s) = s^{-3/2} on the benchmark
 problems at N = 20 (n = 8000): the convection-diffusion operator with m = 20
-(non-Hermitian H, every node through the Taylor/Pade sweep) and the 3D
+(non-Hermitian H, every node through a stacked scipy expm) and the 3D
 Laplacian with m = 50 (Hermitian H, closed form from the eigendecomposition).
 Each rule is frozen once at eps_q = 1e-10, the default for tol = 1e-7.
 """
@@ -17,17 +17,19 @@ from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, la
 from laplace_krylov.quadrature import apply_rule_matrix, build_laplace_rule
 from laplace_krylov.restart import builtin_kernels
 from laplace_krylov.smallmat import eig_hermitian, expm_columns, smallmat_nu
+from laplace_krylov.spline import spline_fit
 
 KERNEL = builtin_kernels()["power-neg-3-2"].kernel
+EPS_Q = 1e-10
 
 
 def first_cycle(mat, m):
     op = LinearOperator.from_matrix(mat)
     b = np.random.default_rng(0).standard_normal(op.n)
     dec = arnoldi(op, b, m)
-    rule = build_laplace_rule(KERNEL, smallmat_nu(dec.H), 1e-10)
+    rule = build_laplace_rule(KERNEL, smallmat_nu(dec.H), EPS_Q)
     cache = eig_hermitian(dec.H) if dec.hermitian else None
-    return dec.H, np.eye(m)[:, 0], rule, cache
+    return dec.H, np.eye(m)[:, 0], rule, cache, op, b
 
 
 @pytest.fixture(scope="module")
@@ -40,21 +42,45 @@ def lap3d():
     return first_cycle(laplacian_nd(20, 3), 50)
 
 
+def test_arnoldi_hermitian(benchmark, lap3d):
+    *_, op, b = lap3d
+    dec = benchmark(arnoldi, op, b, 50)
+    assert dec.H.shape == (50, 50)
+
+
+def test_build_laplace_rule_non_hermitian(benchmark, cd3d):
+    H, *_ = cd3d
+    rule = benchmark(build_laplace_rule, KERNEL, smallmat_nu(H), EPS_Q)
+    assert rule.count > 0
+
+
+def test_spline_fit_rule_nodes(benchmark, cd3d):
+    _, _, rule, *_ = cd3d
+    surface = benchmark(spline_fit, rule.nodes, KERNEL(rule.nodes))
+    assert np.all(np.isfinite(surface(rule.nodes)))
+
+
 def test_propagator_non_hermitian(benchmark, cd3d):
-    H, e1, rule, _ = cd3d
+    H, e1, rule, *_ = cd3d
     E = benchmark(expm_columns, H, e1, rule.nodes)
     assert E.shape == (20, rule.count)
 
 
+def test_propagator_one_minus_non_hermitian(benchmark, cd3d):
+    H, e1, rule, *_ = cd3d
+    E = benchmark(expm_columns, H, e1, rule.nodes, one_minus=True)
+    assert E.shape == (20, rule.count)
+
+
 def test_apply_rule_matrix_non_hermitian(benchmark, cd3d):
-    H, e1, rule, _ = cd3d
+    H, e1, rule, *_ = cd3d
     E = expm_columns(H, e1, rule.nodes)
     y = benchmark(apply_rule_matrix, rule, KERNEL(rule.nodes), E)
     assert np.all(np.isfinite(y))
 
 
 def test_apply_rule_matrix_hermitian(benchmark, lap3d):
-    H, e1, rule, cache = lap3d
+    H, e1, rule, cache, *_ = lap3d
     E = expm_columns(H, e1, rule.nodes, cache)
     y = benchmark(apply_rule_matrix, rule, KERNEL(rule.nodes), E)
     assert np.all(np.isfinite(y))

@@ -53,6 +53,28 @@ def _f_of_tridiag(alphas, betas, scalar_form):
     return q @ (np.asarray(scalar_form(d)) * q[0, :])
 
 
+def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
+    """Plain Lanczos three-term recurrence from the unit vector v.
+
+    Yields (v_j, alpha_j, beta_j, broke) for j = 1..steps at one matvec each,
+    without storing the basis; ``broke`` flags the breakdown step, the last.
+    """
+    v_prev = np.zeros_like(v)
+    beta_prev = 0.0
+    for _ in range(steps):
+        w = op.apply(v) - beta_prev * v_prev
+        scale = float(np.linalg.norm(w))
+        alpha = float(v @ w)
+        w = w - alpha * v
+        beta = float(np.linalg.norm(w))
+        broke = beta <= 1e-14 * max(scale, abs(alpha))
+        yield v, alpha, beta, broke
+        if broke:
+            return
+        v_prev, v = v, w / beta
+        beta_prev = beta
+
+
 def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
                      tol: float, check_every_m: int,
                      reference: np.ndarray | None = None,
@@ -79,46 +101,22 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     ref_norm = float(np.linalg.norm(reference)) if reference is not None else 0.0
 
     report = TwoPassReport(steps=0, matvecs=0, converged=False)
-
-    def pass_one():
-        """Plain Lanczos recurrence; yields (j, broke, alphas, betas, u_dots)."""
-        alphas: list[float] = []
-        betas: list[float] = []
-        u_dots: list[float] = []
-        v_prev = np.zeros(n)
-        v = b / bnorm
-        beta_prev = 0.0
-        for j in range(1, max_steps + 1):
-            if reference is not None:
-                u_dots.append(float(v @ reference))
-            w = op.apply(v) - beta_prev * v_prev
-            scale = float(np.linalg.norm(w))
-            alpha = float(v @ w)
-            w = w - alpha * v
-            beta = float(np.linalg.norm(w))
-            alphas.append(alpha)
-            if j > 1:
-                betas.append(beta_prev)
-            broke = beta <= 1e-14 * max(scale, abs(alpha))
-            yield j, broke, alphas, betas, u_dots
-            if broke:
-                return
-            v_prev, v = v, w / beta
-            beta_prev = beta
-
-    stop_at = None
+    alphas: list[float] = []
+    betas: list[float] = []     # betas[:-1] are the off-diagonals of the tridiagonal
+    u_dots: list[float] = []
     y_prev = None
-    final_alphas: list[float] = []
-    final_betas: list[float] = []
-    for j, broke, alphas, betas, u_dots in pass_one():
-        final_alphas, final_betas = list(alphas), list(betas)
+    for j, (v, alpha, beta, broke) in enumerate(_lanczos(op, b / bnorm, max_steps), start=1):
+        alphas.append(alpha)
+        betas.append(beta)
+        if reference is not None:
+            u_dots.append(float(v @ reference))
         if broke:
             # invariant subspace found: the approximation is exact
-            stop_at = j
+            report.converged = True
             break
         if j % check_every_m != 0 and j != max_steps:
             continue
-        y = _f_of_tridiag(alphas, betas, fn.scalar_form)
+        y = _f_of_tridiag(alphas, betas[:-1], fn.scalar_form)
         if reference is not None:
             # ||f_j - ref||^2 expanded through the tracked projections; the
             # cancellation floor ~1e-8 relative is fine for stopping at 1e-7
@@ -127,7 +125,7 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             rel = math.sqrt(max(err2, 0.0)) / ref_norm
             report.checkpoints.append((j, rel))
             if rel <= tol:
-                stop_at = j
+                report.converged = True
                 break
         else:
             if y_prev is not None:
@@ -136,36 +134,20 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
                 rel = float(np.linalg.norm(diff) / np.linalg.norm(y))
                 report.checkpoints.append((j, rel))
                 if rel <= tol:
-                    stop_at = j
+                    report.converged = True
                     break
             y_prev = y
-    report.converged = stop_at is not None
-    if stop_at is None:
-        stop_at = len(final_alphas)
-    report.steps = stop_at
+    report.steps = len(alphas)
 
     # pass 2: regenerate the basis vectors one at a time and accumulate
-    # f = ||b|| sum_i coeff_i v_i without ever storing the basis; the loop
-    # mirrors pass 1 exactly, so the total cost is 2 * stop_at matvecs
-    coeff = _f_of_tridiag(final_alphas[:stop_at], final_betas[: stop_at - 1],
-                          fn.scalar_form)
+    # f = ||b|| sum_i coeff_i v_i without ever storing the basis; it takes
+    # the same steps as pass 1, so the total cost is 2 * steps matvecs
+    coeff = _f_of_tridiag(alphas, betas[:-1], fn.scalar_form)
     f = np.zeros(n)
-    v_prev = np.zeros(n)
-    v = b / bnorm
-    beta_prev = 0.0
-    for j in range(stop_at):
-        f = f + coeff[j] * v
-        w = op.apply(v) - beta_prev * v_prev
-        scale = float(np.linalg.norm(w))
-        alpha = float(v @ w)
-        w = w - alpha * v
-        beta = float(np.linalg.norm(w))
-        if beta <= 1e-14 * max(scale, abs(alpha)):
-            break
-        v_prev, v = v, w / beta
-        beta_prev = beta
+    for c, (v, *_) in zip(coeff, _lanczos(op, b / bnorm, report.steps)):
+        f = f + c * v
     f = bnorm * f
-    report.matvecs = 2 * stop_at
+    report.matvecs = 2 * report.steps
     if reference is not None:
         report.final_error = float(np.linalg.norm(f - reference) / ref_norm)
     return f, report

@@ -98,8 +98,6 @@ class RestartConfig:
     eps_s: float | None = None          # spline refinement target, default eps_q
     max_cycles: int = 60
     stopping: str = "update_norm"       # or "reference_error"
-    rule_refresh: str = "rebuild"       # or "freeze"
-    spline_knots: str = "midpoint"      # or "pairwise"
     max_refine_rounds: int = 5
 
     def __post_init__(self):
@@ -117,8 +115,6 @@ class RestartConfig:
             raise ValueError("need 0 < eps_q <= tol")
         if self.stopping not in ("update_norm", "reference_error"):
             raise ValueError(f"unknown stopping mode {self.stopping!r}")
-        if self.rule_refresh not in ("rebuild", "freeze"):
-            raise ValueError(f"unknown rule refresh policy {self.rule_refresh!r}")
 
 
 @dataclass
@@ -225,7 +221,6 @@ class _LaplaceChain:
         self.shift = 0.0
         self.nu_eff: float | None = None
         self.dead = False
-        self.first_rule: QuadratureRule | None = None
         self.model: ErrorModel | None = None      # evaluates f^(k) for the coming cycle
         self.node_values: np.ndarray | None = None
         self.eval_rule: QuadratureRule | None = None
@@ -262,7 +257,6 @@ class _LaplaceChain:
         y = apply_rule_matrix(rule, vals, Y)
         contribution = self.beta * y
 
-        self.first_rule = rule
         self.eval_rule = rule
         self.eval_g = E[-1]   # g(t_i) = e_m^T exp(-t_i H) e_1
         self.node_values = vals
@@ -286,19 +280,16 @@ class _LaplaceChain:
                    else spline_fit(knots, values))
         model = self._f_eval(surface, k)
 
-        if self.cfg.rule_refresh == "freeze":
-            rule = self.first_rule
-        else:
-            try:
-                rule = build_laplace_rule(lambda ts: error_function_values(model, ts),
-                                          self.nu_eff, self.cfg.eps_q,
-                                          t_max=float(self.eval_rule.nodes.max()))
-            except ZeroIntegrandError:
-                # the error kernel decayed below resolution: this chain is
-                # exhausted and contributes nothing from here on
-                self.dead = True
-                self.beta = -self.beta * h
-                return np.zeros(dec.m)
+        try:
+            rule = build_laplace_rule(lambda ts: error_function_values(model, ts),
+                                      self.nu_eff, self.cfg.eps_q,
+                                      t_max=float(self.eval_rule.nodes.max()))
+        except ZeroIntegrandError:
+            # the error kernel decayed below resolution: this chain is
+            # exhausted and contributes nothing from here on
+            self.dead = True
+            self.beta = -self.beta * h
+            return np.zeros(dec.m)
         # one propagator per cycle: the apply, every refinement round and
         # the next cycle's g values share these columns
         cache = eig_hermitian(H) if dec.hermitian else None
@@ -312,13 +303,10 @@ class _LaplaceChain:
             # update stabilizes; switch to pairwise-sum knots if midpoints
             # keep missing
             prev_eval = self.model  # evaluates f^(k-1), for new knot values
-            pairwise = self.cfg.spline_knots == "pairwise"
             target = self.cfg.eps_s * max(prev_iterate_norm, 1e-300)
             while rounds < self.cfg.max_refine_rounds:
                 rounds += 1
                 if rounds > 3:
-                    pairwise = True
-                if pairwise:
                     sums = (rule.nodes[:, None] + self.eval_rule.nodes[None, :]).ravel()
                     knots = np.unique(np.concatenate([self.eval_rule.nodes, sums]))
                 else:

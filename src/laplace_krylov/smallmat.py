@@ -1,9 +1,10 @@
 """Dense kernels on the small projected matrices.
 
 Everything here works on the m x m Hessenberg matrices of a restart cycle:
-actions of exp(-t H) on a vector for a whole array of quadrature nodes at
-once, Hermitian eigendecompositions behind them, and the shifted resolvent
-entries e_m^T (H + t I)^{-1} e_1.
+the columns exp(-t H) v, or (I - exp(-t H)) v, for a whole array of
+quadrature nodes at once (a closed form from the eigendecomposition when H is
+Hermitian, scipy's expm otherwise), the shifted resolvent entries
+e_m^T (H + t I)^{-1} e_1, and the spectral anchor.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ __all__ = [
     "eig_hermitian",
     "expm_action",
     "expm_columns",
-    "one_minus_expm_action",
     "resolvent_entry",
     "smallmat_nu",
 ]
 
-# scaling threshold for the degree-20 truncated Taylor action in double
-# precision; dense Pade expm takes over for strongly scaled arguments
-TAYLOR_THETA = 5.37
-TAYLOR_DEGREE = 20
-PADE_SWITCH_SIGMA = 25
+# nodes per stacked expm call, which bounds its memory to PADE_CHUNK small matrices
 PADE_CHUNK = 64
 
 
@@ -55,10 +51,12 @@ def expm_columns(H: np.ndarray, v: np.ndarray, t, cache: SpectralCache | None = 
     """Columns exp(-t_i H) v, or (I - exp(-t_i H)) v, for nodes t_i >= 0.
 
     Returns an m x q array for q nodes. With a spectral cache the Hermitian
-    closed form is used. Otherwise every node gets a scaled degree-20
-    truncated Taylor evaluation, all nodes in one sweep, except nodes whose
-    scaling would make that sweep more expensive, which take a dense Pade
-    expm. Columns that overflow are returned as they come out (inf or nan).
+    closed form is used. Otherwise each node takes scipy's scaling-and-squaring
+    expm (Al-Mohy & Higham 2009), PADE_CHUNK nodes per stacked call. For
+    ``one_minus`` the argument is the augmented matrix -t [[H, H v], [0, 0]],
+    whose exponential holds (exp(-t H) - I) v in its last column (Al-Mohy &
+    Higham 2011), so small t suffers no cancellation. Columns that overflow
+    are returned as they come out (inf or nan).
     """
     H = np.asarray(H)
     v = np.asarray(v)
@@ -75,62 +73,25 @@ def expm_columns(H: np.ndarray, v: np.ndarray, t, cache: SpectralCache | None = 
             ex = -np.expm1(-dt) if one_minus else np.exp(-dt)
             return cache.X @ (ex * (cache.X.conj().T @ v)[:, None])
     m = H.shape[0]
-    # trace shift centers the spectrum; without it a decaying exponential
-    # loses relative accuracy to cancellation in the Taylor sum
-    mu = np.trace(H) / m
-    Hs = H - mu * np.eye(m, dtype=H.dtype)
-    sigma = np.ceil(t * _norm1(Hs) / TAYLOR_THETA)
-    out = np.empty((m, t.size), dtype=np.result_type(H, v, float))
-    # sigma = 0 means t ||H - mu I|| = 0, where exp(-t H) v = exp(-t mu) v
-    flat = sigma == 0.0
-    out[:, flat] = np.exp(-t[flat] * mu) * v[:, None]
-    # column i takes sigma_i steps of exp(-(t_i / sigma_i) H), starting at v
-    steps = np.where(sigma > PADE_SWITCH_SIGMA, 0.0, sigma)
-    out[:, steps > 0] = v[:, None]
-    for step in range(int(steps.max(initial=0.0))):
-        i = np.flatnonzero(steps > step)
-        eta = np.exp(-t[i] * mu / steps[i])
-        out[:, i] = eta * _taylor(Hs, out[:, i], -t[i] / steps[i])
-    # the rest take a dense expm, stacked PADE_CHUNK nodes at a time so
-    # that memory stays at PADE_CHUNK m x m matrices
-    pade = np.flatnonzero(sigma > PADE_SWITCH_SIGMA)
-    for lo in range(0, pade.size, PADE_CHUNK):
-        i = pade[lo:lo + PADE_CHUNK]
-        out[:, i] = (la.expm(-t[i, None, None] * H) @ v).T
+    dtype = np.result_type(H, v, float)
     if one_minus:
-        out = v[:, None] - out
-        # Taylor sum of exp(-tH) minus its identity term: no subtraction of
-        # nearly equal quantities
-        small = t * _norm1(H) <= 0.5
-        vs = np.repeat(v[:, None], np.count_nonzero(small), axis=1)
-        out[:, small] = -_taylor(H, vs, -t[small], identity=False)
+        A = np.zeros((m + 1, m + 1), dtype=dtype)
+        A[:m, :m] = H
+        A[:m, m] = H @ v
+    else:
+        A = H
+    out = np.empty((m, t.size), dtype=dtype)
+    for lo in range(0, t.size, PADE_CHUNK):
+        c = slice(lo, lo + PADE_CHUNK)
+        ex = la.expm(-t[c, None, None] * A)
+        out[:, c] = -ex[:, :m, m].T if one_minus else (ex @ v).T
     return out
-
-
-def _taylor(A: np.ndarray, W: np.ndarray, c: np.ndarray, identity: bool = True) -> np.ndarray:
-    """Per column i: sum_{j=0..20} (c_i A)^j W_i / j!, or from j = 1."""
-    term = W
-    s = W if identity else 0.0   # never updated in place
-    for j in range(1, TAYLOR_DEGREE + 1):
-        term = (A @ term) * c / j
-        s = s + term
-    return s
 
 
 def expm_action(H: np.ndarray, v: np.ndarray, t: float,
                 cache: SpectralCache | None = None) -> np.ndarray:
     """exp(-t H) v for t >= 0: one node of :func:`expm_columns`."""
     return expm_columns(H, v, [t], cache)[:, 0]
-
-
-def one_minus_expm_action(H: np.ndarray, v: np.ndarray, t: float,
-                          cache: SpectralCache | None = None) -> np.ndarray:
-    """(I - exp(-t H)) v, computed without cancellation for small t*H."""
-    return expm_columns(H, v, [t], cache, one_minus=True)[:, 0]
-
-
-def _norm1(H: np.ndarray) -> float:
-    return float(np.abs(H).sum(axis=0).max())
 
 
 def resolvent_entry(H: np.ndarray, t: float) -> float:

@@ -90,6 +90,7 @@ class TestTwoPass:
         _, rep = two_pass_lanczos(op, b, fn, tol=1e-7, check_every_m=50,
                                   reference=ref)
         assert rep.matvecs == 100
+        assert op.matvec_count == 100
         assert rep.final_error <= 1e-7
 
 

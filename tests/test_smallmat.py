@@ -1,20 +1,19 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg as la
 
+from laplace_krylov.krylov import arnoldi
+from laplace_krylov.operators import LinearOperator, convection_diffusion_nd
 from laplace_krylov.quadrature import QuadratureRule, apply_rule_matrix
 from laplace_krylov.smallmat import (
     PADE_CHUNK,
-    PADE_SWITCH_SIGMA,
-    TAYLOR_DEGREE,
-    TAYLOR_THETA,
     eig_hermitian,
     expm_action,
     expm_columns,
-    one_minus_expm_action,
     resolvent_entry,
     smallmat_nu,
 )
@@ -50,16 +49,16 @@ class TestExpmAction:
         assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_pade_switch_for_large_scaling(self):
-        # t ||H||_1 / theta > 25 forces the dense path; the Hermitian cache
-        # provides the independent value
+        # strongly scaled arguments, t ||H||_1 from 135 to 460; the Hermitian
+        # cache provides the independent value
         rng = np.random.default_rng(2)
         h = rng.standard_normal((6, 6))
         h = h + h.T + 8 * np.eye(6)
         v = rng.standard_normal(6)
-        t = 30.0
-        out = expm_action(h, v, t)
-        ref = expm_action(h, v, t, cache=eig_hermitian(h))
-        assert np.linalg.norm(out - ref) <= 1e-11 * max(np.linalg.norm(ref), 1e-300)
+        t = np.linspace(135.0, 460.0, 6) / norm1(h)
+        out = expm_columns(h, v, t)
+        ref = expm_columns(h, v, t, cache=eig_hermitian(h))
+        assert max_rel(out, ref) <= 1e-11
 
     def test_hermitian_and_general_paths_agree(self):
         rng = np.random.default_rng(3)
@@ -107,18 +106,6 @@ def norm1(h):
     return np.abs(h).sum(axis=0).max()
 
 
-def sigmas(h, t):
-    """Taylor step counts of the nodes t: ceil(t ||H - mu I||_1 / theta)."""
-    hs = h - np.trace(h) / h.shape[0] * np.eye(h.shape[0])
-    return np.ceil(t * norm1(hs) / TAYLOR_THETA)
-
-
-def nodes_with_sigmas(h, sig):
-    """One node in the middle of each given step count."""
-    hs = h - np.trace(h) / h.shape[0] * np.eye(h.shape[0])
-    return (np.asarray(sig) - 0.5) * TAYLOR_THETA / norm1(hs)
-
-
 def per_node_expm(h, v, t):
     return np.column_stack([la.expm(-ti * h) @ v for ti in t])
 
@@ -136,31 +123,15 @@ def per_node_one_minus(h, v, t):
     return np.column_stack(cols)
 
 
-def per_node_scaled_taylor(h, v, t):
-    """The one-node scaled Taylor/Pade loop, kept as the reference the
-    batched sweep must reproduce."""
-    m = h.shape[0]
-    mu = np.trace(h) / m
-    hs = h - mu * np.eye(m)
-    cols = []
-    for ti in t:
-        sigma = int(np.ceil(ti * norm1(hs) / TAYLOR_THETA))
-        if sigma == 0:
-            cols.append(np.exp(-ti * mu) * v)
-            continue
-        if sigma > PADE_SWITCH_SIGMA:
-            cols.append(la.expm(-ti * h) @ v)
-            continue
-        b = (-ti / sigma) * hs
-        w = v.copy()
-        for _ in range(sigma):
-            term, acc = w, w.copy()
-            for j in range(1, TAYLOR_DEGREE + 1):
-                term = (b @ term) / j
-                acc = acc + term
-            w = np.exp(-ti * mu / sigma) * acc
-        cols.append(w)
-    return np.column_stack(cols)
+def mpmath_columns(h, v, t, dps=40):
+    """exp(-tH) v and (I - exp(-tH)) v per node from a dps-digit mpmath expm."""
+    with mpmath.workdps(dps):
+        hm = mpmath.matrix(h.tolist())
+        vm = mpmath.matrix(v.tolist())
+        cols = [mpmath.expm(-mpmath.mpf(ti) * hm) * vm for ti in t]
+        plain = np.array([[float(c[i]) for c in cols] for i in range(len(v))])
+        one_minus = np.array([[float(vm[i] - c[i]) for c in cols] for i in range(len(v))])
+    return plain, one_minus
 
 
 def max_rel(out, ref):
@@ -168,8 +139,7 @@ def max_rel(out, ref):
 
 
 def gaussian(m, rng, dtype):
-    """Dense random H. At m = 20 its 1-norm is ~3x its spectral radius, so
-    the Taylor truncation error stays far below the rounding error."""
+    """Dense m x m H with Gaussian entries, real or complex."""
     h = rng.standard_normal((m, m))
     if dtype is complex:
         h = h + 1j * rng.standard_normal((m, m))
@@ -182,8 +152,7 @@ class TestExpmColumns:
         rng = np.random.default_rng(11)
         h = gaussian(20, rng, dtype)
         v = rng.standard_normal(20)
-        t = np.concatenate([[0.0], nodes_with_sigmas(h, np.arange(1, 31))])
-        assert list(sigmas(h, t)) == list(range(31))
+        t = np.concatenate([[0.0], np.linspace(2.5, 160.0, 30) / norm1(h)])
         out = expm_columns(h, v, t)
         assert out.shape == (20, 31)
         assert np.array_equal(out[:, 0], v)
@@ -193,18 +162,29 @@ class TestExpmColumns:
         rng = np.random.default_rng(12)
         h = gaussian(20, rng, float)
         v = rng.standard_normal(20)
-        t = nodes_with_sigmas(h, np.linspace(26, 200, 2 * PADE_CHUNK + 7))
-        assert np.all(sigmas(h, t) > PADE_SWITCH_SIGMA)
+        t = np.linspace(135.0, 1070.0, 2 * PADE_CHUNK + 7) / norm1(h)
         assert max_rel(expm_columns(h, v, t), per_node_expm(h, v, t)) <= 1e-13
 
     def test_unsorted_nodes_match_per_node_loop(self):
-        # a non-normal Hessenberg matrix, as the Arnoldi cycles produce;
-        # the loop reference runs the same arithmetic per node
+        # a non-normal Hessenberg matrix, as the Arnoldi cycles produce
         rng = np.random.default_rng(13)
         h = random_hessenberg(12, rng, spd_shift=2.0)
         v = np.eye(12)[:, 0]
-        t = rng.permutation(np.concatenate([[0.0], nodes_with_sigmas(h, np.arange(1, 40))]))
-        assert max_rel(expm_columns(h, v, t), per_node_scaled_taylor(h, v, t)) <= 1e-13
+        t = rng.permutation(np.concatenate([[0.0], np.linspace(2.5, 210.0, 39) / norm1(h)]))
+        assert max_rel(expm_columns(h, v, t), per_node_expm(h, v, t)) <= 1e-13
+
+    def test_non_normal_hessenberg_matches_mpmath(self):
+        # the cycle-1 Hessenberg matrix of the cd3d benchmark problem at
+        # m = 20, ||H||_1 = 134: plain and one_minus columns within 1e-12 of
+        # a 40-digit reference, from t ||H||_1 = 1e-12 to 300
+        op = LinearOperator.from_matrix(convection_diffusion_nd(20, 1e-3, 3))
+        h = arnoldi(op, np.random.default_rng(0).standard_normal(op.n), 20).H
+        assert norm1(h) > 100
+        e1 = np.eye(20)[:, 0]
+        t = np.geomspace(1e-12, 300.0, 15) / norm1(h)
+        ref, ref_one_minus = mpmath_columns(h, e1, t)
+        assert max_rel(expm_columns(h, e1, t), ref) <= 1e-12
+        assert max_rel(expm_columns(h, e1, t, one_minus=True), ref_one_minus) <= 1e-12
 
     def test_one_by_one(self):
         t = np.array([0.0, 0.3, 4.0, 90.0])
@@ -266,8 +246,8 @@ class TestOneMinusExpm:
         h = h + h.T + 6 * np.eye(5)
         v = np.eye(5)[:, 0]
         t = 1e-9
-        out = one_minus_expm_action(h, v, t)
-        ref = one_minus_expm_action(h, v, t, cache=eig_hermitian(h))
+        out = expm_columns(h, v, [t], one_minus=True)[:, 0]
+        ref = expm_columns(h, v, [t], eig_hermitian(h), one_minus=True)[:, 0]
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
         # must not be the catastrophic v - expm result, which has ~1e-7 noise
         assert np.linalg.norm(ref) == pytest.approx(t * np.linalg.norm(h @ v), rel=1e-6)
@@ -276,7 +256,7 @@ class TestOneMinusExpm:
         rng = np.random.default_rng(7)
         h = rng.standard_normal((5, 5))
         v = rng.standard_normal(5)
-        out = one_minus_expm_action(h, v, 2.0)
+        out = expm_columns(h, v, [2.0], one_minus=True)[:, 0]
         ref = v - la.expm(-2.0 * h) @ v
         assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
 
