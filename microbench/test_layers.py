@@ -7,6 +7,7 @@ problems at N = 20 (n = 8000): the convection-diffusion operator with m = 20
 (non-Hermitian H, every node through a stacked scipy expm) and the 3D
 Laplacian with m = 50 (Hermitian H, closed form from the eigendecomposition).
 Each rule is frozen once at eps_q = 1e-10, the default for tol = 1e-7.
+Arnoldi is also timed at m = 400, the length of the unrestarted reference.
 """
 
 import numpy as np
@@ -46,6 +47,18 @@ def test_arnoldi_hermitian(benchmark, lap3d):
     *_, op, b = lap3d
     dec = benchmark(arnoldi, op, b, 50)
     assert dec.H.shape == (50, 50)
+
+
+def test_arnoldi_hermitian_m400(benchmark, lap3d):
+    *_, op, b = lap3d
+    dec = benchmark(arnoldi, op, b, 400)
+    assert dec.m == 400
+
+
+def test_arnoldi_non_hermitian_m400(benchmark, cd3d):
+    *_, op, b = cd3d
+    dec = benchmark(arnoldi, op, b, 400)
+    assert dec.m == 400
 
 
 def test_build_laplace_rule_non_hermitian(benchmark, cd3d):

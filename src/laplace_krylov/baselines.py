@@ -274,11 +274,11 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
     n = op.n
     if op.hermitian and dense is not None and n <= 1000:
         w, q = la.eigh(dense)
-        return q @ (np.asarray(fn.scalar_form(w)) * (q.T @ b))
+        return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
     dec = arnoldi(op, b, min(steps, n))
     if op.hermitian:
         w, q = la.eigh(dec.H)
-        y = q @ (np.asarray(fn.scalar_form(w)) * (q.T[:, 0]))
+        y = q @ (np.asarray(fn.scalar_form(w)) * q[0].conj())
     else:
         y = _scalar_on_matrix(fn, dec.H)
     return dec.beta * (dec.V @ y)

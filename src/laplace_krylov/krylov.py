@@ -1,10 +1,10 @@
 """Arnoldi (and Hermitian Lanczos) decompositions of fixed cycle length.
 
-A single code path covers both cases: classical Gram-Schmidt applied twice,
-each pass two matrix-vector products against a row-major basis. Two passes
-keep the basis orthonormal to working precision ("twice is enough", Giraud,
-Langou and Rozloznik, Comput. Math. Appl. 2005) at the flop count of
-modified Gram-Schmidt, without its per-column loop.
+One loop: classical Gram-Schmidt applied twice against a row-major basis
+keeps it orthonormal to working precision ("twice is enough", Giraud, Langou
+and Rozloznik, Comput. Math. Appl. 2005). For Hermitian operators the first
+pass is the Lanczos three-term step and the second stays full, i.e. Lanczos
+with complete reorthogonalization (Simon, Math. Comp. 1984).
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ class KrylovDecomposition:
 def arnoldi(op: LinearOperator, start: np.ndarray, m: int) -> KrylovDecomposition:
     """Build a length-m Arnoldi decomposition from ``start``.
 
+    Each step orthogonalizes A v_j by two classical Gram-Schmidt passes. For
+    Hermitian A the first runs over v_{j-1}, v_j only (H is tridiagonal); the
+    second always spans the whole basis, since in floating point A v_j drifts
+    onto older vectors and a short recurrence alone loses orthogonality.
+
     On a lucky breakdown at step j < m the decomposition is truncated to
     size j and h_next is 0; a non-finite matvec raises at its step. For
     Hermitian operators H is symmetrized before it is returned so downstream
@@ -72,11 +77,11 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int) -> KrylovDecompositio
         norm_w = np.linalg.norm(w)
         if not np.isfinite(norm_w) and not np.all(np.isfinite(w)):
             raise ValueError(f"operator returned non-finite values at Arnoldi step {j + 1}")
-        basis = Q[: j + 1]
-        for _ in range(2):
+        for lo in (max(j - 1, 0) if op.hermitian else 0, 0):
+            basis = Q[lo: j + 1]
             c = basis.conj() @ w
             w -= c @ basis
-            H[: j + 1, j] += c
+            H[lo: j + 1, j] += c
 
         h = np.linalg.norm(w)
         if h <= BREAKDOWN_RTOL * norm_w:

@@ -170,6 +170,20 @@ class TestReference:
         ref = reference_apply(LinearOperator.from_matrix(mat), mat.toarray(), b, fn)
         assert np.allclose(ref, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "krylov"])
+    def test_complex_hermitian(self, dense):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        a = x @ x.conj().T / 30 + np.eye(30)
+        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        op = LinearOperator.from_dense(a)
+        assert op.hermitian
+        fn = builtin_kernels()["power-neg-3-2"]
+        ref = reference_apply(op, a if dense else None, b, fn, steps=30)
+        w, q = la.eigh(a)
+        oracle = q @ (w**-1.5 * (q.conj().T @ b))
+        assert np.linalg.norm(ref - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
     def test_nonsymmetric_reference(self):
         mat = convection_diffusion_nd(4, 1e-2, 2)
         rng = np.random.default_rng(5)

@@ -78,6 +78,18 @@ class TestArnoldiBasics:
         assert np.abs(dec.H - H).max() <= 1e-12 * np.linalg.norm(a)
         assert dec.h_next == pytest.approx(h_next, rel=1e-12)
 
+    def test_invariants_symmetric_random_50(self):
+        # the Hermitian path (three-term first pass) against full MGS
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((50, 50))
+        a = a + a.T
+        b = rng.standard_normal(50)
+        dec = arnoldi(op_from_dense(a), b, 20)
+        V, H, h_next = mgs_reference(a, b, 20)
+        assert np.abs(dec.V - V).max() <= 1e-12
+        assert np.abs(dec.H - H).max() <= 1e-12 * np.linalg.norm(a)
+        assert dec.h_next == pytest.approx(h_next, rel=1e-12)
+
     def test_operator_returning_its_argument(self):
         # orthogonalizing the matvec result in place would zero V[:, 0]
         op = LinearOperator(lambda x: x, 3, hermitian=True)
@@ -97,6 +109,23 @@ class TestArnoldiBasics:
         dec = arnoldi(LinearOperator.from_matrix(mat), b, 150)
         assert dec.m == 150
         assert np.abs(dec.V.T @ dec.V - np.eye(150)).max() <= 1e-13
+
+    def test_graded_spectrum_stays_orthonormal(self):
+        d = np.logspace(-10, 0, 300)
+        op = LinearOperator(lambda x: d * x, 300, hermitian=True)
+        dec = arnoldi(op, np.random.default_rng(12).standard_normal(300), 250)
+        assert dec.m == 250
+        assert np.abs(dec.V.T @ dec.V - np.eye(250)).max() <= 1e-13
+
+    def test_clustered_spectrum_breaks_down_orthonormal(self):
+        # 151 distinct eigenvalues within 1.5e-7 of each other: the Krylov
+        # space is exhausted after ~151 steps and the residual vanishes
+        d = np.concatenate([np.ones(150), 1.0 + 1e-9 * np.arange(1, 151)])
+        op = LinearOperator(lambda x: d * x, 300, hermitian=True)
+        dec = arnoldi(op, np.random.default_rng(13).standard_normal(300), 250)
+        assert dec.m < 250
+        assert dec.breakdown
+        assert np.abs(dec.V.T @ dec.V - np.eye(dec.m)).max() <= 1e-13
 
     def test_complex_operator_upgrades_real_start(self):
         rng = np.random.default_rng(7)
