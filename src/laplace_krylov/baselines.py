@@ -64,7 +64,7 @@ def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
     for _ in range(steps):
         w = op.apply(v) - beta_prev * v_prev
         scale = float(np.linalg.norm(w))
-        alpha = float(v @ w)
+        alpha = np.vdot(v, w).real
         w = w - alpha * v
         beta = float(np.linalg.norm(w))
         broke = beta <= 1e-14 * max(scale, abs(alpha))
@@ -103,13 +103,13 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     report = TwoPassReport(steps=0, matvecs=0, converged=False)
     alphas: list[float] = []
     betas: list[float] = []     # betas[:-1] are the off-diagonals of the tridiagonal
-    u_dots: list[float] = []
+    u_dots: list[complex] = []
     y_prev = None
     for j, (v, alpha, beta, broke) in enumerate(_lanczos(op, b / bnorm, max_steps), start=1):
         alphas.append(alpha)
         betas.append(beta)
         if reference is not None:
-            u_dots.append(float(v @ reference))
+            u_dots.append(np.vdot(v, reference))
         if broke:
             # invariant subspace found: the approximation is exact
             report.converged = True
@@ -121,7 +121,7 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             # ||f_j - ref||^2 expanded through the tracked projections; the
             # cancellation floor ~1e-8 relative is fine for stopping at 1e-7
             u = np.asarray(u_dots)
-            err2 = ref_norm**2 - 2.0 * bnorm * float(y @ u) + bnorm**2 * float(y @ y)
+            err2 = ref_norm**2 - 2.0 * bnorm * float((y @ u).real) + bnorm**2 * float(y @ y)
             rel = math.sqrt(max(err2, 0.0)) / ref_norm
             report.checkpoints.append((j, rel))
             if rel <= tol:
@@ -167,16 +167,16 @@ def cg_solve(op: LinearOperator, b: np.ndarray, rtol: float,
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
-    rs = float(r @ r)
-    target = rtol * math.sqrt(float(b @ b))
+    rs = np.vdot(r, r).real
+    target = rtol * math.sqrt(np.vdot(b, b).real)
     if math.sqrt(rs) <= target:
         return x, 0
     for it in range(1, max_iter + 1):
         Ap = op.apply(p)
-        alpha = rs / float(p @ Ap)
+        alpha = rs / np.vdot(p, Ap).real
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(r @ r)
+        rs_new = np.vdot(r, r).real
         if math.sqrt(rs_new) <= target:
             return x, it
         p = r + (rs_new / rs) * p

@@ -123,12 +123,6 @@ class QuadratureRule:
     def count(self) -> int:
         return self.nodes.size
 
-    def apply_scalar(self, values: np.ndarray, shift: float | None = None) -> float:
-        """Apply the rule to values f(t_i), damped with exp(-shift t_i)."""
-        s = self.nu if shift is None else shift
-        damp = _damp(self.weight_kind, s, self.nodes)
-        return float(np.sum(self.weights * np.asarray(values) * damp))
-
 
 def _damp(kind: str, s: float, t: np.ndarray) -> np.ndarray:
     if kind == "exp":
@@ -264,15 +258,16 @@ def integrate_halfline_vector(f, eps: float,
                               max_intervals: int = MAX_INTERVALS) -> np.ndarray:
     """Adaptive int_0^inf f(t) dt for a vector-valued integrand.
 
-    ``f`` takes a scalar t and returns an ndarray; the error estimate is the
-    Euclidean norm of the Kronrod/Gauss difference.
+    ``f`` takes the 15 Kronrod points of a segment as one array t and
+    returns their values as the rows of a 2-D array; the error estimate is
+    the Euclidean norm of the Kronrod/Gauss difference.
     """
     def segment(a, b):
         half = 0.5 * (b - a)
         x = a + half * (GK15_NODES + 1.0)
         t = _x_to_t(x)
         jac = _jacobian(x)
-        vals = np.array([np.asarray(f(ti), dtype=float) for ti in t])
+        vals = np.asarray(f(t), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand returned non-finite values")
         k = half * ((GK15_WEIGHTS * jac) @ vals)

@@ -12,7 +12,8 @@ Two-sided transforms run two kernel chains (for A and -A) over a shared
 Krylov basis; complete Bernstein functions run the standard chain after a
 sign flip, with the linear part applied directly; Stieltjes functions, a
 special case of Laplace transforms, run a chain that integrates shifted
-resolvents against the density.
+resolvents against the density times a product over the earlier cycles'
+Ritz values.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .quadrature import (
     integrate_halfline,
     integrate_halfline_vector,
 )
-from .smallmat import SpectralCache, eig_hermitian, expm_columns, resolvent_entry, smallmat_nu
+from .smallmat import eig_hermitian, expm_columns, smallmat_nu
 from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
 from .spline import spline_fit, spline_refine_nodes
 
@@ -342,55 +343,51 @@ class _LaplaceChain:
 
 
 class _StieltjesChain:
-    """Resolvent-based error chain for Stieltjes functions.
+    """Error chain for Stieltjes functions, kept as stored Ritz values.
 
     The cycle-k update integrates
-    rho(t) * prod_j psi^(j)(t) * (H^(k) + tI)^{-1} e_1 over the half line by
-    adaptive quadrature, with psi^(j)(t) = e_m^T (H^(j) + tI)^{-1} e_1 from
-    the earlier cycles' Hessenberg matrices.
+    rho(t) * psi(t) * (H^(k) + tI)^{-1} e_1 over the half line by adaptive
+    quadrature, with psi(t) = prod_j e_m^T (H^(j) + tI)^{-1} e_1 over the
+    earlier cycles. For an unreduced Hessenberg H with Ritz values theta_l,
+    e_m^T (H + tI)^{-1} e_1 = (-1)^(m+1) prod_i h_{i+1,i} / prod_l (t + theta_l)
+    (Afanasjew, Eiermann, Ernst & Güttel, LAA 429, 2008; Frommer, Güttel &
+    Schweitzer, SIMAX 35, 2014), so the chain keeps every earlier Ritz value
+    in ``ritz``, the summed log h_{i+1,i} in ``log_c`` and the product of
+    the signs in ``sign``.
     """
 
     def __init__(self, rho, cfg: RestartConfig, beta1: float):
         self.rho = rho
         self.cfg = cfg
         self.beta = beta1
-        self.psis: list[Callable[[float], float]] = []
+        self.ritz = np.empty(0, dtype=complex)
+        self.log_c = 0.0
+        self.sign = 1.0
 
-    @staticmethod
-    def _psi(H: np.ndarray, cache: SpectralCache | None):
-        if cache is None:
-            return lambda t: float(np.real(resolvent_entry(H, t)))
-        row = cache.X[H.shape[0] - 1, :] * cache.x_e1
-        return lambda t: float(row @ (1.0 / (cache.D + t)))
+    def _psi(self, t: np.ndarray) -> np.ndarray:
+        """psi at the points t, in log form so that prod h never overflows."""
+        log_det = np.log(t[:, None] + self.ritz).sum(axis=1)
+        return self.sign * np.exp(self.log_c - log_det).real
 
     def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
         H = dec.H
-        cache = eig_hermitian(H) if dec.hermitian else None
+        m = dec.m
         if k == 1:
             nu = smallmat_nu(H)
             if nu <= 0:
                 raise ConvergenceRegionError(
                     f"Stieltjes restart needs spec(A) off (-inf, 0]; anchor nu={nu:.6g}"
                 )
-        if cache is not None:
-            def resolve(t):
-                return cache.X @ (cache.x_e1 / (cache.D + t))
-        else:
-            e1 = np.zeros(H.shape[0], dtype=H.dtype)
-            e1[0] = 1.0
-            eye = np.eye(H.shape[0], dtype=H.dtype)
-
-            def resolve(t):
-                return np.real(la.solve(H + t * eye, e1))
+        eye = np.eye(m, dtype=H.dtype)
 
         def integrand(t):
-            w = float(self.rho(t))
-            for p in self.psis:
-                w *= p(t)
-            return w * resolve(t)
+            r = np.linalg.solve(H + t[:, None, None] * eye, eye[:, :1])[:, :, 0].real
+            return (self.rho(t) * self._psi(t))[:, None] * r
 
         contribution = self.beta * integrate_halfline_vector(integrand, self.cfg.eps_q)
-        self.psis.append(self._psi(H, cache))
+        self.ritz = np.concatenate([self.ritz, la.eigvals(H)])
+        self.log_c += np.log(np.diag(H, -1)).sum()
+        self.sign *= (-1.0) ** (m + 1)
         self.beta = -self.beta * dec.h_next
         return contribution
 

@@ -3,8 +3,7 @@
 Everything here works on the m x m Hessenberg matrices of a restart cycle:
 the columns exp(-t H) v, or (I - exp(-t H)) v, for a whole array of
 quadrature nodes at once (a closed form from the eigendecomposition when H is
-Hermitian, scipy's expm otherwise), the shifted resolvent entries
-e_m^T (H + t I)^{-1} e_1, and the spectral anchor.
+Hermitian, scipy's expm otherwise), and the spectral anchor.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "eig_hermitian",
     "expm_action",
     "expm_columns",
-    "resolvent_entry",
     "smallmat_nu",
 ]
 
@@ -33,7 +31,6 @@ class SpectralCache:
 
     D: np.ndarray       # ascending real eigenvalues
     X: np.ndarray       # orthonormal eigenvectors (columns)
-    x_e1: np.ndarray    # X^H e_1
 
 
 def eig_hermitian(H: np.ndarray, tol: float = 1e-8) -> SpectralCache:
@@ -43,7 +40,7 @@ def eig_hermitian(H: np.ndarray, tol: float = 1e-8) -> SpectralCache:
     if float(np.abs(H - H.conj().T).max()) > tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     D, X = la.eigh((H + H.conj().T) / 2.0)
-    return SpectralCache(D=D, X=X, x_e1=X.conj().T[:, 0].copy())
+    return SpectralCache(D=D, X=X)
 
 
 def expm_columns(H: np.ndarray, v: np.ndarray, t, cache: SpectralCache | None = None,
@@ -92,23 +89,6 @@ def expm_action(H: np.ndarray, v: np.ndarray, t: float,
                 cache: SpectralCache | None = None) -> np.ndarray:
     """exp(-t H) v for t >= 0: one node of :func:`expm_columns`."""
     return expm_columns(H, v, [t], cache)[:, 0]
-
-
-def resolvent_entry(H: np.ndarray, t: float) -> float:
-    """psi(t) = e_m^T (H + t I)^{-1} e_1 via a dense LU solve."""
-    H = np.asarray(H)
-    m = H.shape[0]
-    A = H + t * np.eye(m, dtype=H.dtype)
-    e1 = np.zeros(m, dtype=H.dtype)
-    e1[0] = 1.0
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = la.solve(A, e1)
-    except la.LinAlgError as exc:
-        raise ValueError(f"singular shift t={t}") from exc
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"singular shift t={t}")
-    return x[m - 1]
 
 
 def smallmat_nu(H: np.ndarray) -> float:

@@ -42,6 +42,15 @@ def full_storage_lanczos(a, b, steps, scalar):
     return bnorm * np.column_stack(basis) @ coeff
 
 
+def complex_hpd():
+    """30 x 30 complex Hermitian positive definite matrix and a complex b."""
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    a = x @ x.conj().T / 30 + np.eye(30)
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    return a, b
+
+
 class TestTwoPass:
     def test_equals_full_storage(self):
         mat = np.diag([1.0, 2.0, 3.0])
@@ -72,6 +81,19 @@ class TestTwoPass:
         f, rep = two_pass_lanczos(op, b, fn, tol=1e-7, check_every_m=5, reference=ref)
         assert rep.converged
         assert rep.final_error <= 1e-7
+
+    @pytest.mark.parametrize("with_reference", [True, False], ids=["reference", "no-reference"])
+    def test_complex_hermitian(self, with_reference):
+        a, b = complex_hpd()
+        w, q = la.eigh(a)
+        oracle = q @ (w**-1.5 * (q.conj().T @ b))
+        op = LinearOperator.from_dense(a)
+        fn = builtin_kernels()["power-neg-3-2"]
+        tol = 1e-7
+        f, rep = two_pass_lanczos(op, b, fn, tol=tol, check_every_m=5,
+                                  reference=oracle if with_reference else None)
+        assert rep.converged
+        assert np.linalg.norm(f - oracle) <= tol * np.linalg.norm(oracle)
 
     def test_rejects_non_hermitian(self):
         op = LinearOperator.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -117,6 +139,15 @@ class TestCG:
         op = LinearOperator.from_matrix(mat)
         x, iters = cg_solve(op, b, 1e-9)
         assert np.linalg.norm(b - mat.matvec(x)) <= 1e-9 * np.linalg.norm(b) * 1.01
+        assert op.matvec_count == iters
+
+    def test_complex_hermitian(self):
+        a, b = complex_hpd()
+        op = LinearOperator.from_dense(a)
+        assert op.hermitian
+        x, iters = cg_solve(op, b, 1e-12)
+        exact = la.solve(a, b)
+        assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
         assert op.matvec_count == iters
 
     def test_rejects_non_hermitian(self):
@@ -172,10 +203,7 @@ class TestReference:
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "krylov"])
     def test_complex_hermitian(self, dense):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-        a = x @ x.conj().T / 30 + np.eye(30)
-        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        a, b = complex_hpd()
         op = LinearOperator.from_dense(a)
         assert op.hermitian
         fn = builtin_kernels()["power-neg-3-2"]

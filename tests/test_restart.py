@@ -362,7 +362,87 @@ class TestErrorRepresentation:
         assert np.linalg.norm(lhs - rhs) <= 1e-7 * np.linalg.norm(exact)
 
 
+RITZ_POINTS = np.logspace(-6, 6, 49)
+
+
+def dense_psi(decs, t):
+    """prod_j e_m^T (H_j + t I)^{-1} e_1 from one dense solve per cycle and point.
+
+    Only the Hessenberg part of H_j is kept: symmetrizing a Hermitian H puts
+    rounding-level entries below the subdiagonal, and at t >> |H| those
+    dominate the (tiny) entry.
+    """
+    out = np.ones(t.size)
+    for dec in decs:
+        eye = np.eye(dec.m)
+        out *= [la.solve(np.triu(dec.H, -1) + ti * eye, eye[:, 0])[-1].real for ti in t]
+    return out
+
+
+def ritz_case(name):
+    """Arnoldi cycles to feed one Stieltjes chain, and known (t, psi(t), atol)."""
+    rng = np.random.default_rng(9)
+    if name == "scalar":
+        return [arnoldi(diag_op([2.0]), np.ones(1), 1)], [(3.0, 0.2, 1e-15)]
+    if name == "laplace-of-g":
+        # psi = L{g} with g(tau) = e_m^T exp(-tau H) e_1; the oracle is
+        # adaptive quadrature of the eigendecomposition closed form
+        dec = arnoldi(LinearOperator.from_dense(spd_matrix(5, seed=9)), np.eye(5)[0], 5)
+        w, q = la.eigh(dec.H)
+        coeff = q[-1, :] * q[0, :]
+        oracle, _ = scipy.integrate.quad(lambda tau: float(coeff @ np.exp(-tau * w)) * np.exp(-tau),
+                                         0, np.inf, epsabs=1e-12, epsrel=1e-12)
+        return [dec], [(1.0, oracle, 1e-8)]
+    if name == "large-shift":
+        h = np.triu(rng.standard_normal((4, 4)), -1) + 4.0 * np.eye(4)
+        return [arnoldi(LinearOperator.from_dense(h), np.eye(4)[0], 4)], [(1e9, 0.0, 1e-15)]
+    # Hermitian and non-Hermitian cycles of even and odd length, one of them m=1
+    spd = LinearOperator.from_dense(spd_matrix(8, seed=3))
+    cd = LinearOperator.from_matrix(convection_diffusion_nd(4, 1e-2, 2))
+    decs = [arnoldi(spd, rng.standard_normal(8), 4), arnoldi(cd, rng.standard_normal(16), 5),
+            arnoldi(spd, rng.standard_normal(8), 1), arnoldi(cd, rng.standard_normal(16), 6)]
+    return decs, []
+
+
 class TestStieltjes:
+    def test_nonhermitian_matches_dense(self):
+        mat = convection_diffusion_nd(10, 1e-2, 2)
+        op = LinearOperator.from_matrix(mat)
+        assert not op.hermitian
+        b = np.random.default_rng(14).standard_normal(mat.n)
+        fn = builtin_kernels()["inv-sqrt-stieltjes"]
+        x, rep = restarted_laplace(op, b, fn, RestartConfig(m=5, tol=1e-9))
+        exact = np.real(la.solve(la.sqrtm(mat.toarray()), b))
+        assert rep.converged and rep.cycles > 2
+        assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("case", ["mixed", "scalar", "laplace-of-g", "large-shift"])
+    def test_ritz_form_matches_dense_solves(self, case):
+        decs, known = ritz_case(case)
+        rho = builtin_kernels()["inv-sqrt-stieltjes"].kernel
+        chain = restart._StieltjesChain(rho, RestartConfig(m=1, tol=1e-6), 1.0)
+        for k, dec in enumerate(decs, start=1):
+            chain.cycle(dec, k, 1.0)
+            ref = dense_psi(decs[:k], RITZ_POINTS)
+            assert np.all(np.abs(chain._psi(RITZ_POINTS) - ref) <= 1e-12 * np.abs(ref))
+        for t, value, atol in known:
+            assert chain._psi(np.array([t]))[0] == pytest.approx(value, abs=atol)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subdiagonal_product_beyond_overflow(self):
+        mat = laplacian_nd(12, 3)
+        scaled = LinearOperator.from_matrix(
+            SparseMatrix.from_scipy(1e8 * mat.to_scipy(), symmetric=True))
+        b = np.random.default_rng(15).standard_normal(mat.n)
+        dec = arnoldi(scaled, b, 60)
+        assert np.log10(np.diag(dec.H, -1)).sum() > 400
+        fn = builtin_kernels()["inv-sqrt-stieltjes"]
+        cfg = RestartConfig(m=60, tol=1e-7)
+        x, _ = restarted_laplace(LinearOperator.from_matrix(mat), b, fn, cfg)
+        xs, rep = restarted_laplace(scaled, b, fn, cfg)
+        assert rep.converged
+        assert np.linalg.norm(1e4 * xs - x) <= 1e-12 * np.linalg.norm(x)
+
     def test_diagonal_elementwise(self):
         op = diag_op([1.0, 4.0, 9.0])
         b = np.ones(3) / math.sqrt(3.0)

@@ -3,7 +3,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg as la
 
 from laplace_krylov.krylov import arnoldi
@@ -14,7 +13,6 @@ from laplace_krylov.smallmat import (
     eig_hermitian,
     expm_action,
     expm_columns,
-    resolvent_entry,
     smallmat_nu,
 )
 
@@ -282,39 +280,6 @@ class TestEigHermitian:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-class TestResolventEntry:
-    def test_scalar(self):
-        assert resolvent_entry(np.array([[2.0]]), 3.0) == pytest.approx(0.2)
-
-    def test_is_laplace_transform_of_g(self):
-        # psi(t) = L{g}(t) with g(tau) = e_m^T exp(-tau H) e_1; oracle is
-        # adaptive quadrature of the eigendecomposition closed form
-        rng = np.random.default_rng(9)
-        m = 5
-        a = rng.standard_normal((m, m))
-        h = a @ a.T + m * np.eye(m)
-        w, q = la.eigh(h)
-        coeff = q[m - 1, :] * q[0, :]
-
-        def g(tau):
-            return float(coeff @ np.exp(-tau * w))
-
-        t = 1.0
-        oracle, err = scipy.integrate.quad(lambda tau: g(tau) * np.exp(-t * tau),
-                                           0, np.inf, epsabs=1e-12, epsrel=1e-12)
-        assert resolvent_entry(h, t) == pytest.approx(oracle, abs=1e-8)
-
-    def test_large_shift_asymptotics(self):
-        rng = np.random.default_rng(10)
-        h = random_hessenberg(4, rng, spd_shift=2.0)
-        t = 1e9
-        assert abs(t * resolvent_entry(h, t)) < 1e-6
-
-    def test_singular_shift(self):
-        with pytest.raises(ValueError):
-            resolvent_entry(np.array([[1.0]]), -1.0)
 
 
 class TestNu:
