@@ -79,10 +79,11 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, arr, symmetric: bool | None = None) -> "SparseMatrix":
-        arr = np.asarray(arr)
+        mat = cls.from_scipy(sp.csr_matrix(np.asarray(arr)), symmetric=bool(symmetric))
         if symmetric is None:
-            symmetric = bool(np.allclose(arr, arr.T))
-        return cls.from_scipy(sp.csr_matrix(arr), symmetric=symmetric)
+            # the flag promises exact symmetry, which the constructor checks
+            mat.symmetric = mat._is_value_symmetric()
+        return mat
 
     @property
     def nnz(self) -> int:
@@ -120,7 +121,10 @@ class LinearOperator:
     def from_dense(cls, arr, hermitian: bool | None = None) -> "LinearOperator":
         arr = np.asarray(arr)
         if hermitian is None:
-            hermitian = bool(np.allclose(arr, arr.conj().T))
+            # the Hermitian test of smallmat_nu; a looser one sends slightly
+            # nonsymmetric matrices down the Hermitian Arnoldi path
+            scale = max(1.0, float(np.abs(arr).max()))
+            hermitian = float(np.abs(arr - arr.conj().T).max()) <= 1e-12 * scale
         return cls(lambda x: arr @ x, arr.shape[0], hermitian=hermitian)
 
     def apply(self, x: np.ndarray) -> np.ndarray:

@@ -115,8 +115,6 @@ class QuadratureRule:
     weights: np.ndarray
     eps_q: float
     nu: float
-    value: float          # pilot integral the rule was built from
-    weight_kind: str = "exp"   # damping factor used in the pilot integrand
     interval_errors: np.ndarray | None = None   # accepted G/K error estimates
 
     @property
@@ -219,7 +217,7 @@ def build_laplace_rule(f, nu: float, eps_q: float,
         r = math.sqrt(t_max)
         x_hi = min(1.0, r / (1.0 + r))
     segment = _pilot_segment(f, nu, weight_kind)
-    intervals, total, _ = _adapt(segment, eps_q, max_intervals, abs, x_hi=x_hi)
+    intervals, _, _ = _adapt(segment, eps_q, max_intervals, abs, x_hi=x_hi)
 
     # intervals whose sampled integrand is identically zero contribute
     # nothing for any matrix argument dominated by the anchor decay; keeping
@@ -241,7 +239,6 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     if np.any(np.diff(t) <= 0):
         raise RuntimeError("frozen nodes are not strictly ascending")
     return QuadratureRule(nodes=t, weights=w, eps_q=eps_q, nu=nu,
-                          value=float(total), weight_kind=weight_kind,
                           interval_errors=np.asarray(errors))
 
 

@@ -5,7 +5,8 @@ approximates the remaining error. The error of a cycle is itself the action
 of a Laplace transform whose kernel is a half-line convolution of the
 previous kernel with the small-matrix impulse response
 g(tau) = e_m^T exp(-tau H) e_1, so each cycle only has to evaluate small
-quadrature sums.
+quadrature sums. Cycle 1 is the same recursion started from the kernel
+itself, so one cycle method serves every cycle of a chain.
 
 :func:`restarted_laplace` is the one entry point for every transform kind.
 Two-sided transforms run two kernel chains (for A and -A) over a shared
@@ -95,11 +96,9 @@ class RestartConfig:
 
     m: int
     tol: float = 1e-7
-    eps_q: float | None = None          # quadrature target, default 1e-3 * tol
-    eps_s: float | None = None          # spline refinement target, default eps_q
+    eps_q: float | None = None          # quadrature and refinement target, default 1e-3 * tol
     max_cycles: int = 60
     stopping: str = "update_norm"       # or "reference_error"
-    max_refine_rounds: int = 5
 
     def __post_init__(self):
         if self.m < 1:
@@ -110,8 +109,6 @@ class RestartConfig:
             raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles}")
         if self.eps_q is None:
             self.eps_q = 1e-3 * self.tol
-        if self.eps_s is None:
-            self.eps_s = self.eps_q
         if not (0 < self.eps_q <= self.tol):
             raise ValueError("need 0 < eps_q <= tol")
         if self.stopping not in ("update_norm", "reference_error"):
@@ -153,12 +150,9 @@ class ErrorModel:
     later), ``rule`` and ``g_values`` come from cycle k-1.
     """
 
-    cycle: int
-    scale: float                 # signed prefactor beta_k
     rule: QuadratureRule
     g_values: np.ndarray
     surface: Callable
-    nu: float
 
 
 def error_function_values(model: ErrorModel, nodes) -> np.ndarray:
@@ -196,8 +190,17 @@ def _shifted_kernel(kernel, shift: float):
     return shifted
 
 
+MAX_REFINE_ROUNDS = 5   # spline refinement rounds per cycle
+
+
 class _LaplaceChain:
     """One error-function chain; two-sided runs carry two of these.
+
+    Cycle k adds beta_k sum_i w_i f^(k)(t_i) exp(-t_i H) e_1 to the update.
+    :meth:`cycle` runs the one recursion for every k: f^(1) is the kernel
+    (with the grouped (1 - exp(-t H)) integrand for Bernstein functions),
+    and f^(k) is built from f^(k-1) by :func:`error_function_values` on the
+    raw kernel in cycle 2 and on a refined spline surface afterwards.
 
     Negative spectral anchors (reflected two-sided parts) are handled in the
     shifted formulation: the chain works on H - nu I and the kernel
@@ -207,139 +210,100 @@ class _LaplaceChain:
     """
 
     def __init__(self, kernel, abscissa, boundary_closed, cfg: RestartConfig,
-                 beta1: float, flip: bool = False, first_one_minus: bool = False,
-                 sign_flip_after_first: bool = False, label: str = "kernel"):
+                 beta1: float, flip: bool = False, bernstein: bool = False,
+                 label: str = "kernel"):
         self.kernel = kernel
         self.abscissa = abscissa
         self.boundary_closed = boundary_closed
         self.cfg = cfg
         self.beta = beta1
         self.flip = flip
-        self.first_one_minus = first_one_minus
-        self.sign_flip_after_first = sign_flip_after_first
+        self.bernstein = bernstein
         self.label = label
         self.nu: float | None = None
         self.shift = 0.0
-        self.nu_eff: float | None = None
         self.dead = False
-        self.model: ErrorModel | None = None      # evaluates f^(k) for the coming cycle
+        self.model: ErrorModel | None = None      # evaluates f^(k-1) in cycle k >= 3
         self.node_values: np.ndarray | None = None
         self.eval_rule: QuadratureRule | None = None
         self.eval_g: np.ndarray | None = None
         self.refine_rounds_last = 0
 
-    def _effective(self, dec: KrylovDecomposition):
+    def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
         H = -dec.H if self.flip else dec.H
         h = -dec.h_next if self.flip else dec.h_next
+        if k == 1:
+            self.nu = smallmat_nu(H)
+            _check_anchor(self.nu, self.abscissa, self.boundary_closed, self.label)
+            self.shift = min(0.0, self.nu)
+            if self.bernstein and self.shift != 0.0:
+                raise ConvergenceRegionError(
+                    f"Bernstein evaluation needs a positive anchor (nu={self.nu:.6g})"
+                )
+        beta = self.beta
+        # the grouped Bernstein integrand of cycle 1 flips the error's sign
+        self.beta = (beta if self.bernstein and k == 1 else -beta) * h
+        if self.dead:
+            return np.zeros(dec.m)
         if self.shift != 0.0:
             H = H - self.shift * np.eye(H.shape[0], dtype=H.dtype)
-        return H, h
 
-    def first_cycle(self, dec: KrylovDecomposition) -> np.ndarray:
-        H0 = -dec.H if self.flip else dec.H
-        self.nu = smallmat_nu(H0)
-        _check_anchor(self.nu, self.abscissa, self.boundary_closed, self.label)
-        self.shift = min(0.0, self.nu)
-        self.nu_eff = self.nu - self.shift
-        if self.first_one_minus and self.shift != 0.0:
-            raise ConvergenceRegionError(
-                f"Bernstein evaluation needs a positive anchor (nu={self.nu:.6g})"
-            )
-        H, h = self._effective(dec)
-        kind = "one_minus_exp" if self.first_one_minus else "exp"
-        rule = build_laplace_rule(self.kernel, self.nu, self.cfg.eps_q, weight_kind=kind)
+        kernel = _shifted_kernel(self.kernel, self.shift)
+        if k == 1:
+            model, f = None, kernel
+            rule = build_laplace_rule(self.kernel, self.nu, self.cfg.eps_q,
+                                      weight_kind="one_minus_exp" if self.bernstein else "exp")
+        else:
+            # cycle 2 uses the exact kernel as its surface
+            surface = kernel if k == 2 else spline_fit(self.eval_rule.nodes, self.node_values)
+            model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
+            f = lambda ts: error_function_values(model, ts)  # noqa: E731
+            try:
+                rule = build_laplace_rule(f, self.nu - self.shift, self.cfg.eps_q,
+                                          t_max=float(self.eval_rule.nodes.max()))
+            except ZeroIntegrandError:
+                # the error kernel decayed below resolution: this chain is
+                # exhausted and contributes nothing from here on
+                self.dead = True
+                return np.zeros(dec.m)
+        # one propagator per cycle: the apply, every refinement round and
+        # the next cycle's g values share these columns
         cache = eig_hermitian(H) if dec.hermitian else None
         e1 = np.eye(dec.m, dtype=H.dtype)[0]
         E = expm_columns(H, e1, rule.nodes, cache)
         # the Bernstein integrand needs (I - exp(-t_i H)) e_1 as well; the
         # difference of columns of E would cancel at small t_i
-        Y = expm_columns(H, e1, rule.nodes, cache, one_minus=True) if self.first_one_minus else E
-        vals = np.asarray(_shifted_kernel(self.kernel, self.shift)(rule.nodes), dtype=float)
+        one_minus = self.bernstein and k == 1
+        Y = expm_columns(H, e1, rule.nodes, cache, one_minus=True) if one_minus else E
+        vals = np.asarray(f(rule.nodes))
         y = apply_rule_matrix(rule, vals, Y)
-        contribution = self.beta * y
-
-        self.eval_rule = rule
-        self.eval_g = E[-1]   # g(t_i) = e_m^T exp(-t_i H) e_1
-        self.node_values = vals
-        self.model = None  # surface for cycle 2 is the raw kernel itself
-        beta_next = -self.beta * h
-        if self.sign_flip_after_first:
-            beta_next = -beta_next
-        self.beta = beta_next
-        return contribution
-
-    def _f_eval(self, surface, k: int) -> ErrorModel:
-        return ErrorModel(cycle=k, scale=self.beta, rule=self.eval_rule,
-                          g_values=self.eval_g, surface=surface, nu=self.nu)
-
-    def later_cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
-        H, h = self._effective(dec)
-        raw_surface = k == 2  # cycle 2 uses the exact kernel as its surface
-        knots = self.eval_rule.nodes
-        values = self.node_values
-        surface = (_shifted_kernel(self.kernel, self.shift) if raw_surface
-                   else spline_fit(knots, values))
-        model = self._f_eval(surface, k)
-
-        try:
-            rule = build_laplace_rule(lambda ts: error_function_values(model, ts),
-                                      self.nu_eff, self.cfg.eps_q,
-                                      t_max=float(self.eval_rule.nodes.max()))
-        except ZeroIntegrandError:
-            # the error kernel decayed below resolution: this chain is
-            # exhausted and contributes nothing from here on
-            self.dead = True
-            self.beta = -self.beta * h
-            return np.zeros(dec.m)
-        # one propagator per cycle: the apply, every refinement round and
-        # the next cycle's g values share these columns
-        cache = eig_hermitian(H) if dec.hermitian else None
-        E = expm_columns(H, np.eye(dec.m, dtype=H.dtype)[0], rule.nodes, cache)
-        node_vals = error_function_values(model, rule.nodes)
-        y = apply_rule_matrix(rule, node_vals, E)
 
         rounds = 0
-        if not raw_surface:
+        if k >= 3:
             # midpoint refinement of the interpolation surface until the
             # update stabilizes; switch to pairwise-sum knots if midpoints
             # keep missing
-            prev_eval = self.model  # evaluates f^(k-1), for new knot values
-            target = self.cfg.eps_s * max(prev_iterate_norm, 1e-300)
-            while rounds < self.cfg.max_refine_rounds:
+            knots = self.eval_rule.nodes
+            target = self.cfg.eps_q * max(prev_iterate_norm, 1e-300)
+            while rounds < MAX_REFINE_ROUNDS:
                 rounds += 1
                 if rounds > 3:
                     sums = (rule.nodes[:, None] + self.eval_rule.nodes[None, :]).ravel()
                     knots = np.unique(np.concatenate([self.eval_rule.nodes, sums]))
                 else:
                     knots = spline_refine_nodes(knots)
-                values = error_function_values(prev_eval, knots)
-                surface = spline_fit(knots, values)
-                model = self._f_eval(surface, k)
-                node_vals = error_function_values(model, rule.nodes)
-                y_new = apply_rule_matrix(rule, node_vals, E)
-                delta = abs(self.beta) * float(np.linalg.norm(y_new - y))
+                surface = spline_fit(knots, error_function_values(self.model, knots))
+                model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
+                vals = error_function_values(model, rule.nodes)
+                y_new = apply_rule_matrix(rule, vals, E)
+                delta = abs(beta) * float(np.linalg.norm(y_new - y))
                 y = y_new
                 if delta <= target:
                     break
         self.refine_rounds_last = rounds
-
-        contribution = self.beta * y
-
-        self.model = model
-        self.eval_rule = rule
-        self.eval_g = E[-1]
-        self.node_values = node_vals
-        self.beta = -self.beta * h
-        return contribution
-
-    def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
-        if k == 1:
-            return self.first_cycle(dec)
-        if self.dead:
-            _, h = self._effective(dec)
-            self.beta = -self.beta * h
-            return np.zeros(dec.m)
-        return self.later_cycle(dec, k, prev_iterate_norm)
+        # E[-1] holds the next cycle's g(t_i) = e_m^T exp(-t_i H) e_1
+        self.model, self.eval_rule, self.eval_g, self.node_values = model, rule, E[-1], vals
+        return beta * y
 
 
 class _StieltjesChain:
@@ -408,10 +372,8 @@ def _chains(fn: TransformFunction, cfg: RestartConfig, bnorm: float) -> list:
         ]
     # Bernstein: grouped (1 - exp(-tH)) integrand in cycle 1, sign-flipped
     # error chain afterwards
-    bernstein = fn.kind == "bernstein"
-    return [_LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg,
-                          beta1=bnorm, first_one_minus=bernstein,
-                          sign_flip_after_first=bernstein, label=fn.name)]
+    return [_LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg, beta1=bnorm,
+                          bernstein=fn.kind == "bernstein", label=fn.name)]
 
 
 def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
@@ -428,6 +390,8 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         raise ValueError("b must be finite and nonzero")
     if cfg.stopping == "reference_error" and reference is None:
         raise ValueError("reference_error stopping needs a reference vector")
+    if reference is not None and np.shape(reference) != (op.n,):
+        raise ValueError(f"reference has shape {np.shape(reference)}, expected ({op.n},)")
     chains = _chains(fn, cfg, bnorm)
     fm = np.zeros(op.n)
     if fn.kind == "bernstein":

@@ -87,6 +87,15 @@ class TestRun:
                          "--tol", "1e-6", "--reference", str(ref)])
         assert code == 0
 
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_reference_of_wrong_length_exit_code(self, tmp_path, length):
+        ref = tmp_path / "ref.lkv"
+        cli.write_vector(ref, np.ones(length))
+        code = cli.main(["run", "--matrix", "diag:1,2,3",
+                         "--function", "power-neg-3-2", "--m", "2",
+                         "--reference", str(ref)])
+        assert code == 1
+
     def test_all_functions_smoke(self, tmp_path):
         cases = [("power-neg-3-2", "auto"), ("gamma", "auto"), ("sqrt", "auto"),
                  ("inv-sqrt-stieltjes", "auto"), ("exp-sqrt:1.0", "auto"),

@@ -242,6 +242,17 @@ class TestLinearOperator:
         with pytest.raises(ValueError):
             SparseMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]], symmetric=True)
 
+    def test_from_dense_hermitian_only_to_rounding(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((60, 60))
+        spd = a @ a.T / 60 + np.eye(60)
+        # 1e-6 relative asymmetry passes np.allclose but is not rounding
+        near = spd * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, (60, 60)))
+        assert LinearOperator.from_dense(spd).hermitian
+        assert not LinearOperator.from_dense(near).hermitian
+        c = a + 1j * rng.standard_normal((60, 60))
+        assert LinearOperator.from_dense(c @ c.conj().T).hermitian
+
 
 class TestSparseMatrixInvariants:
     def test_sorted_column_indices(self):
@@ -257,3 +268,13 @@ class TestSparseMatrixInvariants:
     def test_rejects_bad_col_idx(self):
         with pytest.raises(ValueError):
             SparseMatrix(2, [0, 1, 2], [0, 5], [1.0, 1.0])
+
+    def test_from_dense_flags_exact_symmetry_only(self):
+        q, _ = la.qr(np.random.default_rng(0).standard_normal((5, 5)))
+        rounded = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ q.T
+        assert np.abs(rounded - rounded.T).max() > 0
+        for arr in (rounded, np.array([[2.0, 1e-9], [0.0, 2.0]])):
+            mat = SparseMatrix.from_dense(arr)
+            assert not mat.symmetric
+            assert np.array_equal(mat.toarray(), arr)
+        assert SparseMatrix.from_dense((rounded + rounded.T) / 2).symmetric

@@ -15,7 +15,7 @@ from laplace_krylov.operators import (
     graph_laplacian,
     laplacian_nd,
 )
-from laplace_krylov.quadrature import build_laplace_rule
+from laplace_krylov.quadrature import ZeroIntegrandError, build_laplace_rule
 from laplace_krylov.restart import (
     ConvergenceRegionError,
     ErrorModel,
@@ -64,7 +64,6 @@ class TestConfigAndTypes:
     def test_defaults(self):
         cfg = RestartConfig(m=10, tol=1e-6)
         assert cfg.eps_q == pytest.approx(1e-9)
-        assert cfg.eps_s == pytest.approx(1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -249,6 +248,30 @@ class TestRestartedLaplace:
             restarted_laplace(op, b, fn, RestartConfig(m=10))
         assert op.matvec_count == 0
 
+    @pytest.mark.parametrize("stopping", ["update_norm", "reference_error"])
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_rejects_reference_of_wrong_length_before_any_matvec(self, length, stopping):
+        op = diag_op([1.0, 2.0, 3.0])
+        cfg = RestartConfig(m=2, stopping=stopping)
+        with pytest.raises(ValueError, match="reference"):
+            restarted_laplace(op, np.ones(3), sqrt_kernel(), cfg, reference=np.ones(length))
+        assert op.matvec_count == 0
+
+    def test_near_symmetric_dense_matrix_runs_nonhermitian(self):
+        # run as Hermitian, this matrix misses s^{-3/2} b by ~1e-7 at tol 1e-10
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((60, 60))
+        spd = a @ a.T / 60 + np.eye(60)
+        mat = spd * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, (60, 60)))
+        b = rng.standard_normal(60)
+        b /= np.linalg.norm(b)
+        w, v = la.eig(mat)
+        exact = (v @ (w**-1.5 * la.solve(v, b))).real
+        fn = builtin_kernels()["power-neg-3-2"]
+        x, rep = restarted_laplace(LinearOperator.from_dense(mat), b, fn,
+                                   RestartConfig(m=10, tol=1e-10))
+        assert rep.converged
+        assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
     def test_one_propagator_per_cycle(self, monkeypatch):
         # nonsymmetric, so every node takes a dense expm; cycles >= 3 also
@@ -275,14 +298,73 @@ class TestRestartedLaplace:
         assert propagator_cycles == list(range(1, rep.cycles + 1))
 
 
+class TestDeadChain:
+    """A chain whose error kernel vanishes after cycle 1 contributes zero."""
+
+    @staticmethod
+    def kill_chains(monkeypatch, dies):
+        """Record every chain cycle; rule builds raise where ``dies(chain, k)``."""
+        calls = []   # (chain, k, h_next, beta before the cycle, contribution)
+        current = {}
+        real_cycle, real_rule = restart._LaplaceChain.cycle, restart.build_laplace_rule
+
+        def recording_cycle(chain, dec, k, prev_iterate_norm):
+            current.update(chain=chain, k=k)
+            beta = chain.beta
+            out = real_cycle(chain, dec, k, prev_iterate_norm)
+            calls.append((chain, k, dec.h_next, beta, out))
+            return out
+
+        def failing_rule(*args, **kwargs):
+            if dies(current["chain"], current["k"]):
+                raise ZeroIntegrandError("integrand vanished on every subinterval")
+            return real_rule(*args, **kwargs)
+
+        monkeypatch.setattr(restart._LaplaceChain, "cycle", recording_cycle)
+        monkeypatch.setattr(restart, "build_laplace_rule", failing_rule)
+        return calls
+
+    def test_one_chain_stops_with_cycle_one_iterate(self, monkeypatch):
+        op = LinearOperator.from_matrix(laplacian_nd(10, 2))
+        b = np.ones(op.n) / math.sqrt(op.n)
+        fn = builtin_kernels()["power-neg-3-2"]
+        x1, _ = restarted_laplace(op, b, fn, RestartConfig(m=5, tol=1e-7, max_cycles=1))
+        self.kill_chains(monkeypatch, lambda chain, k: k >= 2)
+        x, rep = restarted_laplace(op, b, fn, RestartConfig(m=5, tol=1e-7))
+        assert rep.cycles == 2
+        assert rep.reason == "update_norm"
+        assert rep.records[1].update_norm == 0.0
+        assert np.array_equal(x, x1)
+
+    def test_two_sided_dead_chain_keeps_its_beta(self, monkeypatch):
+        op = LinearOperator.from_matrix(laplacian_nd(10, 2))
+        b = np.ones(op.n) / math.sqrt(op.n)
+        calls = self.kill_chains(monkeypatch, lambda chain, k: k >= 2 and not chain.flip)
+        x, rep = restarted_laplace(op, b, builtin_kernels()["gamma"],
+                                   RestartConfig(m=5, tol=1e-7, max_cycles=5))
+        assert rep.cycles == 5
+        assert np.all(np.isfinite(x))
+        positive = [c for c in calls if not c[0].flip]
+        reflected = [c for c in calls if c[0].flip]
+        assert [c[1] for c in positive] == [c[1] for c in reflected] == [1, 2, 3, 4, 5]
+        assert np.any(positive[0][4] != 0)
+        for _, _, _, _, out in positive[1:]:
+            assert np.array_equal(out, np.zeros(5))
+        assert all(np.any(out != 0) for *_, out in reflected)
+        # beta_{k+1} = -beta_k h_{k+1,k} runs on through the dead cycles, and
+        # the report's beta column is the positive chain's
+        for (_, _, h, beta, _), nxt in zip(positive, positive[1:]):
+            assert nxt[3] == -beta * h
+        assert [r.beta for r in rep.records] == [c[3] for c in positive]
+
+
 class TestErrorRepresentation:
     def test_error_function_constant_kernel_m1(self):
         # k=2, m=1, H = [a], f = 1: f^(2)(t) = 1/a independent of t
         a = 1.7
         rule = build_laplace_rule(lambda t: np.ones_like(t), a, 1e-10)
-        model = ErrorModel(cycle=2, scale=1.0, rule=rule,
-                           g_values=np.exp(-a * rule.nodes),
-                           surface=lambda t: np.ones_like(t), nu=a)
+        model = ErrorModel(rule=rule, g_values=np.exp(-a * rule.nodes),
+                           surface=lambda t: np.ones_like(t))
         vals = error_function_values(model, [0.0, 1.0, 5.0])
         assert np.allclose(vals, 1.0 / a, atol=1e-9)
 
@@ -299,9 +381,8 @@ class TestErrorRepresentation:
 
         nu = w[0]
         rule = build_laplace_rule(np.sqrt, nu, 1e-10)
-        model = ErrorModel(cycle=2, scale=1.0, rule=rule,
-                           g_values=np.array([g(t) for t in rule.nodes]),
-                           surface=np.sqrt, nu=nu)
+        model = ErrorModel(rule=rule, g_values=np.array([g(t) for t in rule.nodes]),
+                           surface=np.sqrt)
         probes = np.array([0.1, 1.0, 3.0])
         got = error_function_values(model, probes)
         for t, approx_val in zip(probes, got):
@@ -320,8 +401,7 @@ class TestErrorRepresentation:
         nu = w[0]
         rule = build_laplace_rule(np.sqrt, nu, 1e-10)
         g_vals = (coeff[None, :] * np.exp(-np.outer(rule.nodes, w))).sum(axis=1)
-        model = ErrorModel(cycle=2, scale=1.0, rule=rule, g_values=g_vals,
-                           surface=np.sqrt, nu=nu)
+        model = ErrorModel(rule=rule, g_values=g_vals, surface=np.sqrt)
         vals = error_function_values(model, np.linspace(0.0, 5.0, 41))
         assert np.all(vals > 0) or np.all(vals < 0)
 

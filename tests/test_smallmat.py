@@ -219,7 +219,7 @@ class TestExpmColumns:
         e1 = np.eye(4)[:, 0]
         nodes = np.array([0.5, 1.0, 2.0, 1000.0])
         rule = QuadratureRule(nodes=nodes, weights=np.array([0.3, 0.2, 0.1, 0.4]),
-                              eps_q=1e-10, nu=-1.0, value=0.0)
+                              eps_q=1e-10, nu=-1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             E = expm_columns(h, e1, nodes, eig_hermitian(h))
