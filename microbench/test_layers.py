@@ -7,12 +7,15 @@ problems at N = 20 (n = 8000): the convection-diffusion operator with m = 20
 (non-Hermitian H, every node through a stacked scipy expm) and the 3D
 Laplacian with m = 50 (Hermitian H, closed form from the eigendecomposition).
 Each rule is frozen once at eps_q = 1e-10, the default for tol = 1e-7.
-Arnoldi is also timed at m = 400, the length of the unrestarted reference.
+Arnoldi is also timed at m = 400, the length of the unrestarted
+non-Hermitian reference; the Hermitian reference, two-pass Lanczos over
+400 steps, is timed next to it.
 """
 
 import numpy as np
 import pytest
 
+from laplace_krylov.baselines import reference_apply
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
 from laplace_krylov.quadrature import apply_rule_matrix, build_laplace_rule
@@ -53,6 +56,12 @@ def test_arnoldi_hermitian_m400(benchmark, lap3d):
     *_, op, b = lap3d
     dec = benchmark(arnoldi, op, b, 400)
     assert dec.m == 400
+
+
+def test_reference_hermitian_m400(benchmark, lap3d):
+    *_, op, b = lap3d
+    ref = benchmark(reference_apply, op, None, b, builtin_kernels()["power-neg-3-2"], 400)
+    assert np.all(np.isfinite(ref))
 
 
 def test_arnoldi_non_hermitian_m400(benchmark, cd3d):

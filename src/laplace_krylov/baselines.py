@@ -75,6 +75,18 @@ def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
         beta_prev = beta
 
 
+def _lanczos_sum(op: LinearOperator, v: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Pass 2: sum_i coeff_i v_i over the Lanczos vectors regenerated from v,
+    in O(n) memory. The sum takes v's dtype, promoted once when a complex
+    operator meets a real v."""
+    f = np.zeros_like(v)
+    for c, (u, *_) in zip(coeff, _lanczos(op, v, len(coeff))):
+        if u.dtype != f.dtype:
+            f = f.astype(np.result_type(f, u))
+        f += c * u
+    return f
+
+
 def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
                      tol: float, check_every_m: int,
                      reference: np.ndarray | None = None,
@@ -139,14 +151,9 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             y_prev = y
     report.steps = len(alphas)
 
-    # pass 2: regenerate the basis vectors one at a time and accumulate
-    # f = ||b|| sum_i coeff_i v_i without ever storing the basis; it takes
-    # the same steps as pass 1, so the total cost is 2 * steps matvecs
+    # pass 2 regenerates the same steps: 2 * steps matvecs in total
     coeff = _f_of_tridiag(alphas, betas[:-1], fn.scalar_form)
-    f = np.zeros(n)
-    for c, (v, *_) in zip(coeff, _lanczos(op, b / bnorm, report.steps)):
-        f = f + c * v
-    f = bnorm * f
+    f = bnorm * _lanczos_sum(op, b / bnorm, coeff)
     report.matvecs = 2 * report.steps
     if reference is not None:
         report.final_error = float(np.linalg.norm(f - reference) / ref_norm)
@@ -265,9 +272,12 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
     """High-accuracy F(A)b used as the benchmark reference.
 
     Hermitian A: dense spectral solve for n <= 1000 (when the dense matrix
-    is available), otherwise an unrestarted Lanczos approximation with
-    ``steps`` vectors. Non-Hermitian A: unrestarted Arnoldi with dense
-    evaluation of F on the projected matrix.
+    is available), otherwise two-pass Lanczos over ``min(steps, n)`` steps
+    with no stored basis: O(n) memory and 2 steps matvecs. Without
+    reorthogonalization ||b|| V F(T) e_1 stays accurate (Druskin, Greenbaum
+    & Knizhnerman, SISC 19, 1998; Musco, Musco & Sidford, SODA 2018).
+    Non-Hermitian A: unrestarted Arnoldi with dense evaluation of F on the
+    projected matrix.
     """
     if fn.scalar_form is None:
         raise ValueError("reference evaluation needs a scalar closed form")
@@ -275,13 +285,16 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
     if op.hermitian and dense is not None and n <= 1000:
         w, q = la.eigh(dense)
         return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
-    dec = arnoldi(op, b, min(steps, n))
     if op.hermitian:
-        w, q = la.eigh(dec.H)
-        y = q @ (np.asarray(fn.scalar_form(w)) * q[0].conj())
-    else:
-        y = _scalar_on_matrix(fn, dec.H)
-    return dec.beta * (dec.V @ y)
+        bnorm = float(np.linalg.norm(b))
+        if not (math.isfinite(bnorm) and bnorm > 0):
+            raise ValueError("b must be finite and nonzero")
+        v = b / bnorm
+        t = np.array([(alpha, beta) for _, alpha, beta, _ in _lanczos(op, v, min(steps, n))])
+        coeff = _f_of_tridiag(t[:, 0], t[:-1, 1], fn.scalar_form)
+        return bnorm * _lanczos_sum(op, v, coeff)
+    dec = arnoldi(op, b, min(steps, n))
+    return dec.beta * (dec.V @ _scalar_on_matrix(fn, dec.H))
 
 
 def stieltjes_pipeline(op: LinearOperator, b: np.ndarray, fn: TransformFunction,

@@ -7,8 +7,9 @@ Subcommands
 
 Result vectors use a small binary format: 16-byte header (magic ``LKV1``,
 4 reserved zero bytes, little-endian u64 length), then float64
-little-endian payload. Exit codes: 0 converged, 2 stopped at max_cycles,
-1 error. LKV_THREADS caps benchmark-sweep parallelism.
+little-endian payload. Exit codes: 0 converged, 2 stopped unconverged
+(max_cycles, or non_finite for an overflowed iterate), 1 error.
+LKV_THREADS caps benchmark-sweep parallelism.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def cmd_run(args) -> int:
                                             reference=reference)
     else:
         x, rep = restart.restarted_laplace(op, b, fn, cfg, reference=reference)
-    status = "converged" if rep.converged else "max_cycles"
+    status = "converged" if rep.converged else getattr(rep, "reason", "max_cycles")
     if args.output:
         write_vector(args.output, np.real(x))
     if args.csv:

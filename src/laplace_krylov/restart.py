@@ -422,6 +422,11 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             h_next=dec.h_next, beta=beta_k,
         ))
 
+        if not (math.isfinite(upd) and math.isfinite(itn)):
+            # an overflowed iterate fails the run; inf <= tol * inf would
+            # otherwise pass the update-norm test
+            report.reason = "non_finite"
+            return fm, report
         if dec.breakdown:
             report.converged = True
             report.reason = "breakdown"

@@ -1,7 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg as la
 
+from laplace_krylov import baselines
 from laplace_krylov.baselines import (
     IterationLimitError,
     StagnationError,
@@ -40,6 +45,18 @@ def full_storage_lanczos(a, b, steps, scalar):
     d, q = la.eigh_tridiagonal(alphas, betas[: len(alphas) - 1])
     coeff = q @ (scalar(d) * q[0, :])
     return bnorm * np.column_stack(basis) @ coeff
+
+
+def dirichlet_closed_form(n1, d, b, scalar):
+    """F(A) b for laplacian_nd(n1, d): A is the Kronecker sum of
+    tridiag(-1, 2, -1), diagonalized by the orthonormal type-1 DST with
+    eigenvalues 4 sin^2(k pi / (2 (n1 + 1))), k = 1..n1."""
+    lam1 = 4.0 * np.sin(np.arange(1, n1 + 1) * math.pi / (2 * (n1 + 1))) ** 2
+    lam = lam1
+    for _ in range(d - 1):
+        lam = np.add.outer(lam, lam1)
+    coef = scipy.fft.dstn(b.reshape((n1,) * d), type=1, norm="ortho")
+    return scipy.fft.idstn(scalar(lam) * coef, type=1, norm="ortho").ravel()
 
 
 def complex_hpd():
@@ -211,6 +228,71 @@ class TestReference:
         w, q = la.eigh(a)
         oracle = q @ (w**-1.5 * (q.conj().T @ b))
         assert np.linalg.norm(ref - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_complex_operator_real_start(self):
+        a, _ = complex_hpd()
+        b = np.random.default_rng(15).standard_normal(30)
+        fn = builtin_kernels()["power-neg-3-2"]
+        ref = reference_apply(LinearOperator.from_dense(a), None, b, fn, steps=30)
+        w, q = la.eigh(a)
+        oracle = q @ (w**-1.5 * (q.conj().T @ b))
+        assert np.linalg.norm(ref - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("grid", [(12, 3), (30, 2)], ids=["lap3d-12", "lap2d-30"])
+    @pytest.mark.parametrize("name", ["power-neg-3-2", "sqrt", "exp-sqrt", "inv-sqrt-stieltjes"])
+    def test_lanczos_matches_closed_form(self, monkeypatch, grid, name):
+        def no_arnoldi(*args, **kwargs):
+            raise AssertionError("the Hermitian reference must not build an Arnoldi basis")
+
+        monkeypatch.setattr(baselines, "arnoldi", no_arnoldi)
+        mat = laplacian_nd(*grid)
+        b = np.random.default_rng(8).standard_normal(mat.n)
+        fn = builtin_kernels()[name]
+        ref = reference_apply(LinearOperator.from_matrix(mat), None, b, fn)
+        exact = dirichlet_closed_form(*grid, b, fn.scalar_form)
+        assert np.linalg.norm(ref - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_lanczos_memory_is_a_few_vectors(self):
+        # a stored basis would need 400 n float64 words; the tridiagonal
+        # eigendecomposition adds ~2.6 MB that does not grow with n
+        mat = laplacian_nd(30, 3)
+        b = np.random.default_rng(9).standard_normal(mat.n)
+        op = LinearOperator.from_matrix(mat)
+        fn = builtin_kernels()["power-neg-3-2"]
+        tracemalloc.start()
+        try:
+            reference_apply(op, None, b, fn, steps=400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.matvec_count == 800
+        assert peak < 32 * mat.n * 8
+
+    def test_lanczos_breakdown_is_exact(self):
+        lam = np.linspace(1.0, 50.0, 50)
+        b = np.zeros(50)
+        b[[3, 11, 20, 34, 47]] = [1.0, -2.0, 0.5, 1.5, -1.0]
+        op = LinearOperator.from_dense(np.diag(lam))
+        fn = builtin_kernels()["power-neg-3-2"]
+        ref = reference_apply(op, None, b, fn, steps=400)
+        exact = lam**-1.5 * b
+        assert np.linalg.norm(ref - exact) <= 1e-13 * np.linalg.norm(exact)
+        assert op.matvec_count <= 12
+
+    def test_lanczos_steps_capped_at_n(self):
+        lam = np.linspace(1.0, 4.0, 20)
+        b = np.random.default_rng(10).standard_normal(20)
+        op = LinearOperator.from_dense(np.diag(lam))
+        fn = builtin_kernels()["sqrt"]
+        ref = reference_apply(op, None, b, fn, steps=400)
+        assert op.matvec_count <= 2 * 20
+        assert np.linalg.norm(ref - np.sqrt(lam) * b) <= 1e-12 * np.linalg.norm(np.sqrt(lam) * b)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+    def test_lanczos_rejects_bad_start(self, fill):
+        op = LinearOperator.from_matrix(laplacian_nd(4, 2))
+        with pytest.raises(ValueError):
+            reference_apply(op, None, np.full(16, fill), builtin_kernels()["sqrt"])
 
     def test_nonsymmetric_reference(self):
         mat = convection_diffusion_nd(4, 1e-2, 2)

@@ -146,6 +146,16 @@ class TestRun:
                          "--tol", "1e-7", "--max-cycles", "1"])
         assert code == 2
 
+    def test_non_finite_exit_code(self, tmp_path, capsys):
+        mtx = tmp_path / "cd.mtx"
+        assert cli.main(["gen", "--kind", "cd2d", "--n", "20", "--eps", "1e-2",
+                         "-o", str(mtx)]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["run", "--matrix", str(mtx), "--function", "gamma",
+                             "--m", "8", "--seed", "0"])
+        assert code == 2
+        assert "status=non_finite" in capsys.readouterr().out
+
     def test_error_exit_code(self):
         # negative eigenvalue: anchor outside the convergence region
         code = cli.main(["run", "--matrix", "diag:-1,2",

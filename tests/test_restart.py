@@ -192,6 +192,21 @@ class TestRestartedLaplace:
         assert rep.cycles == 3
         assert np.all(np.isfinite(x))
 
+    def test_non_finite_iterate_is_not_converged(self):
+        # Gamma(A) b is ~1e161 here, so the cycle-1 norms overflow, and
+        # inf <= tol * inf must not read as a converged update norm
+        mat = convection_diffusion_nd(20, 1e-2, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        b /= np.linalg.norm(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b,
+                                       builtin_kernels()["gamma"], RestartConfig(m=8, tol=1e-7))
+        assert not rep.converged
+        assert rep.reason == "non_finite"
+        assert rep.cycles == 1 and rep.matvecs == 8
+        assert rep.records[-1].iterate_norm == math.inf
+        assert x.shape == (mat.n,)
+
     def test_breakdown_is_exact(self):
         op = diag_op([1.0, 2.0])
         b = np.array([1.0, 1.0]) / math.sqrt(2.0)
