@@ -5,7 +5,8 @@
 The inputs are those of the first cycle of F(s) = s^{-3/2} on the benchmark
 problems at N = 20 (n = 8000): the convection-diffusion operator with m = 20
 (non-Hermitian H, every node through a stacked scipy expm) and the 3D
-Laplacian with m = 50 (Hermitian H, closed form from the eigendecomposition).
+Laplacian with m = 50 (Hermitian H, closed form from the eigendecomposition),
+where Arnoldi is timed both orthonormal and semi-orthogonal (restart cycles).
 Each rule is frozen once at eps_q = 1e-10, the default for tol = 1e-7.
 Arnoldi is also timed at m = 400, the length of the unrestarted
 non-Hermitian reference; the Hermitian reference, two-pass Lanczos over
@@ -49,6 +50,12 @@ def lap3d():
 def test_arnoldi_hermitian(benchmark, lap3d):
     *_, op, b = lap3d
     dec = benchmark(arnoldi, op, b, 50)
+    assert dec.H.shape == (50, 50)
+
+
+def test_arnoldi_hermitian_semi(benchmark, lap3d):
+    *_, op, b = lap3d
+    dec = benchmark(arnoldi, op, b, 50, _semi=True)
     assert dec.H.shape == (50, 50)
 
 

@@ -3,8 +3,8 @@
 One loop: classical Gram-Schmidt applied twice against a row-major basis
 keeps it orthonormal to working precision ("twice is enough", Giraud, Langou
 and Rozloznik, Comput. Math. Appl. 2005). For Hermitian operators the first
-pass is the Lanczos three-term step and the second stays full, i.e. Lanczos
-with complete reorthogonalization (Simon, Math. Comp. 1984).
+pass is the Lanczos three-term step; restart cycles run the full second one
+only where Simon's estimate of the lost orthogonality asks (Math. Comp. 1984).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .operators import LinearOperator
 __all__ = ["KrylovDecomposition", "arnoldi"]
 
 BREAKDOWN_RTOL = 1e-14
+SEMI_ORTH = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -37,13 +38,17 @@ class KrylovDecomposition:
         return self.h_next == 0.0
 
 
-def arnoldi(op: LinearOperator, start: np.ndarray, m: int) -> KrylovDecomposition:
+def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
+            _semi: bool = False, _basis: np.ndarray | None = None) -> KrylovDecomposition:
     """Build a length-m Arnoldi decomposition from ``start``.
 
     Each step orthogonalizes A v_j by two classical Gram-Schmidt passes. For
-    Hermitian A the first runs over v_{j-1}, v_j only (H is tridiagonal); the
-    second always spans the whole basis, since in floating point A v_j drifts
-    onto older vectors and a short recurrence alone loses orthogonality.
+    Hermitian A the first runs over v_{j-1}, v_j only (H is tridiagonal) and
+    the second spans the whole basis, since in floating point A v_j drifts
+    onto older vectors. ``_semi`` (restart cycles) runs that pass only, twice
+    and with H kept tridiagonal, where Simon's recurrence puts the loss of
+    orthogonality above sqrt(eps), and at the step after; the Arnoldi relation
+    holds to rounding regardless (Paige 1976). ``_basis`` holds the basis.
 
     On a lucky breakdown at step j < m the decomposition is truncated to
     size j and h_next is 0; a non-finite matvec raises at its step. For
@@ -61,9 +66,13 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int) -> KrylovDecompositio
     if beta == 0.0:
         raise ValueError("starting vector must be nonzero")
 
-    Q = np.zeros((m + 1, n), dtype=start.dtype)  # basis vectors as rows
+    # basis vectors as rows; start may be a row of _basis, and start / beta is a copy
+    Q = np.zeros((m + 1, n), start.dtype) if _basis is None else np.asarray(_basis, start.dtype)
     H = np.zeros((m + 1, m), dtype=start.dtype)
     Q[0] = start / beta
+    # Simon's omega: W[j, k] ~ |v_j^H v_k|, beta_{j+1} W[j+1] ~ (T - alpha_j) W[j] - beta_j W[j-1]
+    W, forced = (np.eye(m + 1) if _semi and op.hermitian else None), False
+    eps1 = np.sqrt(n) * np.finfo(float).eps / 2
 
     size = m
     broke = False
@@ -77,11 +86,26 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int) -> KrylovDecompositio
         norm_w = np.linalg.norm(w)
         if not np.isfinite(norm_w) and not np.all(np.isfinite(w)):
             raise ValueError(f"operator returned non-finite values at Arnoldi step {j + 1}")
-        for lo in (max(j - 1, 0) if op.hermitian else 0, 0):
-            basis = Q[lo: j + 1]
-            c = basis.conj() @ w
-            w -= c @ basis
-            H[lo: j + 1, j] += c
+        lo = max(j - 1, 0) if op.hermitian else 0
+        c = Q[lo: j + 1].conj() @ w
+        w -= c @ Q[lo: j + 1]
+        H[lo: j + 1, j] += c
+        full, top = 1, 0
+        if W is not None:
+            h = max(np.linalg.norm(w), 1e-300)
+            t = (H[:j, :j + 1].real @ W[j, :j + 1] - H[j, j].real * W[j, :j]
+                 - H[j, j - 1].real * W[j - 1, :j])
+            W[j + 1, :j] = (t + np.copysign(eps1 * (H.diagonal(-1)[:j].real + h), t)) / h
+            W[j + 1, j] = eps1 * norm_w / h
+            reorth = forced or np.abs(W[j + 1, :j + 1]).max() > SEMI_ORTH
+            forced = reorth and not forced
+            if reorth:
+                W[j + 1, :j + 1] = eps1
+            full, top = 2 * reorth, lo
+        for _ in range(full):
+            c = Q[: j + 1].conj() @ w
+            w -= c @ Q[: j + 1]
+            H[top: j + 1, j] += c[top:]
 
         h = np.linalg.norm(w)
         if h <= BREAKDOWN_RTOL * norm_w:

@@ -402,10 +402,11 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     base_count = op.matvec_count  # the report leaves out the affine matvec
     report = RestartReport()
     start = b
+    basis = np.empty((min(cfg.m, op.n) + 1, op.n), dtype=complex if np.iscomplexobj(b) else float)
 
     for k in range(1, cfg.max_cycles + 1):
         t0 = time.perf_counter()
-        dec = arnoldi(op, start, cfg.m)
+        dec = arnoldi(op, start, cfg.m, _semi=True, _basis=basis)  # the next cycle overwrites dec.V
         prev_norm = float(np.linalg.norm(fm))
         beta_k = chains[0].beta
         coeff = sum(chain.cycle(dec, k, prev_norm) for chain in chains)

@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.linalg as la
 
 from laplace_krylov.krylov import arnoldi
-from laplace_krylov import restart
+from laplace_krylov import cli, restart
 from laplace_krylov.operators import (
     Graph,
     LinearOperator,
@@ -272,6 +272,12 @@ class TestRestartedLaplace:
             restarted_laplace(op, np.ones(3), sqrt_kernel(), cfg, reference=np.ones(length))
         assert op.matvec_count == 0
 
+    def test_rejects_cycle_longer_than_n_before_any_matvec(self):
+        op = diag_op([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="cycle length"):
+            restarted_laplace(op, np.ones(3), sqrt_kernel(), RestartConfig(m=10**9))
+        assert op.matvec_count == 0
+
     def test_near_symmetric_dense_matrix_runs_nonhermitian(self):
         # run as Hermitian, this matrix misses s^{-3/2} b by ~1e-7 at tol 1e-10
         rng = np.random.default_rng(3)
@@ -311,6 +317,30 @@ class TestRestartedLaplace:
         _, rep = restarted_laplace(op, b, fn, RestartConfig(m=10, tol=1e-7))
         assert rep.cycles >= 4
         assert propagator_cycles == list(range(1, rep.cycles + 1))
+
+
+class TestSemiOrthogonalCycles:
+    def test_singular_graph_matches_full_reorthogonalization(self, monkeypatch):
+        # exp(-sqrt(A)) on a connected graph Laplacian, whose zero eigenvalue
+        # sits on the branch point of sqrt; the restart cycles reorthogonalize
+        # at a few steps here and must cost and reach what full passes do
+        mat = graph_laplacian(cli._random_connected_graph(1000, np.random.default_rng(0)))
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        b /= np.linalg.norm(b)
+        fn = builtin_kernels()["exp-sqrt"]
+        exact = spectral_apply(mat.toarray(), b, fn.scalar_form)
+        cfg = RestartConfig(m=50, tol=1e-10)
+
+        def solve():
+            x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b, fn, cfg)
+            assert rep.converged and rep.reason == "update_norm"
+            return rep.matvecs, np.linalg.norm(x - exact) / np.linalg.norm(exact)
+
+        semi_matvecs, semi_err = solve()
+        monkeypatch.setattr(restart, "arnoldi", lambda op, start, m, **_: arnoldi(op, start, m))
+        full_matvecs, full_err = solve()
+        assert semi_matvecs == full_matvecs
+        assert semi_err <= 1.1 * full_err
 
 
 class TestDeadChain:
