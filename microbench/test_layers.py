@@ -55,7 +55,7 @@ def test_arnoldi_hermitian(benchmark, lap3d):
 
 def test_arnoldi_hermitian_semi(benchmark, lap3d):
     *_, op, b = lap3d
-    dec = benchmark(arnoldi, op, b, 50, _semi=True)
+    dec = benchmark(arnoldi, op, b, 50, _basis=np.empty((51, op.n)))
     assert dec.H.shape == (50, 50)
 
 

@@ -3,8 +3,8 @@
 One loop: classical Gram-Schmidt applied twice against a row-major basis
 keeps it orthonormal to working precision ("twice is enough", Giraud, Langou
 and Rozloznik, Comput. Math. Appl. 2005). For Hermitian operators the first
-pass is the Lanczos three-term step; restart cycles run the full second one
-only where Simon's estimate of the lost orthogonality asks (Math. Comp. 1984).
+pass is the Lanczos three-term step; restart cycles skip the full second one
+until Simon's estimate of the lost orthogonality asks for it (Math. Comp. 1984).
 """
 
 from __future__ import annotations
@@ -39,16 +39,17 @@ class KrylovDecomposition:
 
 
 def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
-            _semi: bool = False, _basis: np.ndarray | None = None) -> KrylovDecomposition:
+            _basis: np.ndarray | None = None) -> KrylovDecomposition:
     """Build a length-m Arnoldi decomposition from ``start``.
 
     Each step orthogonalizes A v_j by two classical Gram-Schmidt passes. For
     Hermitian A the first runs over v_{j-1}, v_j only (H is tridiagonal) and
     the second spans the whole basis, since in floating point A v_j drifts
-    onto older vectors. ``_semi`` (restart cycles) runs that pass only, twice
-    and with H kept tridiagonal, where Simon's recurrence puts the loss of
-    orthogonality above sqrt(eps), and at the step after; the Arnoldi relation
-    holds to rounding regardless (Paige 1976). ``_basis`` holds the basis.
+    onto older vectors. ``_basis``, an (m+1) x n buffer for the basis, makes
+    a restart cycle: for Hermitian A it skips the full pass until Simon's
+    recurrence puts the loss of orthogonality above sqrt(eps), then runs it
+    at every step with H kept tridiagonal. The Arnoldi relation then holds to
+    rounding (Paige 1976) except in the first two full-pass columns: O(sqrt(eps) h).
 
     On a lucky breakdown at step j < m the decomposition is truncated to
     size j and h_next is 0; a non-finite matvec raises at its step. For
@@ -70,8 +71,8 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
     Q = np.zeros((m + 1, n), start.dtype) if _basis is None else np.asarray(_basis, start.dtype)
     H = np.zeros((m + 1, m), dtype=start.dtype)
     Q[0] = start / beta
-    # Simon's omega: W[j, k] ~ |v_j^H v_k|, beta_{j+1} W[j+1] ~ (T - alpha_j) W[j] - beta_j W[j-1]
-    W, forced = (np.eye(m + 1) if _semi and op.hermitian else None), False
+    # Simon's omega rows j-1, j (om[k] ~ |v_j^H v_k|), advanced by the Lanczos recurrence
+    full, om_prev, om = _basis is None or not op.hermitian, np.zeros(m + 1), np.eye(1, m + 1)[0]
     eps1 = np.sqrt(n) * np.finfo(float).eps / 2
 
     size = m
@@ -90,19 +91,18 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
         c = Q[lo: j + 1].conj() @ w
         w -= c @ Q[lo: j + 1]
         H[lo: j + 1, j] += c
-        full, top = 1, 0
-        if W is not None:
+        if not full:
             h = max(np.linalg.norm(w), 1e-300)
-            t = (H[:j, :j + 1].real @ W[j, :j + 1] - H[j, j].real * W[j, :j]
-                 - H[j, j - 1].real * W[j - 1, :j])
-            W[j + 1, :j] = (t + np.copysign(eps1 * (H.diagonal(-1)[:j].real + h), t)) / h
-            W[j + 1, j] = eps1 * norm_w / h
-            reorth = forced or np.abs(W[j + 1, :j + 1]).max() > SEMI_ORTH
-            forced = reorth and not forced
-            if reorth:
-                W[j + 1, :j + 1] = eps1
-            full, top = 2 * reorth, lo
-        for _ in range(full):
+            al, be = H.diagonal().real, H.diagonal(-1).real
+            t = (al[:j] - al[j]) * om[:j] + H.diagonal(1).real[:j] * om[1: j + 1]
+            t[1:] += be[:lo] * om[:lo]
+            t -= be[j - 1] * om_prev[:j]
+            om_prev, om = om, om_prev
+            om[:j] = (t + np.copysign(eps1 * (be[:j] + h), t)) / h
+            om[j: j + 2] = eps1 * norm_w / h, 1.0
+            full = np.abs(om[:j + 1]).max() > SEMI_ORTH
+        if full:
+            top = 0 if _basis is None else lo
             c = Q[: j + 1].conj() @ w
             w -= c @ Q[: j + 1]
             H[top: j + 1, j] += c[top:]

@@ -406,7 +406,7 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
 
     for k in range(1, cfg.max_cycles + 1):
         t0 = time.perf_counter()
-        dec = arnoldi(op, start, cfg.m, _semi=True, _basis=basis)  # the next cycle overwrites dec.V
+        dec = arnoldi(op, start, cfg.m, _basis=basis)  # the next cycle overwrites dec.V
         prev_norm = float(np.linalg.norm(fm))
         beta_k = chains[0].beta
         coeff = sum(chain.cycle(dec, k, prev_norm) for chain in chains)

@@ -266,33 +266,59 @@ def graded_op():
     return LinearOperator(lambda x: d * x, 300, hermitian=True), 1.0
 
 
+def semi(op, b, m):
+    """A restart cycle: arnoldi into a basis buffer."""
+    return arnoldi(op, b, m, _basis=np.empty((m + 1, op.n), complex if np.iscomplexobj(b) else float))
+
+
+def relation_columns(op, dec):
+    r = np.column_stack([op.apply(dec.V[:, j]) for j in range(dec.m)]) - dec.V @ dec.H
+    if dec.h_next != 0.0:
+        r[:, -1] -= dec.h_next * dec.v_next
+    return np.linalg.norm(r, axis=0)
+
+
 class TestSemiOrthogonal:
-    """Restart cycles: Lanczos with partial reorthogonalization (``_semi``)."""
+    """Restart cycles: Lanczos with partial reorthogonalization (``_basis``)."""
 
     @pytest.mark.parametrize("case", [
         lambda: (*graded_op(), np.random.default_rng(12).standard_normal(300), 250),
         lambda: (LinearOperator.from_matrix(laplacian_nd(30, 2)), 8.0,
                  np.random.default_rng(9).standard_normal(900), 150),
     ], ids=["graded-m250", "laplacian2d-m150"])
-    def test_semi_orthogonal_basis_and_exact_relation(self, case):
-        # plain Lanczos loses orthogonality entirely on both; the relation
-        # A V = V H + h v e_m^T holds to rounding whatever the orthogonality
+    def test_semi_orthogonal_basis_and_relation(self, case):
+        # plain Lanczos loses orthogonality entirely on both. The relation
+        # A V = V H + h v e_m^T holds to rounding except in the columns of
+        # the first two full passes, whose dropped coefficients are O(sqrt(eps))
         op, norm_a, b, m = case()
-        dec = arnoldi(op, b, m, _semi=True)
+        dec = semi(op, b, m)
         assert dec.m == m
         assert np.abs(dec.V.T @ dec.V - np.eye(m)).max() <= 1e-7
-        assert relation_residual(op, dec) <= 1e-8 * norm_a
+        res = relation_columns(op, dec)
+        assert np.linalg.norm(res) <= 1e-8 * norm_a
+        assert np.sort(res)[-3] <= 1e-13 * norm_a
         assert np.all(np.triu(dec.H, 2) == 0.0)
         assert np.all(np.tril(dec.H, -2) == 0.0)
+
+    def test_clustered_spectrum_reorthogonalizes_like_the_default(self):
+        # the estimate fires at the first step, and every step then runs the
+        # default's one full pass
+        d = np.concatenate([np.ones(150), 1.0 + 1e-9 * np.arange(1, 151)])
+        op = LinearOperator(lambda x: d * x, 300, hermitian=True)
+        b = np.random.default_rng(13).standard_normal(300)
+        full, dec = arnoldi(op, b, 250), semi(op, b, 250)
+        assert dec.breakdown and dec.m == full.m
+        assert np.abs(dec.V.T @ dec.V - np.eye(dec.m)).max() <= 1e-13
+        assert np.all(np.triu(dec.H, 2) == 0.0)
 
     def test_matches_default_when_no_reorthogonalization_fires(self):
         op = LinearOperator.from_matrix(laplacian_nd(20, 3))
         b = np.random.default_rng(0).standard_normal(op.n)
-        full, semi = arnoldi(op, b, 50), arnoldi(op, b, 50, _semi=True)
-        assert np.abs(semi.V - full.V).max() <= 1e-12
-        assert np.abs(semi.H - full.H).max() <= 1e-12 * 12.0
-        assert semi.h_next == pytest.approx(full.h_next, rel=1e-12)
-        assert np.abs(semi.v_next - full.v_next).max() <= 1e-12
+        full, dec = arnoldi(op, b, 50), semi(op, b, 50)
+        assert np.abs(dec.V - full.V).max() <= 1e-12
+        assert np.abs(dec.H - full.H).max() <= 1e-12 * 12.0
+        assert dec.h_next == pytest.approx(full.h_next, rel=1e-12)
+        assert np.abs(dec.v_next - full.v_next).max() <= 1e-12
 
     def test_complex_hermitian(self):
         rng = np.random.default_rng(14)
@@ -300,20 +326,20 @@ class TestSemiOrthogonal:
         a = (u * np.logspace(-8, 0, 200)) @ u.conj().T
         a = (a + a.conj().T) / 2
         op = LinearOperator(lambda x: a @ x, 200, hermitian=True)
-        dec = arnoldi(op, rng.standard_normal(200) + 1j * rng.standard_normal(200), 150, _semi=True)
+        dec = semi(op, rng.standard_normal(200) + 1j * rng.standard_normal(200), 150)
         assert dec.m == 150
         assert not np.iscomplexobj(dec.H)
         assert np.all(np.triu(dec.H, 2) == 0.0)
         assert np.abs(dec.V.conj().T @ dec.V - np.eye(150)).max() <= 1e-7
-        r = a @ dec.V - dec.V @ dec.H
-        r[:, -1] -= dec.h_next * dec.v_next
-        assert np.linalg.norm(r) <= 1e-8
+        res = relation_columns(op, dec)
+        assert np.linalg.norm(res) <= 1e-8
+        assert np.sort(res)[-3] <= 1e-13
 
-    def test_non_hermitian_ignores_semi(self):
+    def test_non_hermitian_buffer_changes_nothing(self):
         op = LinearOperator.from_matrix(convection_diffusion_nd(10, 1e-2, 2))
         b = np.random.default_rng(3).standard_normal(op.n)
-        full, semi = arnoldi(op, b, 30), arnoldi(op, b, 30, _semi=True)
-        assert np.array_equal(semi.V, full.V) and np.array_equal(semi.H, full.H)
+        full, dec = arnoldi(op, b, 30), semi(op, b, 30)
+        assert np.array_equal(dec.V, full.V) and np.array_equal(dec.H, full.H)
 
     def test_reused_basis_buffer(self):
         # a restart passes the previous cycle's v_next, a row of the buffer
@@ -324,6 +350,6 @@ class TestSemiOrthogonal:
         assert np.shares_memory(d1.v_next, buf)
         start = d1.v_next.copy()
         d2 = arnoldi(op, d1.v_next, 8, _basis=buf)
-        fresh = arnoldi(op, start, 8)
+        fresh = semi(op, start, 8)
         assert np.array_equal(d2.V, fresh.V) and np.array_equal(d2.H, fresh.H)
         assert np.array_equal(d2.v_next, fresh.v_next)
