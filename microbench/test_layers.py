@@ -20,9 +20,8 @@ from laplace_krylov.baselines import reference_apply
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
 from laplace_krylov.quadrature import apply_rule_matrix, build_laplace_rule
-from laplace_krylov.restart import builtin_kernels
+from laplace_krylov.restart import builtin_kernels, spline_fit
 from laplace_krylov.smallmat import eig_hermitian, expm_columns, smallmat_nu
-from laplace_krylov.spline import spline_fit
 
 KERNEL = builtin_kernels()["power-neg-3-2"].kernel
 EPS_Q = 1e-10

@@ -34,7 +34,8 @@ def main() -> int:
     b /= np.linalg.norm(b)
 
     fn = builtin_kernels()["power-neg-3-2"]
-    print(f"reference: {min(400, mat.n)}-step unrestarted approximation ...")
+    kind = "two-pass Lanczos" if mat.symmetric else "unrestarted Arnoldi"
+    print(f"reference: {min(400, mat.n)}-step {kind} approximation ...")
     ref = reference_apply(LinearOperator.from_matrix(mat), None, b, fn)
 
     op = LinearOperator.from_matrix(mat)

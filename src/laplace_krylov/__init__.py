@@ -23,6 +23,5 @@ from .restart import (
     restarted_laplace,
     transform_value,
 )
-from .spline import spline_fit, spline_refine_nodes
 
 __version__ = "0.1.0"

@@ -110,6 +110,8 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     if max_steps is None:
         max_steps = min(n, 1000)
     bnorm = float(np.linalg.norm(b))
+    if not (math.isfinite(bnorm) and bnorm > 0):
+        raise ValueError("b must be finite and nonzero")
     ref_norm = float(np.linalg.norm(reference)) if reference is not None else 0.0
 
     report = TwoPassReport(steps=0, matvecs=0, converged=False)
@@ -212,10 +214,10 @@ def gmres_solve(op: LinearOperator, b: np.ndarray, rtol: float, restart: int,
         m = dec.m
         iters += m
         # least squares on the (m+1) x m extended Hessenberg
-        Hbar = np.zeros((m + 1, m))
+        Hbar = np.zeros((m + 1, m), dtype=dec.H.dtype)
         Hbar[:m, :m] = dec.H
         Hbar[m, m - 1] = dec.h_next
-        rhs = np.zeros(m + 1)
+        rhs = np.zeros(m + 1, dtype=dec.H.dtype)
         rhs[0] = dec.beta
         y, *_ = la.lstsq(Hbar, rhs)
         x = x + dec.V @ y

@@ -9,18 +9,15 @@ Result vectors use a small binary format: 16-byte header (magic ``LKV1``,
 4 reserved zero bytes, little-endian u64 length), then float64
 little-endian payload. Exit codes: 0 converged, 2 stopped unconverged
 (max_cycles, or non_finite for an overflowed iterate), 1 error.
-LKV_THREADS caps benchmark-sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import struct
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,14 +74,14 @@ def _load_matrix(spec: str) -> operators.SparseMatrix:
     return operators.read_matrix_market(spec)
 
 
-def _starting_vector(n: int, args) -> np.ndarray:
-    if getattr(args, "b_file", None):
-        b = read_vector(args.b_file)
+def _starting_vector(n: int, seed: int | None = None, b_file: str | None = None) -> np.ndarray:
+    if b_file:
+        b = read_vector(b_file)
         if b.size != n:
             raise SystemExit(f"--b-file has length {b.size}, expected {n}")
         return b
-    if getattr(args, "seed", None) is not None:
-        rng = np.random.default_rng(args.seed)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
         b = rng.standard_normal(n)
         return b / np.linalg.norm(b)
     return np.ones(n) / np.sqrt(n)
@@ -119,7 +116,7 @@ def cmd_run(args) -> int:
     mat = _load_matrix(args.matrix)
     op = operators.LinearOperator.from_matrix(mat)
     fn = _parse_function(args.function)
-    b = _starting_vector(op.n, args)
+    b = _starting_vector(op.n, args.seed, args.b_file)
     reference = read_vector(args.reference) if args.reference else None
     cfg = restart.RestartConfig(
         m=args.m, tol=args.tol, max_cycles=args.max_cycles,
@@ -148,89 +145,6 @@ def cmd_run(args) -> int:
 # benchmark sweeps
 # ---------------------------------------------------------------------------
 
-def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
-    """One benchmark matrix size: returns rows (method, N, matvecs, ...)."""
-    kernels = restart.builtin_kernels()
-    rows = []
-
-    def b_for(n):
-        if seed is None:
-            return np.ones(n) / np.sqrt(n)
-        rng = np.random.default_rng(seed)
-        b = rng.standard_normal(n)
-        return b / np.linalg.norm(b)
-
-    def run(tag, op, fn, b, reference, first_phase=0):
-        cfg = restart.RestartConfig(m=m, tol=tol, stopping="reference_error")
-        t0 = time.perf_counter()
-        x, rep = restart.restarted_laplace(op, b, fn, cfg, reference=reference)
-        wall = 1e3 * (time.perf_counter() - t0)
-        total = rep.matvecs + first_phase
-        frac = first_phase / total if first_phase else 0.0
-        rows.append({
-            "method": tag, "N": n_size, "matvecs": total,
-            "final_error": rep.records[-1].rel_error,
-            "wall_ms": wall, "first_phase_fraction": frac,
-        })
-
-    if experiment == "s32":
-        fn = kernels["power-neg-3-2"]
-        mat = operators.laplacian_nd(n_size, 3)
-        b = b_for(mat.n)
-        ref = baselines.reference_apply(
-            operators.LinearOperator.from_matrix(mat), None, b, fn)
-        op = operators.LinearOperator.from_matrix(mat)
-        run("laplace", op, fn, b, ref)
-
-        op = operators.LinearOperator.from_matrix(mat)
-        c, first = baselines.cg_solve(op, b, 1e-9)
-        g = kernels["inv-sqrt-stieltjes"]
-        ref2 = baselines.reference_apply(
-            operators.LinearOperator.from_matrix(mat), None, c, g)
-        run("stieltjes", op, g, c, ref2, first_phase=first)
-
-        op = operators.LinearOperator.from_matrix(mat)
-        t0 = time.perf_counter()
-        x, rep2p = baselines.two_pass_lanczos(op, b, fn, tol, m, reference=ref)
-        rows.append({
-            "method": "two-pass", "N": n_size, "matvecs": rep2p.matvecs,
-            "final_error": rep2p.final_error,
-            "wall_ms": 1e3 * (time.perf_counter() - t0),
-            "first_phase_fraction": 0.0,
-        })
-    elif experiment == "gamma":
-        fn = kernels["gamma"]
-        mat = operators.laplacian_nd(n_size, 2)
-        b = b_for(mat.n)
-        dense = mat.toarray() if mat.n <= 1000 else None
-        ref = baselines.reference_apply(
-            operators.LinearOperator.from_matrix(mat), dense, b, fn)
-        op = operators.LinearOperator.from_matrix(mat)
-        run("laplace", op, fn, b, ref)
-    elif experiment == "sqrt":
-        fn = kernels["sqrt"]
-        mat = operators.laplacian_nd(n_size, 3)
-        b = b_for(mat.n)
-        ref = baselines.reference_apply(
-            operators.LinearOperator.from_matrix(mat), None, b, fn)
-        op = operators.LinearOperator.from_matrix(mat)
-        run("laplace", op, fn, b, ref)
-    elif experiment == "fracdiff":
-        fn = restart.builtin_kernels(tau=1.0)["exp-sqrt"]
-        rng = np.random.default_rng(0 if seed is None else seed)
-        g = _random_connected_graph(n_size, rng)
-        mat = operators.graph_laplacian(g)
-        b = b_for(mat.n)
-        dense = mat.toarray() if mat.n <= 1000 else None
-        ref = baselines.reference_apply(
-            operators.LinearOperator.from_matrix(mat), dense, b, fn)
-        op = operators.LinearOperator.from_matrix(mat)
-        run("laplace", op, fn, b, ref)
-    else:
-        raise SystemExit(f"unknown experiment {experiment!r}")
-    return rows
-
-
 def _random_connected_graph(n: int, rng) -> operators.Graph:
     """Random tree plus extra edges: connected, about 3 edges per node."""
     parents = np.array([rng.integers(0, i) for i in range(1, n)])
@@ -240,20 +154,63 @@ def _random_connected_graph(n: int, rng) -> operators.Graph:
     return operators.Graph(n, np.vstack([tree, extra]))
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    workers = int(os.environ.get("LKV_THREADS", "1"))
+# experiment -> (kernel, matrix from (N, seed), whether a dense reference is allowed)
+EXPERIMENTS = {
+    "s32": ("power-neg-3-2", lambda n, seed: operators.laplacian_nd(n, 3), False),
+    "gamma": ("gamma", lambda n, seed: operators.laplacian_nd(n, 2), True),
+    "sqrt": ("sqrt", lambda n, seed: operators.laplacian_nd(n, 3), False),
+    "fracdiff": ("exp-sqrt", lambda n, seed: operators.graph_laplacian(_random_connected_graph(
+        n, np.random.default_rng(0 if seed is None else seed))), True),
+}
+
+
+def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
+    """One benchmark matrix size: returns rows (method, N, matvecs, ...).
+
+    Every experiment runs the restart; s32 adds the CG + Stieltjes pipeline
+    and the two-pass Lanczos comparator on the same start vector.
+    """
+    kernel, build, dense_ok = EXPERIMENTS[experiment]
+    kernels = restart.builtin_kernels()
+    mat = build(n_size, seed)
+    dense = mat.toarray() if dense_ok and mat.n <= 1000 else None
     rows = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_bench_point, args.experiment, n, args.m,
-                                args.tol, args.seed) for n in sizes]
-            for f in futs:
-                rows.extend(f.result())
-    else:
-        for n in sizes:
-            rows.extend(_bench_point(args.experiment, n, args.m, args.tol,
-                                     args.seed))
+
+    def operator():
+        return operators.LinearOperator.from_matrix(mat)
+
+    def add_row(method, matvecs, final_error, t0, first_phase=0):
+        rows.append({
+            "method": method, "N": n_size, "matvecs": matvecs,
+            "final_error": final_error,
+            "wall_ms": 1e3 * (time.perf_counter() - t0),
+            "first_phase_fraction": first_phase / matvecs if first_phase else 0.0,
+        })
+
+    def run(method, op, fn, b, first_phase=0):
+        ref = baselines.reference_apply(operator(), dense, b, fn)
+        cfg = restart.RestartConfig(m=m, tol=tol, stopping="reference_error")
+        t0 = time.perf_counter()
+        _, rep = restart.restarted_laplace(op, b, fn, cfg, reference=ref)
+        add_row(method, rep.matvecs + first_phase, rep.records[-1].rel_error, t0, first_phase)
+        return ref
+
+    fn = kernels[kernel]
+    b = _starting_vector(mat.n, seed)
+    ref = run("laplace", operator(), fn, b)
+    if experiment == "s32":
+        op = operator()
+        c, first = baselines.cg_solve(op, b, 1e-9)
+        run("stieltjes", op, kernels["inv-sqrt-stieltjes"], c, first_phase=first)
+        t0 = time.perf_counter()
+        _, rep = baselines.two_pass_lanczos(operator(), b, fn, tol, m, reference=ref)
+        add_row("two-pass", rep.matvecs, rep.final_error, t0)
+    return rows
+
+
+def cmd_bench(args) -> int:
+    rows = [row for n in args.sizes.split(",")
+            for row in _bench_point(args.experiment, int(n), args.m, args.tol, args.seed)]
     rows.sort(key=lambda r: (r["N"], r["method"]))
     out = args.output or f"bench_{args.experiment}.csv"
     with open(out, "w", newline="") as fh:
@@ -303,7 +260,7 @@ def main(argv=None) -> int:
 
     bn = sub.add_parser("bench", help="reproduce a benchmark series")
     bn.add_argument("--experiment", required=True,
-                    choices=["s32", "gamma", "sqrt", "fracdiff"])
+                    choices=list(EXPERIMENTS))
     bn.add_argument("--sizes", required=True, help="comma-separated N values")
     bn.add_argument("--m", type=int, default=50)
     bn.add_argument("--tol", type=float, default=1e-7)

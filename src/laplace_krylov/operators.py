@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,12 +64,9 @@ class SparseMatrix:
         if self.symmetric and not self._is_value_symmetric():
             raise ValueError("symmetric flag set but matrix is not symmetric")
 
-    def _is_value_symmetric(self, tol: float = 0.0) -> bool:
+    def _is_value_symmetric(self) -> bool:
         d = self._csr - self._csr.T
-        if d.nnz == 0:
-            return True
-        bound = tol * max(1.0, float(abs(self._csr).max()))
-        return float(abs(d).max()) <= bound
+        return d.nnz == 0 or float(abs(d).max()) == 0.0
 
     @classmethod
     def from_scipy(cls, mat, symmetric: bool = False) -> "SparseMatrix":
@@ -103,7 +101,8 @@ class LinearOperator:
     """Matrix seen only through ``y = A @ x``, with a monotone matvec tally.
 
     The operator is immutable apart from the counter, which is updated under
-    a lock so concurrent benchmark sweeps keep exact tallies.
+    a lock so that callers sharing an operator across threads keep exact
+    tallies.
     """
 
     def __init__(self, matvec, n: int, hermitian: bool = False):
@@ -136,10 +135,6 @@ class LinearOperator:
     @property
     def matvec_count(self) -> int:
         return self._count
-
-    def reset_count(self) -> None:
-        with self._lock:
-            self._count = 0
 
 
 @dataclass
@@ -181,15 +176,19 @@ def _tridiag(n: int, lower: float, diag: float, upper: float) -> sp.csr_matrix:
     )
 
 
+def _kron_sum(a, b) -> sp.csr_matrix:
+    """A (x) I + I (x) B for square scipy matrices A and B."""
+    return sp.kron(a, sp.identity(b.shape[0]), format="csr") + sp.kron(
+        sp.identity(a.shape[0]), b, format="csr"
+    )
+
+
 def kron_sum(m1: SparseMatrix, m2: SparseMatrix) -> SparseMatrix:
     """Kronecker sum M1 (x) I + I (x) M2 of two square matrices."""
     a, b = m1.to_scipy(), m2.to_scipy()
     if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise ValueError("kron_sum requires square factors")
-    out = sp.kron(a, sp.identity(b.shape[0]), format="csr") + sp.kron(
-        sp.identity(a.shape[0]), b, format="csr"
-    )
-    return SparseMatrix.from_scipy(out, symmetric=m1.symmetric and m2.symmetric)
+    return SparseMatrix.from_scipy(_kron_sum(a, b), symmetric=m1.symmetric and m2.symmetric)
 
 
 def laplacian_nd(n: int, d: int = 3) -> SparseMatrix:
@@ -203,12 +202,7 @@ def laplacian_nd(n: int, d: int = 3) -> SparseMatrix:
     if n < 1:
         raise ValueError("grid size must be >= 1")
     a1 = _tridiag(n, -1.0, 2.0, -1.0)
-    out = a1
-    for _ in range(d - 1):
-        out = sp.kron(out, sp.identity(n), format="csr") + sp.kron(
-            sp.identity(out.shape[0]), a1, format="csr"
-        )
-    return SparseMatrix.from_scipy(out, symmetric=True)
+    return SparseMatrix.from_scipy(reduce(_kron_sum, [a1] * d), symmetric=True)
 
 
 def convection_diffusion_nd(n: int, eps: float, d: int = 3) -> SparseMatrix:
@@ -228,12 +222,7 @@ def convection_diffusion_nd(n: int, eps: float, d: int = 3) -> SparseMatrix:
     c_fwd = (eps / h**2) * a1 + (1.0 / h) * a2
     c_bwd = (eps / h**2) * a1 + (1.0 / h) * a2.T
     factors = [c_fwd, c_bwd] if d == 2 else [c_fwd, c_bwd, c_fwd]
-    out = factors[0]
-    for f in factors[1:]:
-        out = sp.kron(out, sp.identity(f.shape[0]), format="csr") + sp.kron(
-            sp.identity(out.shape[0]), f, format="csr"
-        )
-    return SparseMatrix.from_scipy(out, symmetric=False)
+    return SparseMatrix.from_scipy(reduce(_kron_sum, factors), symmetric=False)
 
 
 def graph_laplacian(g: Graph) -> SparseMatrix:

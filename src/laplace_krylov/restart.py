@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg as la
 import scipy.special
+from scipy.interpolate import CubicSpline as spline_fit  # not-a-knot, extrapolating
 
 from .krylov import KrylovDecomposition, arnoldi
 from .operators import LinearOperator
@@ -40,7 +41,6 @@ from .quadrature import (
 )
 from .smallmat import eig_hermitian, expm_columns, smallmat_nu
 from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
-from .spline import spline_fit, spline_refine_nodes
 
 __all__ = [
     "TransformFunction",
@@ -291,7 +291,7 @@ class _LaplaceChain:
                     sums = (rule.nodes[:, None] + self.eval_rule.nodes[None, :]).ravel()
                     knots = np.unique(np.concatenate([self.eval_rule.nodes, sums]))
                 else:
-                    knots = spline_refine_nodes(knots)
+                    knots = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
                 surface = spline_fit(knots, error_function_values(self.model, knots))
                 model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
                 vals = error_function_values(model, rule.nodes)

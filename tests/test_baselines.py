@@ -118,6 +118,15 @@ class TestTwoPass:
             two_pass_lanczos(op, np.ones(2), builtin_kernels()["power-neg-3-2"],
                              1e-6, 2)
 
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    def test_rejects_bad_start(self, fill):
+        op = LinearOperator.from_matrix(laplacian_nd(4, 2))
+        b = np.zeros(16)
+        b[3] = fill
+        with pytest.raises(ValueError, match="b must be finite and nonzero"):
+            two_pass_lanczos(op, b, builtin_kernels()["sqrt"], 1e-6, 4)
+        assert op.matvec_count == 0
+
     def test_gamma_2d_matvec_count(self):
         # published comparator series: 100 matvecs at N=20 for the gamma
         # function on the 2D grid Laplacian
@@ -201,6 +210,19 @@ class TestGMRES:
         op = LinearOperator.from_matrix(mat)
         x, _ = gmres_solve(op, b, 1e-9, restart=20)
         assert np.linalg.norm(b - mat.matvec(x)) <= 1e-9 * np.linalg.norm(b) * 1.01
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("complex_a", [True, False], ids=["complex-A", "real-A"])
+    def test_complex_data(self, complex_a):
+        # complex b, and for complex-A a complex matrix too: the projected
+        # least-squares problem must keep the imaginary part of H
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+        a = (x if complex_a else x.real) + 12.0 * np.eye(30)
+        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        sol, _ = gmres_solve(LinearOperator.from_dense(a), b, 1e-10, restart=10)
+        exact = la.solve(a, b)
+        assert np.linalg.norm(sol - exact) <= 1e-9 * np.linalg.norm(exact)
 
     def test_stagnation_detected(self):
         # GMRES(1) on a rotation makes no progress

@@ -207,12 +207,18 @@ class TestBench:
         assert all(x > y for x, y in zip(errors, errors[1:]))
         assert errors[-1] < 0.5 * errors[0]
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LKV_THREADS", "2")
-        out = tmp_path / "s.csv"
-        code = cli.main(["bench", "--experiment", "sqrt", "--sizes", "4,5",
-                         "--m", "6", "--tol", "1e-6", "-o", str(out)])
+    @pytest.mark.parametrize("experiment, sizes", [
+        ("s32", "4,5"), ("gamma", "6,8"), ("sqrt", "4,5"), ("fracdiff", "30,40"),
+    ])
+    def test_every_experiment(self, tmp_path, experiment, sizes):
+        out = tmp_path / "b.csv"
+        code = cli.main(["bench", "--experiment", experiment, "--sizes", sizes,
+                         "--m", "8", "--tol", "1e-6", "--seed", "0", "-o", str(out)])
         assert code == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
-        assert {r["N"] for r in rows} == {"4", "5"}
+        methods = {"laplace", "stieltjes", "two-pass"} if experiment == "s32" else {"laplace"}
+        for n in sizes.split(","):
+            assert {r["method"] for r in rows if r["N"] == n} == methods
+        assert len(rows) == 2 * len(methods)
+        assert all(math.isfinite(float(r["final_error"])) for r in rows)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laplace_krylov.spline import spline_fit, spline_refine_nodes
+from laplace_krylov.restart import spline_fit
 
 
 class TestFit:
@@ -99,22 +99,14 @@ class TestFit:
 
 
 class TestRefine:
-    def test_two_knots(self):
-        assert np.allclose(spline_refine_nodes([0.0, 1.0]), [0.0, 0.5, 1.0])
-
-    def test_count(self):
-        knots = np.linspace(0, 1, 9)
-        assert spline_refine_nodes(knots).size == 17
-
     def test_refinement_reduces_error_by_16(self):
         # midpoint insertion divides the bound by ~2^4; accept [8, 32]
         f = np.exp
         probe = np.linspace(0.0, 4.0, 8001)
-        knots = np.linspace(0.0, 4.0, 9)
         errs = []
-        for _ in range(3):
+        for q in (9, 17, 33):   # each grid inserts the midpoints of the last
+            knots = np.linspace(0.0, 4.0, q)
             s = spline_fit(knots, np.exp(-knots))
             errs.append(np.abs(s(probe) - np.exp(-probe)).max())
-            knots = spline_refine_nodes(knots)
         for a, b in zip(errs, errs[1:]):
             assert 8.0 <= a / b <= 32.0
