@@ -109,7 +109,7 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     n = op.n
     if max_steps is None:
         max_steps = min(n, 1000)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(la.norm(b, check_finite=False))  # nrm2 scales: no overflow past 1e154
     if not (math.isfinite(bnorm) and bnorm > 0):
         raise ValueError("b must be finite and nonzero")
     ref_norm = float(np.linalg.norm(reference)) if reference is not None else 0.0
@@ -288,7 +288,7 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
         w, q = la.eigh(dense)
         return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
     if op.hermitian:
-        bnorm = float(np.linalg.norm(b))
+        bnorm = float(la.norm(b, check_finite=False))
         if not (math.isfinite(bnorm) and bnorm > 0):
             raise ValueError("b must be finite and nonzero")
         v = b / bnorm

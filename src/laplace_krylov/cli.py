@@ -70,7 +70,7 @@ def _parse_function(spec: str):
 def _load_matrix(spec: str) -> operators.SparseMatrix:
     if spec.startswith("diag:"):
         vals = np.array([float(v) for v in spec[5:].split(",")])
-        return operators.SparseMatrix.from_dense(np.diag(vals))
+        return operators.SparseMatrix(np.diag(vals))
     return operators.read_matrix_market(spec)
 
 
@@ -87,26 +87,26 @@ def _starting_vector(n: int, seed: int | None = None, b_file: str | None = None)
     return np.ones(n) / np.sqrt(n)
 
 
+def _graph_laplacian_of_input(args) -> operators.SparseMatrix:
+    if not args.input:
+        raise SystemExit("gen --kind graph needs --input")
+    g = operators.graph_from_matrix(operators.read_matrix_market(args.input))
+    return operators.graph_laplacian(operators.largest_connected_component(g) if args.lcc else g)
+
+
+# kind -> matrix from the parsed gen arguments
+GEN_KINDS = {
+    "laplacian1d": lambda a: operators.laplacian_nd(a.n, 1),
+    "laplacian2d": lambda a: operators.laplacian_nd(a.n, 2),
+    "laplacian3d": lambda a: operators.laplacian_nd(a.n, 3),
+    "cd2d": lambda a: operators.convection_diffusion_nd(a.n, a.eps, 2),
+    "cd3d": lambda a: operators.convection_diffusion_nd(a.n, a.eps, 3),
+    "graph": _graph_laplacian_of_input,
+}
+
+
 def cmd_gen(args) -> int:
-    if args.kind == "laplacian1d":
-        mat = operators.laplacian_nd(args.n, 1)
-    elif args.kind == "laplacian2d":
-        mat = operators.laplacian_nd(args.n, 2)
-    elif args.kind == "laplacian3d":
-        mat = operators.laplacian_nd(args.n, 3)
-    elif args.kind == "cd2d":
-        mat = operators.convection_diffusion_nd(args.n, args.eps, 2)
-    elif args.kind == "cd3d":
-        mat = operators.convection_diffusion_nd(args.n, args.eps, 3)
-    elif args.kind == "graph":
-        if not args.input:
-            raise SystemExit("gen --kind graph needs --input")
-        g = operators.graph_from_matrix(operators.read_matrix_market(args.input))
-        if args.lcc:
-            g = operators.largest_connected_component(g)
-        mat = operators.graph_laplacian(g)
-    else:
-        raise SystemExit(f"unknown kind {args.kind!r}")
+    mat = GEN_KINDS[args.kind](args)
     operators.write_matrix_market(mat, args.output)
     print(f"wrote {args.output}: n={mat.n} nnz={mat.nnz}")
     return 0
@@ -229,9 +229,7 @@ def main(argv=None) -> int:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a benchmark matrix")
-    g.add_argument("--kind", required=True,
-                   choices=["laplacian1d", "laplacian2d", "laplacian3d",
-                            "cd2d", "cd3d", "graph"])
+    g.add_argument("--kind", required=True, choices=list(GEN_KINDS))
     g.add_argument("--n", type=int, default=20)
     g.add_argument("--eps", type=float, default=1e-3)
     g.add_argument("--input", help="edge list (.mtx) for --kind graph")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 
 from .operators import LinearOperator
 
@@ -63,7 +64,7 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
         raise ValueError("starting vector has wrong length")
     if not (1 <= m <= n):
         raise ValueError("cycle length must satisfy 1 <= m <= n")
-    beta = float(np.linalg.norm(start))
+    beta = float(la.norm(start, check_finite=False))  # nrm2 scales: no overflow past 1e154
     if beta == 0.0:
         raise ValueError("starting vector must be nonzero")
 

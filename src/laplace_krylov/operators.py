@@ -1,8 +1,12 @@
 """Sparse operators, benchmark matrix generators and graph ingestion.
 
-The central objects are :class:`SparseMatrix` (CSR storage, backed by
-``scipy.sparse`` for the matvec kernel) and :class:`LinearOperator`, a thin
-counted wrapper that is the only thing the Krylov machinery ever sees.
+The central objects are :class:`SparseMatrix` (one canonical
+``scipy.sparse.csr_matrix`` plus its symmetry flag; scipy's kernel does the
+matvec) and :class:`LinearOperator`, a thin counted wrapper that is the only
+thing the Krylov machinery ever sees. Graph Laplacians and connected
+components come from ``scipy.sparse.csgraph``, which ``scipy.sparse`` loads
+on first use: imported here it would add ~1.2 MB of resident memory to
+every program, also those that build no graph.
 """
 
 from __future__ import annotations
@@ -33,55 +37,30 @@ class MatrixMarketError(ValueError):
     """Raised for malformed Matrix Market input."""
 
 
-@dataclass
 class SparseMatrix:
-    """Square sparse matrix in CSR form with sorted column indices per row."""
+    """Square matrix held as one canonical scipy CSR matrix and a symmetry flag.
 
-    n: int
-    row_ptr: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-    symmetric: bool = False
+    ``mat`` is a scipy sparse or dense matrix. It is validated with scipy's
+    full format check and stored in canonical form (duplicates summed,
+    column indices sorted); non-square input raises ``ValueError``.
+    ``symmetric=None`` detects exact symmetry, a passed ``True`` is verified
+    and ``False`` is taken as given.
+    """
 
-    def __post_init__(self):
-        self.row_ptr = np.asarray(self.row_ptr, dtype=np.int64)
-        self.col_idx = np.asarray(self.col_idx, dtype=np.int64)
-        self.values = np.asarray(self.values)
-        if self.row_ptr.shape != (self.n + 1,):
-            raise ValueError("row_ptr must have length n+1")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise ValueError("row_ptr must be nondecreasing")
-        if self.col_idx.size and (self.col_idx.min() < 0 or self.col_idx.max() >= self.n):
-            raise ValueError("column index out of range")
-        self._csr = sp.csr_matrix(
-            (self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n)
-        )
-        self._csr.sort_indices()
-        # keep the public views in sync with the canonicalized storage
-        self.row_ptr = self._csr.indptr.astype(np.int64)
-        self.col_idx = self._csr.indices.astype(np.int64)
-        self.values = self._csr.data
-        if self.symmetric and not self._is_value_symmetric():
-            raise ValueError("symmetric flag set but matrix is not symmetric")
-
-    def _is_value_symmetric(self) -> bool:
-        d = self._csr - self._csr.T
-        return d.nnz == 0 or float(abs(d).max()) == 0.0
-
-    @classmethod
-    def from_scipy(cls, mat, symmetric: bool = False) -> "SparseMatrix":
+    def __init__(self, mat, symmetric: bool | None = None):
         csr = sp.csr_matrix(mat)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(csr.shape[0], csr.indptr, csr.indices, csr.data, symmetric=symmetric)
-
-    @classmethod
-    def from_dense(cls, arr, symmetric: bool | None = None) -> "SparseMatrix":
-        mat = cls.from_scipy(sp.csr_matrix(np.asarray(arr)), symmetric=bool(symmetric))
-        if symmetric is None:
-            # the flag promises exact symmetry, which the constructor checks
-            mat.symmetric = mat._is_value_symmetric()
-        return mat
+        if csr.shape[0] != csr.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {csr.shape}")
+        csr.check_format(full_check=True)
+        csr.sum_duplicates()  # also sorts the column indices
+        self._csr = csr
+        self.n = csr.shape[0]
+        if symmetric is None or symmetric:
+            exact = (csr != csr.T).nnz == 0
+            if symmetric and not exact:
+                raise ValueError("symmetric flag set but matrix is not symmetric")
+            symmetric = exact
+        self.symmetric = bool(symmetric)
 
     @property
     def nnz(self) -> int:
@@ -159,13 +138,9 @@ class Graph:
         return self.edges.shape[0]
 
     def adjacency(self) -> sp.csr_matrix:
-        if self.num_edges == 0:
-            return sp.csr_matrix((self.num_nodes, self.num_nodes))
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        data = np.ones(2 * self.num_edges)
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.num_nodes, self.num_nodes))
+        a = sp.csr_matrix((np.ones(self.num_edges), (self.edges[:, 0], self.edges[:, 1])),
+                          shape=(self.num_nodes, self.num_nodes))
+        return a + a.T
 
 
 def _tridiag(n: int, lower: float, diag: float, upper: float) -> sp.csr_matrix:
@@ -185,10 +160,8 @@ def _kron_sum(a, b) -> sp.csr_matrix:
 
 def kron_sum(m1: SparseMatrix, m2: SparseMatrix) -> SparseMatrix:
     """Kronecker sum M1 (x) I + I (x) M2 of two square matrices."""
-    a, b = m1.to_scipy(), m2.to_scipy()
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ValueError("kron_sum requires square factors")
-    return SparseMatrix.from_scipy(_kron_sum(a, b), symmetric=m1.symmetric and m2.symmetric)
+    return SparseMatrix(_kron_sum(m1.to_scipy(), m2.to_scipy()),
+                        symmetric=m1.symmetric and m2.symmetric)
 
 
 def laplacian_nd(n: int, d: int = 3) -> SparseMatrix:
@@ -202,7 +175,7 @@ def laplacian_nd(n: int, d: int = 3) -> SparseMatrix:
     if n < 1:
         raise ValueError("grid size must be >= 1")
     a1 = _tridiag(n, -1.0, 2.0, -1.0)
-    return SparseMatrix.from_scipy(reduce(_kron_sum, [a1] * d), symmetric=True)
+    return SparseMatrix(reduce(_kron_sum, [a1] * d), symmetric=True)
 
 
 def convection_diffusion_nd(n: int, eps: float, d: int = 3) -> SparseMatrix:
@@ -222,15 +195,14 @@ def convection_diffusion_nd(n: int, eps: float, d: int = 3) -> SparseMatrix:
     c_fwd = (eps / h**2) * a1 + (1.0 / h) * a2
     c_bwd = (eps / h**2) * a1 + (1.0 / h) * a2.T
     factors = [c_fwd, c_bwd] if d == 2 else [c_fwd, c_bwd, c_fwd]
-    return SparseMatrix.from_scipy(reduce(_kron_sum, factors), symmetric=False)
+    return SparseMatrix(reduce(_kron_sum, factors), symmetric=False)
 
 
 def graph_laplacian(g: Graph) -> SparseMatrix:
     """L = D - A for an undirected graph; symmetric PSD with zero row sums."""
-    adj = g.adjacency()
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    lap = sp.diags(deg, format="csr") - adj
-    return SparseMatrix.from_scipy(lap, symmetric=True)
+    lap = sp.csgraph.laplacian(g.adjacency())
+    lap.eliminate_zeros()  # an isolated node stores no zero degree
+    return SparseMatrix(lap, symmetric=True)
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -241,21 +213,12 @@ def largest_connected_component(g: Graph) -> Graph:
     """
     if g.num_nodes == 0:
         raise ValueError("empty graph")
-    n_comp, labels = sp.csgraph.connected_components(g.adjacency(), directed=False)
-    sizes = np.bincount(labels, minlength=n_comp)
-    best = np.flatnonzero(sizes == sizes.max())
-    # labels are assigned in node order, so the smallest label among the
-    # best ones contains the smallest original node id
-    keep = best.min()
-    nodes = np.flatnonzero(labels == keep)
-    relabel = -np.ones(g.num_nodes, dtype=np.int64)
-    relabel[nodes] = np.arange(nodes.size)
-    if g.num_edges:
-        mask = (labels[g.edges[:, 0]] == keep) & (labels[g.edges[:, 1]] == keep)
-        new_edges = relabel[g.edges[mask]]
-    else:
-        new_edges = np.empty((0, 2), dtype=np.int64)
-    return Graph(nodes.size, new_edges)
+    adj = g.adjacency()
+    _, labels = sp.csgraph.connected_components(adj, directed=False)
+    # labels are assigned in node order and argmax takes the first maximum,
+    # so a tie goes to the component of the smallest node id
+    nodes = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    return Graph(nodes.size, np.column_stack(adj[nodes][:, nodes].nonzero()))
 
 
 def graph_from_matrix(mat: SparseMatrix) -> Graph:
@@ -297,17 +260,14 @@ def read_matrix_market(path) -> SparseMatrix:
         coo = scipy.io.mmread(path)
     except ValueError as exc:
         raise MatrixMarketError(str(exc)) from exc
-    return SparseMatrix.from_scipy(coo.astype(np.float64),
-                                   symmetric=(symmetry == "symmetric"))
+    return SparseMatrix(coo.astype(np.float64), symmetric=symmetry == "symmetric")
 
 
-def write_matrix_market(mat: SparseMatrix, path, symmetric: bool | None = None) -> None:
-    """Write in coordinate real format (symmetric storage keeps i >= j)."""
+def write_matrix_market(mat: SparseMatrix, path) -> None:
+    """Write in coordinate real format; a symmetric matrix keeps only i >= j."""
     import scipy.io
 
-    if symmetric is None:
-        symmetric = mat.symmetric
     # an open file, because scipy appends ".mtx" to a path without it
     with open(path, "wb") as fh:
         scipy.io.mmwrite(fh, mat.to_scipy(), field="real", precision=17,
-                         symmetry="symmetric" if symmetric else "general")
+                         symmetry="symmetric" if mat.symmetric else "general")

@@ -385,7 +385,10 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     applied directly plus one Laplace chain for Bernstein functions, or
     resolvent-based updates for Stieltjes functions.
     """
-    bnorm = float(np.linalg.norm(b))
+    # norms by BLAS nrm2, which scales: np.linalg.norm squares the entries and
+    # overflows past ~1e154; check_finite=False lets inf and NaN reach the
+    # non_finite stop
+    bnorm = float(la.norm(b, check_finite=False))
     if not (math.isfinite(bnorm) and bnorm > 0):
         raise ValueError("b must be finite and nonzero")
     if cfg.stopping == "reference_error" and reference is None:
@@ -398,7 +401,8 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         fm = fn.c * b
         if fn.a != 0.0:
             fm = fm + fn.a * op.apply(b)
-    ref_norm = float(np.linalg.norm(reference)) if reference is not None else 0.0
+    ref_norm = float(la.norm(reference, check_finite=False)) if reference is not None else 0.0
+    itn = float(la.norm(fm, check_finite=False))
     base_count = op.matvec_count  # the report leaves out the affine matvec
     report = RestartReport()
     start = b
@@ -407,16 +411,16 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     for k in range(1, cfg.max_cycles + 1):
         t0 = time.perf_counter()
         dec = arnoldi(op, start, cfg.m, _basis=basis)  # the next cycle overwrites dec.V
-        prev_norm = float(np.linalg.norm(fm))
         beta_k = chains[0].beta
-        coeff = sum(chain.cycle(dec, k, prev_norm) for chain in chains)
+        coeff = sum(chain.cycle(dec, k, itn) for chain in chains)
         d = dec.V @ coeff
         fm = fm + d
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
-        upd = float(np.linalg.norm(d))
-        itn = float(np.linalg.norm(fm))
-        rel = float(np.linalg.norm(fm - reference) / ref_norm) if reference is not None else math.nan
+        upd = float(la.norm(d, check_finite=False))
+        itn = float(la.norm(fm, check_finite=False))
+        rel = (float(la.norm(fm - reference, check_finite=False) / ref_norm)
+               if reference is not None else math.nan)
         report.records.append(CycleRecord(
             cycle=k, matvecs=op.matvec_count - base_count, update_norm=upd,
             iterate_norm=itn, rel_error=rel, wall_ms=wall_ms,

@@ -234,7 +234,7 @@ class TestGMRES:
 
 class TestReference:
     def test_diagonal_exact(self):
-        mat = SparseMatrix.from_dense(np.diag([1.0, 4.0, 9.0]))
+        mat = SparseMatrix(np.diag([1.0, 4.0, 9.0]))
         b = np.array([1.0, 1.0, 1.0])
         fn = builtin_kernels()["sqrt"]
         ref = reference_apply(LinearOperator.from_matrix(mat), mat.toarray(), b, fn)

@@ -147,12 +147,16 @@ class TestRun:
         assert code == 2
 
     def test_non_finite_exit_code(self, tmp_path, capsys):
-        mtx = tmp_path / "cd.mtx"
+        # the seed-0 start vector scaled until the cycle-1 norms pass the
+        # float64 range (see test_restart's test_non_finite_iterate_is_not_converged)
+        mtx, bfile = tmp_path / "cd.mtx", tmp_path / "b.lkv"
         assert cli.main(["gen", "--kind", "cd2d", "--n", "20", "--eps", "1e-2",
                          "-o", str(mtx)]) == 0
+        b = np.random.default_rng(0).standard_normal(400)
+        cli.write_vector(str(bfile), b * (1.4e146 / np.linalg.norm(b)))
         with np.errstate(over="ignore", invalid="ignore"):
             code = cli.main(["run", "--matrix", str(mtx), "--function", "gamma",
-                             "--m", "8", "--seed", "0"])
+                             "--m", "8", "--b-file", str(bfile)])
         assert code == 2
         assert "status=non_finite" in capsys.readouterr().out
 

@@ -146,7 +146,7 @@ class TestArnoldiBasics:
 
     def test_nan_in_matrix_fails_at_first_matvec(self):
         mat = laplacian_nd(10, 2)
-        mat.values[5] = np.nan
+        mat.to_scipy().data[5] = np.nan
         op = LinearOperator.from_matrix(mat)
         with pytest.raises(ValueError, match="step 1"):
             arnoldi(op, np.ones(op.n), 10)
@@ -252,7 +252,7 @@ class TestShiftAndSignStructure:
         assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(a)
 
     def test_consecutive_cycles_consume_m_matvecs(self):
-        mat = SparseMatrix.from_dense(np.diag(np.arange(1.0, 21.0)))
+        mat = SparseMatrix(np.diag(np.arange(1.0, 21.0)))
         op = LinearOperator.from_matrix(mat)
         b = np.ones(20)
         d1 = arnoldi(op, b, 6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,19 +25,24 @@ def dense(mat: SparseMatrix) -> np.ndarray:
     return mat.toarray()
 
 
+def csr(data, indices, indptr) -> sp.csr_matrix:
+    """Raw CSR arrays of a 2 x 2 matrix, unchecked beyond scipy's constructor."""
+    return sp.csr_matrix((data, indices, indptr), shape=(2, 2))
+
+
 class TestKronSum:
     def test_scalar_case(self):
-        a = SparseMatrix.from_dense([[2.0]])
-        b = SparseMatrix.from_dense([[3.0]])
+        a = SparseMatrix([[2.0]])
+        b = SparseMatrix([[3.0]])
         assert np.allclose(dense(kron_sum(a, b)), [[5.0]])
 
     def test_identity_case(self):
-        i2 = SparseMatrix.from_dense(np.eye(2))
+        i2 = SparseMatrix(np.eye(2))
         assert np.allclose(dense(kron_sum(i2, i2)), 2.0 * np.eye(4))
 
     def test_tridiag_spectrum(self):
         # 1D eigenvalues 2 - 2 cos(j pi / 3) = {1, 3}; sums of pairs
-        t = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        t = SparseMatrix([[2.0, -1.0], [-1.0, 2.0]])
         spec = np.sort(la.eigvalsh(dense(kron_sum(t, t))))
         assert spec == pytest.approx([2.0, 4.0, 4.0, 6.0])
 
@@ -47,7 +53,7 @@ class TestKronSum:
             a = a + a.T
             b = rng.standard_normal((nb, nb))
             b = b + b.T
-            ks = kron_sum(SparseMatrix.from_dense(a), SparseMatrix.from_dense(b))
+            ks = kron_sum(SparseMatrix(a), SparseMatrix(b))
             expected = np.sort(np.add.outer(la.eigvalsh(a), la.eigvalsh(b)).ravel())
             assert np.allclose(np.sort(la.eigvalsh(dense(ks))), expected)
 
@@ -118,7 +124,7 @@ class TestGraphOps:
         g = Graph(12, rng.integers(0, 12, size=(30, 2)))
         lap = graph_laplacian(g)
         ones = np.ones(12)
-        scale = max(1.0, np.abs(lap.values).max())
+        scale = max(1.0, np.abs(lap.to_scipy().data).max())
         assert np.abs(lap.matvec(ones)).max() <= 1e-12 * scale
 
     def test_k3_spectrum(self):
@@ -165,7 +171,7 @@ class TestMatrixMarket:
         rng = np.random.default_rng(5)
         a = np.round(rng.standard_normal((4, 4)), 6)
         a[np.abs(a) < 0.7] = 0.0
-        mat = SparseMatrix.from_dense(a, symmetric=False)
+        mat = SparseMatrix(a, symmetric=False)
         p = tmp_path / "rt.mtx"
         write_matrix_market(mat, p)
         back = read_matrix_market(p)
@@ -240,7 +246,7 @@ class TestLinearOperator:
 
     def test_symmetric_flag_validation(self):
         with pytest.raises(ValueError):
-            SparseMatrix.from_dense([[1.0, 2.0], [0.0, 1.0]], symmetric=True)
+            SparseMatrix([[1.0, 2.0], [0.0, 1.0]], symmetric=True)
 
     def test_from_dense_hermitian_only_to_rounding(self):
         rng = np.random.default_rng(3)
@@ -256,25 +262,32 @@ class TestLinearOperator:
 
 class TestSparseMatrixInvariants:
     def test_sorted_column_indices(self):
-        mat = SparseMatrix(2, [0, 2, 3], [1, 0, 1], [1.0, 2.0, 3.0])
+        mat = SparseMatrix(csr([1.0, 2.0, 3.0], [1, 0, 1], [0, 2, 3]))
+        indptr, indices = mat.to_scipy().indptr, mat.to_scipy().indices
         for i in range(mat.n):
-            row = mat.col_idx[mat.row_ptr[i]:mat.row_ptr[i + 1]]
+            row = indices[indptr[i]:indptr[i + 1]]
             assert np.all(np.diff(row) > 0)
 
     def test_rejects_bad_row_ptr(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, [0, 2, 1], [0, 1], [1.0, 1.0])
+            SparseMatrix(csr([1.0, 1.0], [0, 1], [0, 2, 1]))
 
     def test_rejects_bad_col_idx(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, [0, 1, 2], [0, 5], [1.0, 1.0])
+            SparseMatrix(csr([1.0, 1.0], [0, 5], [0, 1, 2]))
+
+    @pytest.mark.parametrize("arr", [np.ones((3, 2)), sp.csr_matrix(np.ones((3, 2))),
+                                     np.ones((2, 3))])
+    def test_rejects_non_square(self, arr):
+        with pytest.raises(ValueError, match="square"):
+            SparseMatrix(arr)
 
     def test_from_dense_flags_exact_symmetry_only(self):
         q, _ = la.qr(np.random.default_rng(0).standard_normal((5, 5)))
         rounded = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ q.T
         assert np.abs(rounded - rounded.T).max() > 0
         for arr in (rounded, np.array([[2.0, 1e-9], [0.0, 2.0]])):
-            mat = SparseMatrix.from_dense(arr)
+            mat = SparseMatrix(arr)
             assert not mat.symmetric
             assert np.array_equal(mat.toarray(), arr)
-        assert SparseMatrix.from_dense((rounded + rounded.T) / 2).symmetric
+        assert SparseMatrix((rounded + rounded.T) / 2).symmetric

@@ -31,7 +31,7 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def diag_op(values):
-    return LinearOperator.from_matrix(SparseMatrix.from_dense(np.diag(values)))
+    return LinearOperator.from_matrix(SparseMatrix(np.diag(values)))
 
 
 def spd_matrix(n, seed, shift=None):
@@ -193,11 +193,13 @@ class TestRestartedLaplace:
         assert np.all(np.isfinite(x))
 
     def test_non_finite_iterate_is_not_converged(self):
-        # Gamma(A) b is ~1e161 here, so the cycle-1 norms overflow, and
-        # inf <= tol * inf must not read as a converged update norm
+        # for the unit b, Gamma(A) b has norm 1.6e162 and coefficients up to
+        # 1.0e162; scaled by 1.4e146 the coefficients stay finite but the
+        # cycle-1 norms pass the float64 range, and inf <= tol * inf must not
+        # read as a converged update norm
         mat = convection_diffusion_nd(20, 1e-2, 2)
         b = np.random.default_rng(0).standard_normal(mat.n)
-        b /= np.linalg.norm(b)
+        b *= 1.4e146 / np.linalg.norm(b)
         with np.errstate(over="ignore", invalid="ignore"):
             x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b,
                                        builtin_kernels()["gamma"], RestartConfig(m=8, tol=1e-7))
@@ -206,6 +208,16 @@ class TestRestartedLaplace:
         assert rep.cycles == 1 and rep.matvecs == 8
         assert rep.records[-1].iterate_norm == math.inf
         assert x.shape == (mat.n,)
+
+    @pytest.mark.filterwarnings("error")
+    def test_norms_do_not_overflow_on_finite_vectors(self):
+        # squared entries of 1e160 overflow; a scaled 2-norm does not
+        fn = builtin_kernels()["power-neg-3-2"]
+        cfg = RestartConfig(m=2, tol=1e-7)
+        x, rep = restarted_laplace(diag_op([1.0, 4.0, 9.0]), np.ones(3), fn, cfg)
+        xs, reps = restarted_laplace(diag_op([1.0, 4.0, 9.0]), 1e160 * np.ones(3), fn, cfg)
+        assert reps.converged and reps.matvecs == rep.matvecs
+        assert np.linalg.norm(xs / 1e160 - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_breakdown_is_exact(self):
         op = diag_op([1.0, 2.0])
@@ -588,7 +600,7 @@ class TestStieltjes:
     def test_subdiagonal_product_beyond_overflow(self):
         mat = laplacian_nd(12, 3)
         scaled = LinearOperator.from_matrix(
-            SparseMatrix.from_scipy(1e8 * mat.to_scipy(), symmetric=True))
+            SparseMatrix(1e8 * mat.to_scipy(), symmetric=True))
         b = np.random.default_rng(15).standard_normal(mat.n)
         dec = arnoldi(scaled, b, 60)
         assert np.log10(np.diag(dec.H, -1)).sum() > 400
