@@ -64,7 +64,12 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
         raise ValueError("starting vector has wrong length")
     if not (1 <= m <= n):
         raise ValueError("cycle length must satisfy 1 <= m <= n")
-    beta = float(la.norm(start, check_finite=False))  # nrm2 scales: no overflow past 1e154
+    with np.errstate(over="ignore", under="ignore"):
+        beta = float(np.linalg.norm(start))
+    if not 0.0 < beta < np.inf:
+        # squared entries past ~1e154 overflow and below ~1e-162 underflow
+        # (or start is zero or non-finite); BLAS nrm2 scales
+        beta = float(la.norm(start, check_finite=False))
     if beta == 0.0:
         raise ValueError("starting vector must be nonzero")
 

@@ -191,6 +191,7 @@ def _shifted_kernel(kernel, shift: float):
 
 
 MAX_REFINE_ROUNDS = 5   # spline refinement rounds per cycle
+MAX_SURFACE_GRID = 2 ** 25   # float64 entries (256 MiB) of one refinement's surface evaluation
 
 
 class _LaplaceChain:
@@ -282,10 +283,16 @@ class _LaplaceChain:
         if k >= 3:
             # midpoint refinement of the interpolation surface until the
             # update stabilizes; switch to pairwise-sum knots if midpoints
-            # keep missing
+            # keep missing. A diverging run grows its rules, so refinement
+            # stops before a surface evaluation would pass MAX_SURFACE_GRID
             knots = self.eval_rule.nodes
             target = self.cfg.eps_q * max(prev_iterate_norm, 1e-300)
             while rounds < MAX_REFINE_ROUNDS:
+                # the next round's knot count (pairwise sums: before np.unique)
+                count = ((rule.nodes.size + 1) * self.eval_rule.nodes.size if rounds >= 3
+                         else 2 * knots.size - 1)
+                if count * self.model.rule.nodes.size > MAX_SURFACE_GRID:
+                    break
                 rounds += 1
                 if rounds > 3:
                     sums = (rule.nodes[:, None] + self.eval_rule.nodes[None, :]).ravel()

@@ -146,9 +146,20 @@ class TestRun:
                          "--tol", "1e-7", "--max-cycles", "1"])
         assert code == 2
 
+    def test_diverging_run_exit_code(self, tmp_path, capsys):
+        # test_restart's test_diverging_run_stays_in_bounded_memory through the CLI
+        mtx = tmp_path / "cd.mtx"
+        assert cli.main(["gen", "--kind", "cd2d", "--n", "20", "--eps", "1e-2",
+                         "-o", str(mtx)]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main(["run", "--matrix", str(mtx), "--function", "gamma",
+                             "--m", "8", "--seed", "0", "--max-cycles", "3"])
+        assert code == 2
+        assert "status=max_cycles" in capsys.readouterr().out
+
     def test_non_finite_exit_code(self, tmp_path, capsys):
-        # the seed-0 start vector scaled until the cycle-1 norms pass the
-        # float64 range (see test_restart's test_non_finite_iterate_is_not_converged)
+        # the seed-0 start vector scaled by 1.4e146, so that Gamma(A) b passes
+        # the float64 range (see test_restart's test_non_finite_iterate_is_not_converged)
         mtx, bfile = tmp_path / "cd.mtx", tmp_path / "b.lkv"
         assert cli.main(["gen", "--kind", "cd2d", "--n", "20", "--eps", "1e-2",
                          "-o", str(mtx)]) == 0

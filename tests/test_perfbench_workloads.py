@@ -3,32 +3,17 @@ through the library's matrix API. A change to that API breaks only benchmark
 runs, so these tests load the workload module by path and set up two small
 workloads the way the benchmark does."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from laplace_krylov import operators
-
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while the class is built
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("build, grid", [
     (lambda: operators.laplacian_nd(6, 3), (6, 3)),              # closed-form oracle
     (lambda: operators.convection_diffusion_nd(5, 1e-3, 3), None),  # krylov_oracle
 ], ids=["laplacian-closed-form", "convection-diffusion-krylov-oracle"])
-def test_prepare_and_solve_small_workload(build, grid):
-    wl = load_workloads()
+def test_prepare_and_solve_small_workload(build, grid, load_perfbench):
+    wl = load_perfbench("workloads")
     w = wl.Workload("small", build, m=10, grid=grid, setups=1, matvecs_seed0=0)
     prep = wl.prepare(w, seed=0)
     assert prep.problems == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,11 +193,34 @@ class TestRestartedLaplace:
         assert rep.cycles == 3
         assert np.all(np.isfinite(x))
 
+    def test_diverging_run_stays_in_bounded_memory(self):
+        # Gamma(A) b has norm 1.6e162 for this unit b, and the restart
+        # diverges (update norms 1.6e162, 2.1e169, 1.5e170); in cycle 3 the
+        # pairwise-sum refinement knots would need a 1,216,320 x 270 surface
+        # grid (2.45 GiB), which MAX_SURFACE_GRID refuses
+        mat = convection_diffusion_nd(20, 1e-2, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        b /= np.linalg.norm(b)
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b,
+                                           builtin_kernels()["gamma"],
+                                           RestartConfig(m=8, tol=1e-7, max_cycles=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rep.converged
+        assert rep.reason == "max_cycles"
+        assert rep.cycles == 3 and rep.matvecs == 24
+        assert all(math.isfinite(r.iterate_norm) for r in rep.records)
+        assert peak <= 8 * restart.MAX_SURFACE_GRID
+
     def test_non_finite_iterate_is_not_converged(self):
-        # for the unit b, Gamma(A) b has norm 1.6e162 and coefficients up to
-        # 1.0e162; scaled by 1.4e146 the coefficients stay finite but the
-        # cycle-1 norms pass the float64 range, and inf <= tol * inf must not
-        # read as a converged update norm
+        # the unit b of the test above scaled by 1.4e146: Gamma(A) b then has
+        # norm 2.2e308, past the float64 range, so the cycle-1 norms are inf
+        # while the Krylov coefficients (up to 1.4e308) stay finite, and
+        # inf <= tol * inf must not read as a converged update norm
         mat = convection_diffusion_nd(20, 1e-2, 2)
         b = np.random.default_rng(0).standard_normal(mat.n)
         b *= 1.4e146 / np.linalg.norm(b)

@@ -2,26 +2,14 @@
 attribute name. A renamed or deleted name breaks only traced benchmark runs,
 so these tests load the tracer by path and check every hook."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
 from laplace_krylov.operators import LinearOperator, laplacian_nd
 from laplace_krylov.restart import RestartConfig, builtin_kernels
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_install_and_remove_restore_every_hook():
-    tracer = load_tracer()
+def test_install_and_remove_restore_every_hook(load_perfbench):
+    tracer = load_perfbench("tracer")
     hooks = [(module, attr) for module, attr, *_ in tracer.SPAN_HOOKS + tracer.COUNT_HOOKS]
     originals = [getattr(module, attr) for module, attr in hooks]
     t = tracer.Tracer()
@@ -35,9 +23,9 @@ def test_install_and_remove_restore_every_hook():
                for (module, attr), orig in zip(hooks, originals))
 
 
-def test_traced_solve_records_the_spline_chain():
+def test_traced_solve_records_the_spline_chain(load_perfbench):
     # m=4 on a 2D Laplacian runs past cycle 2, where the spline surface starts
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     mat = laplacian_nd(10, 2)
     b = np.random.default_rng(0).standard_normal(mat.n)
     t = tracer.Tracer()
