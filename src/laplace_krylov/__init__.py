@@ -1,9 +1,9 @@
 """Restarted Arnoldi evaluation of Laplace-transform matrix functions F(A)b."""
 
 from .operators import (
-    Graph,
     LinearOperator,
     SparseMatrix,
+    adjacency,
     convection_diffusion_nd,
     graph_laplacian,
     kron_sum,

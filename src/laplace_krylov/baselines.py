@@ -118,7 +118,7 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     alphas: list[float] = []
     betas: list[float] = []     # betas[:-1] are the off-diagonals of the tridiagonal
     u_dots: list[complex] = []
-    y_prev = None
+    y = y_prev = None
     for j, (v, alpha, beta, broke) in enumerate(_lanczos(op, b / bnorm, max_steps), start=1):
         alphas.append(alpha)
         betas.append(beta)
@@ -153,8 +153,10 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             y_prev = y
     report.steps = len(alphas)
 
-    # pass 2 regenerates the same steps: 2 * steps matvecs in total
-    coeff = _f_of_tridiag(alphas, betas[:-1], fn.scalar_form)
+    # pass 2 regenerates the same steps: 2 * steps matvecs in total; a run
+    # that ended on a checkpoint already holds the coefficients
+    coeff = (y if y is not None and y.size == len(alphas)
+             else _f_of_tridiag(alphas, betas[:-1], fn.scalar_form))
     f = bnorm * _lanczos_sum(op, b / bnorm, coeff)
     report.matvecs = 2 * report.steps
     if reference is not None:
@@ -288,13 +290,8 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
         w, q = la.eigh(dense)
         return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
     if op.hermitian:
-        bnorm = float(la.norm(b, check_finite=False))
-        if not (math.isfinite(bnorm) and bnorm > 0):
-            raise ValueError("b must be finite and nonzero")
-        v = b / bnorm
-        t = np.array([(alpha, beta) for _, alpha, beta, _ in _lanczos(op, v, min(steps, n))])
-        coeff = _f_of_tridiag(t[:, 0], t[:-1, 1], fn.scalar_form)
-        return bnorm * _lanczos_sum(op, v, coeff)
+        # a checkpoint interval past n: one projection, after the last step
+        return two_pass_lanczos(op, b, fn, 0.0, n + 1, max_steps=min(steps, n))[0]
     dec = arnoldi(op, b, min(steps, n))
     return dec.beta * (dec.V @ _scalar_on_matrix(fn, dec.H))
 

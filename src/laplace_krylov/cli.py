@@ -20,6 +20,7 @@ import sys
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import baselines, operators, restart
 
@@ -90,8 +91,11 @@ def _starting_vector(n: int, seed: int | None = None, b_file: str | None = None)
 def _graph_laplacian_of_input(args) -> operators.SparseMatrix:
     if not args.input:
         raise SystemExit("gen --kind graph needs --input")
-    g = operators.graph_from_matrix(operators.read_matrix_market(args.input))
-    return operators.graph_laplacian(operators.largest_connected_component(g) if args.lcc else g)
+    mat = operators.read_matrix_market(args.input)
+    # the stored pattern, explicit zeros included, read as undirected edges
+    coo = mat.to_scipy().tocoo()
+    adj = operators.adjacency(mat.n, np.column_stack([coo.row, coo.col]))
+    return operators.graph_laplacian(operators.largest_connected_component(adj) if args.lcc else adj)
 
 
 # kind -> matrix from the parsed gen arguments
@@ -145,13 +149,13 @@ def cmd_run(args) -> int:
 # benchmark sweeps
 # ---------------------------------------------------------------------------
 
-def _random_connected_graph(n: int, rng) -> operators.Graph:
+def _random_connected_graph(n: int, rng) -> sp.csr_matrix:
     """Random tree plus extra edges: connected, about 3 edges per node."""
     parents = np.array([rng.integers(0, i) for i in range(1, n)])
     tree = np.column_stack([parents, np.arange(1, n)])
     extra = rng.integers(0, n, size=(2 * n, 2))
     extra = extra[extra[:, 0] != extra[:, 1]]
-    return operators.Graph(n, np.vstack([tree, extra]))
+    return operators.adjacency(n, np.vstack([tree, extra]))
 
 
 # experiment -> (kernel, matrix from (N, seed), whether a dense reference is allowed)

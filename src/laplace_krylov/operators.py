@@ -3,7 +3,9 @@
 The central objects are :class:`SparseMatrix` (one canonical
 ``scipy.sparse.csr_matrix`` plus its symmetry flag; scipy's kernel does the
 matvec) and :class:`LinearOperator`, a thin counted wrapper that is the only
-thing the Krylov machinery ever sees. Graph Laplacians and connected
+thing the Krylov machinery ever sees. The grid operators are Kronecker sums
+built by ``scipy.sparse.kronsum``. A graph is its symmetric 0/1 adjacency
+``csr_matrix`` (see :func:`adjacency`); its Laplacian and connected
 components come from ``scipy.sparse.csgraph``, which ``scipy.sparse`` loads
 on first use: imported here it would add ~1.2 MB of resident memory to
 every program, also those that build no graph.
@@ -12,7 +14,6 @@ every program, also those that build no graph.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -21,13 +22,12 @@ import scipy.sparse as sp
 __all__ = [
     "SparseMatrix",
     "LinearOperator",
-    "Graph",
+    "adjacency",
     "kron_sum",
     "laplacian_nd",
     "convection_diffusion_nd",
     "graph_laplacian",
     "largest_connected_component",
-    "graph_from_matrix",
     "read_matrix_market",
     "write_matrix_market",
 ]
@@ -116,33 +116,6 @@ class LinearOperator:
         return self._count
 
 
-@dataclass
-class Graph:
-    """Undirected simple graph: edges normalized to i < j, no duplicates."""
-
-    num_nodes: int
-    edges: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
-
-    def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        e = e[e[:, 0] != e[:, 1]]  # drop self-loops
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        e = np.unique(np.column_stack([lo, hi]), axis=0)
-        if e.size and (e.min() < 0 or e.max() >= self.num_nodes):
-            raise ValueError("edge endpoint out of range")
-        self.edges = e
-
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
-
-    def adjacency(self) -> sp.csr_matrix:
-        a = sp.csr_matrix((np.ones(self.num_edges), (self.edges[:, 0], self.edges[:, 1])),
-                          shape=(self.num_nodes, self.num_nodes))
-        return a + a.T
-
-
 def _tridiag(n: int, lower: float, diag: float, upper: float) -> sp.csr_matrix:
     return sp.diags(
         [np.full(n - 1, lower), np.full(n, diag), np.full(n - 1, upper)],
@@ -153,9 +126,7 @@ def _tridiag(n: int, lower: float, diag: float, upper: float) -> sp.csr_matrix:
 
 def _kron_sum(a, b) -> sp.csr_matrix:
     """A (x) I + I (x) B for square scipy matrices A and B."""
-    return sp.kron(a, sp.identity(b.shape[0]), format="csr") + sp.kron(
-        sp.identity(a.shape[0]), b, format="csr"
-    )
+    return sp.kronsum(b, a, format="csr")  # scipy's kronsum(B, A) is I (x) B + A (x) I
 
 
 def kron_sum(m1: SparseMatrix, m2: SparseMatrix) -> SparseMatrix:
@@ -198,35 +169,41 @@ def convection_diffusion_nd(n: int, eps: float, d: int = 3) -> SparseMatrix:
     return SparseMatrix(reduce(_kron_sum, factors), symmetric=False)
 
 
-def graph_laplacian(g: Graph) -> SparseMatrix:
-    """L = D - A for an undirected graph; symmetric PSD with zero row sums."""
-    lap = sp.csgraph.laplacian(g.adjacency())
+def adjacency(num_nodes: int, edges) -> sp.csr_matrix:
+    """Symmetric 0/1 adjacency matrix of an undirected simple graph.
+
+    ``edges`` holds node pairs (i, j) in either order; self-loops and
+    repeated edges are dropped. An endpoint outside 0..num_nodes-1 raises
+    ``ValueError`` from scipy's index check.
+    """
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = e[e[:, 0] != e[:, 1]]  # drop self-loops
+    a = sp.csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(num_nodes, num_nodes))
+    a = a + a.T
+    a.data[:] = 1.0  # a repeated edge was summed
+    return a
+
+
+def graph_laplacian(adj: sp.csr_matrix) -> SparseMatrix:
+    """L = D - A for a graph's adjacency; symmetric PSD with zero row sums."""
+    lap = sp.csgraph.laplacian(adj)
     lap.eliminate_zeros()  # an isolated node stores no zero degree
     return SparseMatrix(lap, symmetric=True)
 
 
-def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest component, nodes relabeled 0..k-1.
+def largest_connected_component(adj: sp.csr_matrix) -> sp.csr_matrix:
+    """Adjacency of the induced subgraph on the largest component.
 
-    Ties between equally large components go to the one containing the
-    smallest original node id.
+    Nodes are relabeled 0..k-1 in their original order. Ties between
+    equally large components go to the one containing the smallest node id.
     """
-    if g.num_nodes == 0:
+    if adj.shape[0] == 0:
         raise ValueError("empty graph")
-    adj = g.adjacency()
     _, labels = sp.csgraph.connected_components(adj, directed=False)
     # labels are assigned in node order and argmax takes the first maximum,
     # so a tie goes to the component of the smallest node id
     nodes = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
-    return Graph(nodes.size, np.column_stack(adj[nodes][:, nodes].nonzero()))
-
-
-def graph_from_matrix(mat: SparseMatrix) -> Graph:
-    """Off-diagonal nonzero pattern of a matrix, read as undirected edges."""
-    coo = mat.to_scipy().tocoo()
-    mask = coo.row != coo.col
-    edges = np.column_stack([coo.row[mask], coo.col[mask]])
-    return Graph(mat.n, edges)
+    return adj[nodes][:, nodes]
 
 
 # ---------------------------------------------------------------------------

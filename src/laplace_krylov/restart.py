@@ -303,7 +303,7 @@ class _LaplaceChain:
                 model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
                 vals = error_function_values(model, rule.nodes)
                 y_new = apply_rule_matrix(rule, vals, E)
-                delta = abs(beta) * float(np.linalg.norm(y_new - y))
+                delta = abs(beta) * float(la.norm(y_new - y, check_finite=False))
                 y = y_new
                 if delta <= target:
                     break

@@ -2,7 +2,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg as la
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -20,3 +22,30 @@ def _load_perfbench(name):
 @pytest.fixture
 def load_perfbench():
     return _load_perfbench
+
+
+def full_storage_lanczos(a, b, steps, scalar):
+    """Plain three-term Lanczos with stored basis; the algebraic twin of the
+    two-pass method. ``a`` is anything that multiplies a vector with ``@``."""
+    n = a.shape[0]
+    bnorm = np.linalg.norm(b)
+    v_prev = np.zeros(n)
+    v = b / bnorm
+    alphas, betas, basis = [], [], []
+    beta_prev = 0.0
+    for _ in range(steps):
+        basis.append(v.copy())
+        w = a @ v - beta_prev * v_prev
+        alpha = float(v @ w)
+        w = w - alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        if len(basis) < steps:
+            betas.append(beta)
+        if beta == 0.0:
+            break
+        v_prev, v = v, w / beta
+        beta_prev = beta
+    d, q = la.eigh_tridiagonal(alphas, betas[: len(alphas) - 1])
+    coeff = q @ (scalar(d) * q[0, :])
+    return bnorm * np.column_stack(basis) @ coeff

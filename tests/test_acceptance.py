@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg as la
+from conftest import full_storage_lanczos
 
 from laplace_krylov.baselines import (
     cg_solve,
@@ -178,34 +179,11 @@ class TestCriterion6:
         assert rep.matvecs == 200
         assert op.matvec_count == 200
         # algebraic equivalence with the stored-basis evaluation
-        full = _full_storage_lanczos(al3d, b, rep.steps, fn.scalar_form)
+        full = full_storage_lanczos(al3d.to_scipy(), b, rep.steps, fn.scalar_form)
         assert (np.linalg.norm(f2p - full)
                 <= 1e-12 * np.linalg.norm(full))
         print(f"\nACCEPTANCE 6 PASS: two-pass Lanczos: {rep.matvecs} matvecs, "
               f"matches full-storage to {np.linalg.norm(f2p - full) / np.linalg.norm(full):.2e}")
-
-
-def _full_storage_lanczos(mat, b, steps, scalar):
-    n = mat.n
-    bnorm = np.linalg.norm(b)
-    v_prev = np.zeros(n)
-    v = b / bnorm
-    alphas, betas = [], []
-    basis = np.empty((n, steps))
-    beta_prev = 0.0
-    for j in range(steps):
-        basis[:, j] = v
-        w = mat.matvec(v) - beta_prev * v_prev
-        alpha = float(v @ w)
-        w = w - alpha * v
-        beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        if j + 1 < steps:
-            betas.append(beta)
-        v_prev, v = v, w / beta
-        beta_prev = beta
-    d, q = la.eigh_tridiagonal(alphas, betas)
-    return bnorm * basis @ (q @ (scalar(d) * q[0, :]))
 
 
 class TestOrderingAcrossMethods:

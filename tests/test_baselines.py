@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg as la
+from conftest import full_storage_lanczos
 
 from laplace_krylov import baselines
 from laplace_krylov.baselines import (
@@ -18,33 +19,6 @@ from laplace_krylov.baselines import (
 )
 from laplace_krylov.operators import LinearOperator, SparseMatrix, convection_diffusion_nd, laplacian_nd
 from laplace_krylov.restart import RestartConfig, builtin_kernels
-
-
-def full_storage_lanczos(a, b, steps, scalar):
-    """Plain three-term Lanczos with stored basis; the algebraic twin of the
-    two-pass method."""
-    n = a.shape[0]
-    bnorm = np.linalg.norm(b)
-    v_prev = np.zeros(n)
-    v = b / bnorm
-    alphas, betas, basis = [], [], []
-    beta_prev = 0.0
-    for _ in range(steps):
-        basis.append(v.copy())
-        w = a @ v - beta_prev * v_prev
-        alpha = float(v @ w)
-        w = w - alpha * v
-        beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        if len(basis) < steps:
-            betas.append(beta)
-        if beta == 0.0:
-            break
-        v_prev, v = v, w / beta
-        beta_prev = beta
-    d, q = la.eigh_tridiagonal(alphas, betas[: len(alphas) - 1])
-    coeff = q @ (scalar(d) * q[0, :])
-    return bnorm * np.column_stack(basis) @ coeff
 
 
 def dirichlet_closed_form(n1, d, b, scalar):

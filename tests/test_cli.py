@@ -60,6 +60,51 @@ class TestGen:
         ones = np.ones(3)
         assert np.abs(mat.matvec(ones)).max() <= 1e-12
 
+    # a real general input: a repeated edge with another value, a self-loop,
+    # and an explicitly stored 0.0 that joins node 3 to the path 4-5-6
+    ZERO_EDGE_INPUT = ("%%MatrixMarket matrix coordinate real general\n"
+                       "6 6 6\n1 2 1.5\n2 1 -0.5\n2 2 4.0\n4 5 2.0\n5 6 1.0\n3 4 0.0\n")
+    ZERO_EDGE_OUTPUT = {
+        False: (
+            '%%MatrixMarket matrix coordinate real symmetric\n'
+            '%\n'
+            '6 6 10\n'
+            '1 1 1.0000000000000000e+00\n'
+            '2 1 -1.0000000000000000e+00\n'
+            '2 2 1.0000000000000000e+00\n'
+            '3 3 1.0000000000000000e+00\n'
+            '4 3 -1.0000000000000000e+00\n'
+            '4 4 2.0000000000000000e+00\n'
+            '5 4 -1.0000000000000000e+00\n'
+            '5 5 2.0000000000000000e+00\n'
+            '6 5 -1.0000000000000000e+00\n'
+            '6 6 1.0000000000000000e+00\n'
+        ),
+        True: (
+            '%%MatrixMarket matrix coordinate real symmetric\n'
+            '%\n'
+            '4 4 7\n'
+            '1 1 1.0000000000000000e+00\n'
+            '2 1 -1.0000000000000000e+00\n'
+            '2 2 2.0000000000000000e+00\n'
+            '3 2 -1.0000000000000000e+00\n'
+            '3 3 2.0000000000000000e+00\n'
+            '4 3 -1.0000000000000000e+00\n'
+            '4 4 1.0000000000000000e+00\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("lcc", [False, True])
+    def test_graph_counts_stored_zero_as_edge(self, tmp_path, lcc):
+        # every stored entry off the diagonal is an edge, whatever its value;
+        # the output is pinned byte for byte
+        edges = tmp_path / "edges.mtx"
+        edges.write_text(self.ZERO_EDGE_INPUT)
+        out = tmp_path / "lap.mtx"
+        assert cli.main(["gen", "--kind", "graph", "--input", str(edges), "-o", str(out)]
+                        + ["--lcc"] * lcc) == 0
+        assert out.read_bytes() == self.ZERO_EDGE_OUTPUT[lcc].encode()
+
 
 class TestRun:
     def test_diag_smoke_laplace(self, tmp_path, capsys):

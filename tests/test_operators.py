@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laplace_krylov.operators import (
-    Graph,
     LinearOperator,
     MatrixMarketError,
     SparseMatrix,
+    adjacency,
     convection_diffusion_nd,
-    graph_from_matrix,
     graph_laplacian,
     kron_sum,
     laplacian_nd,
@@ -115,48 +114,54 @@ class TestConvectionDiffusion:
 
 class TestGraphOps:
     def test_path_graph_laplacian(self):
-        g = Graph(3, [[0, 1], [1, 2]])
+        g = adjacency(3, [[0, 1], [1, 2]])
         assert np.allclose(dense(graph_laplacian(g)),
                            [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_row_sums_zero(self):
         rng = np.random.default_rng(11)
-        g = Graph(12, rng.integers(0, 12, size=(30, 2)))
+        g = adjacency(12, rng.integers(0, 12, size=(30, 2)))
         lap = graph_laplacian(g)
         ones = np.ones(12)
         scale = max(1.0, np.abs(lap.to_scipy().data).max())
         assert np.abs(lap.matvec(ones)).max() <= 1e-12 * scale
 
     def test_k3_spectrum(self):
-        g = Graph(3, [[0, 1], [0, 2], [1, 2]])
+        g = adjacency(3, [[0, 1], [0, 2], [1, 2]])
         assert np.sort(la.eigvalsh(dense(graph_laplacian(g)))) == pytest.approx([0, 3, 3])
 
     def test_lcc_picks_larger(self):
-        g = Graph(5, [[0, 1], [2, 3], [3, 4]])
+        g = adjacency(5, [[0, 1], [2, 3], [3, 4]])
         cc = largest_connected_component(g)
-        assert cc.num_nodes == 3
-        assert cc.num_edges == 2
+        assert cc.shape[0] == 3
+        assert cc.nnz // 2 == 2
 
     def test_lcc_connected_identity(self):
-        g = Graph(4, [[0, 1], [1, 2], [2, 3]])
+        g = adjacency(4, [[0, 1], [1, 2], [2, 3]])
         cc = largest_connected_component(g)
-        assert cc.num_nodes == 4
-        assert np.array_equal(cc.edges, g.edges)
+        assert cc.shape[0] == 4
+        assert (cc != g).nnz == 0
 
     def test_lcc_tie_break_smallest_id(self):
-        g = Graph(4, [[0, 1], [2, 3]])
+        g = adjacency(4, [[0, 1], [2, 3]])
         cc = largest_connected_component(g)
-        assert cc.num_nodes == 2
+        assert cc.shape[0] == 2
         # the component containing node 0 wins the tie
 
     def test_lcc_empty_graph(self):
         with pytest.raises(ValueError):
-            largest_connected_component(Graph(0))
+            largest_connected_component(adjacency(0, []))
 
     def test_graph_normalizes_edges(self):
-        g = Graph(4, [[1, 0], [0, 1], [2, 2], [3, 1]])
-        assert g.num_edges == 2
-        assert np.all(g.edges[:, 0] < g.edges[:, 1])
+        g = adjacency(4, [[1, 0], [0, 1], [2, 2], [3, 1]])
+        assert g.nnz // 2 == 2
+        # one symmetric unit entry per edge, none for the self-loop
+        assert (g != g.T).nnz == 0 and np.all(g.data == 1.0) and not g.diagonal().any()
+
+    @pytest.mark.parametrize("edges", [[[0, 4]], [[-1, 2]], [[3, 0], [1, 7]]])
+    def test_adjacency_rejects_endpoint_out_of_range(self, edges):
+        with pytest.raises(ValueError):
+            adjacency(4, edges)
 
 
 class TestMatrixMarket:
@@ -217,8 +222,10 @@ class TestMatrixMarket:
         p = tmp_path / "g.mtx"
         p.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
                      "3 3 2\n2 1\n3 2\n")
-        g = graph_from_matrix(read_matrix_market(p))
-        assert g.num_nodes == 3 and g.num_edges == 2
+        mat = read_matrix_market(p)
+        coo = mat.to_scipy().tocoo()
+        g = adjacency(mat.n, np.column_stack([coo.row, coo.col]))
+        assert g.shape[0] == 3 and g.nnz // 2 == 2
 
 
 class TestLinearOperator:

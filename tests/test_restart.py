@@ -9,9 +9,9 @@ import scipy.linalg as la
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov import cli, restart
 from laplace_krylov.operators import (
-    Graph,
     LinearOperator,
     SparseMatrix,
+    adjacency,
     convection_diffusion_nd,
     graph_laplacian,
     laplacian_nd,
@@ -216,6 +216,20 @@ class TestRestartedLaplace:
         assert all(math.isfinite(r.iterate_norm) for r in rep.records)
         assert peak <= 8 * restart.MAX_SURFACE_GRID
 
+    def test_refinement_norm_does_not_overflow(self):
+        # the diverging run above: in cycle 3 each refinement round changes
+        # the update by ~1e159-1e161, whose squares overflow an unscaled
+        # 2-norm, so the change read inf and never met its target
+        mat = convection_diffusion_nd(20, 1e-2, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        b /= np.linalg.norm(b)
+        with np.errstate(over="raise", invalid="raise"):
+            x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b,
+                                       builtin_kernels()["gamma"],
+                                       RestartConfig(m=8, tol=1e-7, max_cycles=3))
+        assert rep.reason == "max_cycles" and rep.matvecs == 24
+        assert np.all(np.isfinite(x))
+
     def test_non_finite_iterate_is_not_converged(self):
         # the unit b of the test above scaled by 1.4e146: Gamma(A) b then has
         # norm 2.2e308, past the float64 range, so the cycle-1 norms are inf
@@ -262,7 +276,7 @@ class TestRestartedLaplace:
         # graph Laplacians are singular; the diffusion kernel converges
         # absolutely on the closed half plane, so nu ~ 0 is accepted
         edges = [[i, i + 1] for i in range(11)]
-        mat = graph_laplacian(Graph(12, edges))
+        mat = graph_laplacian(adjacency(12, edges))
         b = np.random.default_rng(3).standard_normal(12)
         b /= np.linalg.norm(b)
         fn = builtin_kernels(tau=1.0)["exp-sqrt"]
