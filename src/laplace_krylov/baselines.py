@@ -15,7 +15,7 @@ import scipy.linalg as la
 
 from .krylov import arnoldi
 from .operators import LinearOperator
-from .restart import RestartConfig, TransformFunction, restarted_laplace
+from .restart import RestartConfig, TransformFunction, _checked_norm, restarted_laplace
 
 __all__ = [
     "TwoPassReport",
@@ -109,10 +109,8 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     n = op.n
     if max_steps is None:
         max_steps = min(n, 1000)
-    bnorm = float(la.norm(b, check_finite=False))  # nrm2 scales: no overflow past 1e154
-    if not (math.isfinite(bnorm) and bnorm > 0):
-        raise ValueError("b must be finite and nonzero")
-    ref_norm = float(np.linalg.norm(reference)) if reference is not None else 0.0
+    bnorm = _checked_norm(b, "b", n)
+    ref_norm = _checked_norm(reference, "reference", n) if reference is not None else 0.0
 
     report = TwoPassReport(steps=0, matvecs=0, converged=False)
     alphas: list[float] = []
@@ -175,11 +173,11 @@ def cg_solve(op: LinearOperator, b: np.ndarray, rtol: float,
     n = op.n
     if max_iter is None:
         max_iter = 10 * n
+    target = rtol * _checked_norm(b, "b", n)
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
     rs = np.vdot(r, r).real
-    target = rtol * math.sqrt(np.vdot(b, b).real)
     if math.sqrt(rs) <= target:
         return x, 0
     for it in range(1, max_iter + 1):

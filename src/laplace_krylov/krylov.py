@@ -70,8 +70,8 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
         # squared entries past ~1e154 overflow and below ~1e-162 underflow
         # (or start is zero or non-finite); BLAS nrm2 scales
         beta = float(la.norm(start, check_finite=False))
-    if beta == 0.0:
-        raise ValueError("starting vector must be nonzero")
+    if not 0.0 < beta < np.inf:
+        raise ValueError("starting vector must be finite and nonzero")
 
     # basis vectors as rows; start may be a row of _basis, and start / beta is a copy
     Q = np.zeros((m + 1, n), start.dtype) if _basis is None else np.asarray(_basis, start.dtype)

@@ -98,6 +98,8 @@ class LinearOperator:
     @classmethod
     def from_dense(cls, arr, hermitian: bool | None = None) -> "LinearOperator":
         arr = np.asarray(arr)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {arr.shape}")
         if hermitian is None:
             # the Hermitian test of smallmat_nu; a looser one sends slightly
             # nonsymmetric matrices down the Hermitian Arnoldi path

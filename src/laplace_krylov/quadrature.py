@@ -4,10 +4,12 @@ Integrals of the form  int_0^inf f(t) exp(-nu t) dt  are computed after the
 substitution x = sqrt(t)/(1+sqrt(t)), i.e. t = (x/(1-x))^2, which maps the
 half line to [0, 1) and tames algebraic endpoint behavior. An adaptive
 G7/K15 scheme subdivides [0, 1) until the summed error estimates meet the
-combined relative/absolute target. The Kronrod nodes of the accepted
-subintervals are frozen into a reusable :class:`QuadratureRule`; the
-exp(-nu t) factor is *not* absorbed into the weights, so the same rule can
-be applied with exp(-t H) for any small matrix H.
+combined relative/absolute target. :func:`gk15` sums every segment, for
+scalar and vector-valued integrands alike. The Kronrod nodes of the
+accepted subintervals are frozen into a reusable :class:`QuadratureRule`;
+the exp(-nu t) factor is *not* absorbed into the weights, so the same rule
+can be applied with exp(-t H) for any small matrix H.
+:func:`integrate_halfline` returns the adaptive value itself.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "build_laplace_rule",
     "apply_rule_matrix",
     "integrate_halfline",
-    "integrate_halfline_vector",
 ]
 
 # QUADPACK 7-15 pair on [-1, 1]. Odd-indexed nodes are the Gauss-7 subset.
@@ -93,7 +94,9 @@ class ZeroIntegrandError(ValueError):
 def gk15(f, a: float, b: float):
     """15-point Kronrod value of int_a^b f with embedded Gauss-7 error estimate.
 
-    ``f`` must accept an ndarray of evaluation points.
+    ``f`` must accept an ndarray of evaluation points. It returns one value
+    per point, or one row per point for a vector-valued integrand; the error
+    estimate is the Euclidean norm of the Kronrod/Gauss difference.
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -102,9 +105,10 @@ def gk15(f, a: float, b: float):
     y = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("integrand returned non-finite values")
-    k = half * float(GK15_WEIGHTS @ y)
-    g = half * float(G7_WEIGHTS @ y[_GAUSS_IDX])
-    return k, abs(k - g)
+    k = half * (GK15_WEIGHTS @ y)
+    g = half * (G7_WEIGHTS @ y[_GAUSS_IDX])
+    # hypot scales (no overflow) and is abs() for a scalar
+    return k, math.hypot(*np.ravel(k - g))
 
 
 @dataclass
@@ -139,13 +143,13 @@ def _jacobian(x: np.ndarray) -> np.ndarray:
     return 2.0 * x / (1.0 - x) ** 3
 
 
-def _adapt(segment_eval, eps: float, max_intervals: int, norm,
+def _adapt(segment_eval, eps: float, max_intervals: int,
            initial: int = 10, x_hi: float = 1.0):
     """Adaptive bisection of [0, x_hi) driven by worst-first error splitting.
 
-    ``segment_eval(a, b) -> (K, err)`` where K may be a scalar or a vector;
-    ``norm`` maps K-like values to a magnitude. Returns the accepted
-    interval records sorted by left endpoint.
+    ``segment_eval(a, b) -> (K, err)`` where K may be a scalar or a vector.
+    Returns the accepted interval records sorted by left endpoint and their
+    summed value.
     """
     heap = []
     records = {}
@@ -163,9 +167,9 @@ def _adapt(segment_eval, eps: float, max_intervals: int, norm,
         for (_, _, k, err) in records.values():
             acc = k if acc is None else acc + k
             err_sum += err
-        target = max(eps, eps * norm(acc))
+        target = max(eps, eps * math.hypot(*np.ravel(acc)))
         if err_sum <= target:
-            return sorted(records.values(), key=lambda r: r[0]), acc, err_sum
+            return sorted(records.values(), key=lambda r: r[0]), acc
         if len(records) >= max_intervals:
             raise QuadratureDivergenceError(
                 f"no convergence with {len(records)} subintervals "
@@ -190,7 +194,9 @@ def _pilot_segment(f, nu: float, weight_kind: str):
             t = _x_to_t(x)
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
                 fv = np.asarray(f(t), dtype=float)
-                y = fv * _damp(weight_kind, nu, t) * _jacobian(x)
+                # transposed, the damping and the Jacobian scale each row
+                # of a vector integrand
+                y = ((fv.T * _damp(weight_kind, nu, t)) * _jacobian(x)).T
             # kernels that have decayed to the subnormal range kill the
             # product even where the damping factor overflows
             return np.where(np.abs(fv) < KERNEL_FLOOR, 0.0, y)
@@ -217,7 +223,7 @@ def build_laplace_rule(f, nu: float, eps_q: float,
         r = math.sqrt(t_max)
         x_hi = min(1.0, r / (1.0 + r))
     segment = _pilot_segment(f, nu, weight_kind)
-    intervals, _, _ = _adapt(segment, eps_q, max_intervals, abs, x_hi=x_hi)
+    intervals, _ = _adapt(segment, eps_q, max_intervals, x_hi=x_hi)
 
     # intervals whose sampled integrand is identically zero contribute
     # nothing for any matrix argument dominated by the anchor decay; keeping
@@ -243,35 +249,13 @@ def build_laplace_rule(f, nu: float, eps_q: float,
 
 
 def integrate_halfline(f, nu: float = 0.0, eps: float = 1e-12,
-                       weight_kind: str = "exp",
-                       max_intervals: int = MAX_INTERVALS) -> float:
-    """Adaptive value of int_0^inf f(t) * damp(nu t) dt (no rule frozen)."""
-    segment = _pilot_segment(f, nu, weight_kind)
-    _, total, _ = _adapt(segment, eps, max_intervals, abs)
-    return float(total)
+                       weight_kind: str = "exp"):
+    """Adaptive value of int_0^inf f(t) * damp(nu t) dt (no rule frozen).
 
-
-def integrate_halfline_vector(f, eps: float,
-                              max_intervals: int = MAX_INTERVALS) -> np.ndarray:
-    """Adaptive int_0^inf f(t) dt for a vector-valued integrand.
-
-    ``f`` takes the 15 Kronrod points of a segment as one array t and
-    returns their values as the rows of a 2-D array; the error estimate is
-    the Euclidean norm of the Kronrod/Gauss difference.
+    ``f`` maps an array t to one value per point, or to one row per point
+    for a vector-valued integrand; the result is a scalar or a vector.
     """
-    def segment(a, b):
-        half = 0.5 * (b - a)
-        x = a + half * (GK15_NODES + 1.0)
-        t = _x_to_t(x)
-        jac = _jacobian(x)
-        vals = np.asarray(f(t), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("integrand returned non-finite values")
-        k = half * ((GK15_WEIGHTS * jac) @ vals)
-        g = half * ((G7_WEIGHTS * jac[_GAUSS_IDX]) @ vals[_GAUSS_IDX])
-        return k, float(np.linalg.norm(k - g))
-
-    _, total, _ = _adapt(segment, eps, max_intervals, np.linalg.norm)
+    _, total = _adapt(_pilot_segment(f, nu, weight_kind), eps, MAX_INTERVALS)
     return total
 
 

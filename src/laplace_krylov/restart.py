@@ -32,12 +32,12 @@ from scipy.interpolate import CubicSpline as spline_fit  # not-a-knot, extrapola
 from .krylov import KrylovDecomposition, arnoldi
 from .operators import LinearOperator
 from .quadrature import (
+    KERNEL_FLOOR,
     QuadratureRule,
     ZeroIntegrandError,
     apply_rule_matrix,
     build_laplace_rule,
     integrate_halfline,
-    integrate_halfline_vector,
 )
 from .smallmat import eig_hermitian, expm_columns, smallmat_nu
 from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
@@ -185,7 +185,7 @@ def _shifted_kernel(kernel, shift: float):
             out = kv * np.exp(-shift * t)
         # absolute convergence at the anchor bounds the true product; a
         # kernel in the subnormal range cannot meet an overflowing factor
-        return np.where(np.abs(kv) < 1e-280, 0.0, out)
+        return np.where(np.abs(kv) < KERNEL_FLOOR, 0.0, out)
 
     return shifted
 
@@ -343,20 +343,18 @@ class _StieltjesChain:
     def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
         H = dec.H
         m = dec.m
+        ritz = la.eigvals(H)
         if k == 1:
-            nu = smallmat_nu(H)
-            if nu <= 0:
-                raise ConvergenceRegionError(
-                    f"Stieltjes restart needs spec(A) off (-inf, 0]; anchor nu={nu:.6g}"
-                )
+            # spec(A) off (-inf, 0]: the anchor must lie right of 0
+            _check_anchor(float(np.min(ritz.real)), 0.0, False, "a Stieltjes function")
         eye = np.eye(m, dtype=H.dtype)
 
         def integrand(t):
             r = np.linalg.solve(H + t[:, None, None] * eye, eye[:, :1])[:, :, 0].real
             return (self.rho(t) * self._psi(t))[:, None] * r
 
-        contribution = self.beta * integrate_halfline_vector(integrand, self.cfg.eps_q)
-        self.ritz = np.concatenate([self.ritz, la.eigvals(H)])
+        contribution = self.beta * integrate_halfline(integrand, 0.0, self.cfg.eps_q)
+        self.ritz = np.concatenate([self.ritz, ritz])
         self.log_c += np.log(np.diag(H, -1)).sum()
         self.sign *= (-1.0) ** (m + 1)
         self.beta = -self.beta * dec.h_next
@@ -383,6 +381,20 @@ def _chains(fn: TransformFunction, cfg: RestartConfig, bnorm: float) -> list:
                           bernstein=fn.kind == "bernstein", label=fn.name)]
 
 
+def _checked_norm(v: np.ndarray, name: str, n: int) -> float:
+    """nrm2 of an input vector, which must have shape (n,) and be finite and nonzero.
+
+    BLAS nrm2 scales: np.linalg.norm squares the entries and overflows past
+    ~1e154.
+    """
+    if np.shape(v) != (n,):
+        raise ValueError(f"{name} has shape {np.shape(v)}, expected ({n},)")
+    norm = float(la.norm(v, check_finite=False))
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError(f"{name} must be finite and nonzero")
+    return norm
+
+
 def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
                       cfg: RestartConfig, reference: np.ndarray | None = None):
     """Approximate F(A) b by the restarted Arnoldi method.
@@ -392,23 +404,18 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     applied directly plus one Laplace chain for Bernstein functions, or
     resolvent-based updates for Stieltjes functions.
     """
-    # norms by BLAS nrm2, which scales: np.linalg.norm squares the entries and
-    # overflows past ~1e154; check_finite=False lets inf and NaN reach the
-    # non_finite stop
-    bnorm = float(la.norm(b, check_finite=False))
-    if not (math.isfinite(bnorm) and bnorm > 0):
-        raise ValueError("b must be finite and nonzero")
+    bnorm = _checked_norm(b, "b", op.n)
     if cfg.stopping == "reference_error" and reference is None:
         raise ValueError("reference_error stopping needs a reference vector")
-    if reference is not None and np.shape(reference) != (op.n,):
-        raise ValueError(f"reference has shape {np.shape(reference)}, expected ({op.n},)")
+    ref_norm = _checked_norm(reference, "reference", op.n) if reference is not None else 0.0
     chains = _chains(fn, cfg, bnorm)
     fm = np.zeros(op.n)
     if fn.kind == "bernstein":
         fm = fn.c * b
         if fn.a != 0.0:
             fm = fm + fn.a * op.apply(b)
-    ref_norm = float(la.norm(reference, check_finite=False)) if reference is not None else 0.0
+    # the loop's norms by nrm2 too; check_finite=False lets inf and NaN reach
+    # the non_finite stop
     itn = float(la.norm(fm, check_finite=False))
     base_count = op.matvec_count  # the report leaves out the affine matvec
     report = RestartReport()
@@ -546,14 +553,14 @@ def builtin_kernels(tau: float = 1.0) -> dict[str, TransformFunction]:
 def transform_value(fn: TransformFunction, s: float, eps: float = 1e-11) -> float:
     """Scalar F(s) evaluated from the transform representation (for checks)."""
     if fn.kind == "laplace":
-        return integrate_halfline(fn.kernel, nu=s, eps=eps)
+        return float(integrate_halfline(fn.kernel, nu=s, eps=eps))
     if fn.kind == "two_sided":
         pos = integrate_halfline(fn.kernel, nu=s, eps=eps)
         neg = integrate_halfline(lambda t: fn.kernel(-np.asarray(t)), nu=-s, eps=eps)
-        return pos + neg
+        return float(pos + neg)
     if fn.kind == "bernstein":
         integral = integrate_halfline(fn.kernel, nu=s, eps=eps, weight_kind="one_minus_exp")
-        return fn.c + fn.a * s + integral
+        return float(fn.c + fn.a * s + integral)
     if fn.kind == "stieltjes":
-        return integrate_halfline(lambda t: fn.kernel(t) / (t + s), nu=0.0, eps=eps)
+        return float(integrate_halfline(lambda t: fn.kernel(t) / (t + s), nu=0.0, eps=eps))
     raise ValueError(fn.kind)

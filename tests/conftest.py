@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CHECKOUT = Path(__file__).resolve().parent.parent
 
 
-def _load_perfbench(name):
-    """perfbench/<name>.py loaded by path (perfbench/ is not a package)."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+def _load_path(relpath):
+    """<dir>/<name>.py of the checkout loaded by path (perfbench/ and
+    microbench/ are not packages) as module <dir>_<name>."""
+    path = CHECKOUT / relpath
+    spec = importlib.util.spec_from_file_location(f"{path.parent.name}_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while the class is built
     sys.modules[spec.name] = module
@@ -20,8 +22,13 @@ def _load_perfbench(name):
 
 
 @pytest.fixture
+def load_path():
+    return _load_path
+
+
+@pytest.fixture
 def load_perfbench():
-    return _load_perfbench
+    return lambda name: _load_path(f"perfbench/{name}.py")
 
 
 def full_storage_lanczos(a, b, steps, scalar):

@@ -101,6 +101,17 @@ class TestTwoPass:
             two_pass_lanczos(op, b, builtin_kernels()["sqrt"], 1e-6, 4)
         assert op.matvec_count == 0
 
+    @pytest.mark.parametrize("bad", ["zero", "nan", "inf", "column"])
+    def test_rejects_bad_reference(self, bad):
+        op = LinearOperator.from_matrix(laplacian_nd(6, 2))
+        ref = np.ones((op.n, 1)) if bad == "column" else np.zeros(op.n)
+        if bad in ("nan", "inf"):
+            ref[3] = float(bad)
+        with pytest.raises(ValueError, match="reference"):
+            two_pass_lanczos(op, np.ones(op.n), builtin_kernels()["sqrt"], 1e-6, 4,
+                             reference=ref)
+        assert op.matvec_count == 0
+
     def test_gamma_2d_matvec_count(self):
         # published comparator series: 100 matvecs at N=20 for the gamma
         # function on the 2D grid Laplacian
@@ -154,6 +165,15 @@ class TestCG:
         op = LinearOperator.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             cg_solve(op, np.ones(2), 1e-8)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    def test_rejects_bad_b(self, fill):
+        op = LinearOperator.from_matrix(laplacian_nd(4, 2))
+        b = np.zeros(16)
+        b[3] = fill
+        with pytest.raises(ValueError, match="b must be finite and nonzero"):
+            cg_solve(op, b, 1e-8)
+        assert op.matvec_count == 0
 
     def test_iteration_cap(self):
         mat = laplacian_nd(50, 1)

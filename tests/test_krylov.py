@@ -140,6 +140,15 @@ class TestArnoldiBasics:
         with pytest.raises(ValueError):
             arnoldi(op_from_dense(np.eye(3)), np.zeros(3), 2)
 
+    @pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_start(self, fill):
+        op = op_from_dense(np.eye(3))
+        start = np.ones(3)
+        start[1] = fill
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            arnoldi(op, start, 2)
+        assert op.matvec_count == 0
+
     def test_rejects_m_above_n(self):
         with pytest.raises(ValueError):
             arnoldi(op_from_dense(np.eye(3)), np.ones(3), 4)

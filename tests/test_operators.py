@@ -255,6 +255,12 @@ class TestLinearOperator:
         with pytest.raises(ValueError):
             SparseMatrix([[1.0, 2.0], [0.0, 1.0]], symmetric=True)
 
+    @pytest.mark.parametrize("hermitian", [None, False])
+    @pytest.mark.parametrize("shape", [(5, 6), (4,)])
+    def test_from_dense_rejects_non_square(self, shape, hermitian):
+        with pytest.raises(ValueError, match="square"):
+            LinearOperator.from_dense(np.ones(shape), hermitian=hermitian)
+
     def test_from_dense_hermitian_only_to_rounding(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((60, 60))

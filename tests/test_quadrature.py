@@ -13,7 +13,6 @@ from laplace_krylov.quadrature import (
     build_laplace_rule,
     gk15,
     integrate_halfline,
-    integrate_halfline_vector,
 )
 from laplace_krylov.smallmat import eig_hermitian, expm_columns
 
@@ -162,7 +161,7 @@ class TestVectorHalfline:
         def f(t):
             return np.column_stack([np.exp(-t), np.exp(-2.0 * t)])
 
-        out = integrate_halfline_vector(f, 1e-11)
+        out = integrate_halfline(f, 0.0, 1e-11)
         assert out == pytest.approx([1.0, 0.5], abs=1e-10)
 
     def test_resolvent_style_integrand(self):
@@ -177,7 +176,7 @@ class TestVectorHalfline:
             rho = 1.0 / (math.pi * np.sqrt(t))
             return np.array([r * la.solve(h + ti * np.eye(3), e1) for r, ti in zip(rho, t)])
 
-        out = integrate_halfline_vector(f, 1e-10)
+        out = integrate_halfline(f, 0.0, 1e-10)
         w, q = la.eigh(h)
         oracle = q @ (w**-0.5 * q.T[:, 0])
         assert np.linalg.norm(out - oracle) <= 1e-9

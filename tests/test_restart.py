@@ -322,6 +322,18 @@ class TestRestartedLaplace:
             restarted_laplace(op, np.ones(3), sqrt_kernel(), cfg, reference=np.ones(length))
         assert op.matvec_count == 0
 
+    @pytest.mark.parametrize("bad", ["zero", "nan", "inf", "column"])
+    def test_rejects_bad_reference_before_any_matvec(self, bad):
+        op = LinearOperator.from_matrix(laplacian_nd(6, 2))
+        ref = np.ones((op.n, 1)) if bad == "column" else np.zeros(op.n)
+        if bad in ("nan", "inf"):
+            ref[3] = float(bad)
+        cfg = RestartConfig(m=4, stopping="reference_error")
+        with pytest.raises(ValueError, match="reference"):
+            restarted_laplace(op, np.ones(op.n), builtin_kernels()["power-neg-3-2"], cfg,
+                              reference=ref)
+        assert op.matvec_count == 0
+
     def test_rejects_cycle_longer_than_n_before_any_matvec(self):
         op = diag_op([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="cycle length"):

@@ -1,0 +1,45 @@
+"""The layer micro-benchmarks (microbench/) and the convergence script
+(scripts/) sit outside the test paths and import library names directly, so
+a change to the library API breaks only them. These tests load the
+micro-benchmark module by path and run each of its benchmarks once on small
+problems, and run the script on a tiny grid."""
+
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from laplace_krylov.operators import convection_diffusion_nd, laplacian_nd
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_microbench_layers_run_on_small_problems(load_path):
+    mb = load_path("microbench/test_layers.py")
+    # n = 512: room for the m = 400 Arnoldi and reference benchmarks
+    fixtures = {"lap3d": mb.first_cycle(laplacian_nd(8, 3), 50),
+                "cd3d": mb.first_cycle(convection_diffusion_nd(8, 1e-3, 3), 20)}
+
+    def benchmark(fn, *args, **kwargs):
+        return fn(*args, **kwargs)
+
+    tests = {name: fn for name, fn in vars(mb).items() if name.startswith("test_")}
+    assert len(tests) >= 10
+    for fn in tests.values():
+        _, *params = inspect.signature(fn).parameters
+        fn(benchmark, *(fixtures[p] for p in params))
+
+
+@pytest.mark.parametrize("matrix", ["laplacian3d", "cd3d"])
+def test_convergence_curve_script(matrix):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "convergence_curve.py"),
+         "--matrix", matrix, "--n", "6", "--m", "10"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "terminated: reference_error" in out.stdout
