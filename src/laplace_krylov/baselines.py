@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .krylov import arnoldi
+from .krylov import _norm, arnoldi
 from .operators import LinearOperator
 from .restart import RestartConfig, TransformFunction, _checked_norm, restarted_laplace
 
@@ -63,10 +63,10 @@ def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
     beta_prev = 0.0
     for _ in range(steps):
         w = op.apply(v) - beta_prev * v_prev
-        scale = float(np.linalg.norm(w))
+        scale = _norm(w)
         alpha = np.vdot(v, w).real
         w = w - alpha * v
-        beta = float(np.linalg.norm(w))
+        beta = _norm(w)
         broke = beta <= 1e-14 * max(scale, abs(alpha))
         yield v, alpha, beta, broke
         if broke:

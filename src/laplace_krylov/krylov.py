@@ -22,6 +22,14 @@ BREAKDOWN_RTOL = 1e-14
 SEMI_ORTH = np.sqrt(np.finfo(float).eps)
 
 
+def _norm(w: np.ndarray) -> float:
+    """np.linalg.norm(w), or BLAS nrm2 (which scales) where squared entries
+    overflow (past ~1e154) or underflow (below ~1e-162)."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(w))
+    return norm if 0.0 < norm < np.inf else float(la.norm(w, check_finite=False))
+
+
 @dataclass
 class KrylovDecomposition:
     """One Arnoldi cycle: A V = V H + h_next v_next e_m^T."""
@@ -64,12 +72,7 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
         raise ValueError("starting vector has wrong length")
     if not (1 <= m <= n):
         raise ValueError("cycle length must satisfy 1 <= m <= n")
-    with np.errstate(over="ignore", under="ignore"):
-        beta = float(np.linalg.norm(start))
-    if not 0.0 < beta < np.inf:
-        # squared entries past ~1e154 overflow and below ~1e-162 underflow
-        # (or start is zero or non-finite); BLAS nrm2 scales
-        beta = float(la.norm(start, check_finite=False))
+    beta = _norm(start)
     if not 0.0 < beta < np.inf:
         raise ValueError("starting vector must be finite and nonzero")
 
@@ -90,30 +93,32 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
             H = H.astype(complex)
         # a copy: the operator may return (a view of) the row it was given
         w = np.array(w, dtype=Q.dtype)
-        norm_w = np.linalg.norm(w)
-        if not np.isfinite(norm_w) and not np.all(np.isfinite(w)):
+        norm_w = _norm(w)
+        if not np.isfinite(norm_w):
             raise ValueError(f"operator returned non-finite values at Arnoldi step {j + 1}")
         lo = max(j - 1, 0) if op.hermitian else 0
         c = Q[lo: j + 1].conj() @ w
         w -= c @ Q[lo: j + 1]
         H[lo: j + 1, j] += c
         if not full:
-            h = max(np.linalg.norm(w), 1e-300)
+            h = _norm(w)
+            hs = max(h, 1e-300)
             al, be = H.diagonal().real, H.diagonal(-1).real
             t = (al[:j] - al[j]) * om[:j] + H.diagonal(1).real[:j] * om[1: j + 1]
             t[1:] += be[:lo] * om[:lo]
             t -= be[j - 1] * om_prev[:j]
             om_prev, om = om, om_prev
-            om[:j] = (t + np.copysign(eps1 * (be[:j] + h), t)) / h
-            om[j: j + 2] = eps1 * norm_w / h, 1.0
+            om[:j] = (t + np.copysign(eps1 * (be[:j] + hs), t)) / hs
+            om[j: j + 2] = eps1 * norm_w / hs, 1.0
             full = np.abs(om[:j + 1]).max() > SEMI_ORTH
         if full:
             top = 0 if _basis is None else lo
             c = Q[: j + 1].conj() @ w
             w -= c @ Q[: j + 1]
             H[top: j + 1, j] += c[top:]
+            h = _norm(w)
+        # with no full pass, h is the first pass's norm
 
-        h = np.linalg.norm(w)
         if h <= BREAKDOWN_RTOL * norm_w:
             size = j + 1
             broke = True

@@ -101,8 +101,8 @@ class LinearOperator:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
         if hermitian is None:
-            # the Hermitian test of smallmat_nu; a looser one sends slightly
-            # nonsymmetric matrices down the Hermitian Arnoldi path
+            # to rounding only: a looser test sends slightly nonsymmetric
+            # matrices down the Hermitian Arnoldi path
             scale = max(1.0, float(np.abs(arr).max()))
             hermitian = float(np.abs(arr - arr.conj().T).max()) <= 1e-12 * scale
         return cls(lambda x: arr @ x, arr.shape[0], hermitian=hermitian)

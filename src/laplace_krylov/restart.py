@@ -39,7 +39,7 @@ from .quadrature import (
     build_laplace_rule,
     integrate_halfline,
 )
-from .smallmat import eig_hermitian, expm_columns, smallmat_nu
+from .smallmat import eig_hermitian, expm_columns
 from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
 
 __all__ = [
@@ -81,7 +81,6 @@ class TransformFunction:
     c: float = 0.0
     a: float = 0.0
     scalar_form: Optional[Callable] = None
-    non_standard: bool = False
 
     def __post_init__(self):
         if self.kind not in ("laplace", "two_sided", "bernstein", "stieltjes"):
@@ -190,12 +189,13 @@ def _shifted_kernel(kernel, shift: float):
     return shifted
 
 
-MAX_REFINE_ROUNDS = 5   # spline refinement rounds per cycle
+MAX_REFINE_ROUNDS = 4   # 3 midpoint rounds, 1 on pairwise-sum knots (fixed by the rules)
 MAX_SURFACE_GRID = 2 ** 25   # float64 entries (256 MiB) of one refinement's surface evaluation
 
 
 class _LaplaceChain:
-    """One error-function chain; two-sided runs carry two of these.
+    """One error-function chain of ``fn``; two-sided runs add a ``flip`` chain
+    on -H with the reflected kernel f(-t) and abscissa.
 
     Cycle k adds beta_k sum_i w_i f^(k)(t_i) exp(-t_i H) e_1 to the update.
     :meth:`cycle` runs the one recursion for every k: f^(1) is the kernel
@@ -203,24 +203,22 @@ class _LaplaceChain:
     and f^(k) is built from f^(k-1) by :func:`error_function_values` on the
     raw kernel in cycle 2 and on a refined spline surface afterwards.
 
-    Negative spectral anchors (reflected two-sided parts) are handled in the
-    shifted formulation: the chain works on H - nu I and the kernel
-    f(t) exp(-nu t), which is the same transform value but keeps every
-    intermediate quantity bounded instead of pairing huge impulse-response
-    values with decaying kernels.
+    The anchor nu, min Re spec(H) in cycle 1, comes from that cycle's own
+    eigendecomposition when the operator is Hermitian. Negative anchors
+    (reflected two-sided parts) are handled in the shifted formulation: the
+    chain works on H - nu I and the kernel f(t) exp(-nu t), which is the same
+    transform value but keeps every intermediate quantity bounded instead of
+    pairing huge impulse-response values with decaying kernels.
     """
 
-    def __init__(self, kernel, abscissa, boundary_closed, cfg: RestartConfig,
-                 beta1: float, flip: bool = False, bernstein: bool = False,
-                 label: str = "kernel"):
-        self.kernel = kernel
-        self.abscissa = abscissa
-        self.boundary_closed = boundary_closed
+    def __init__(self, fn: TransformFunction, cfg: RestartConfig, beta1: float,
+                 flip: bool = False):
+        self.fn = fn
+        self.kernel = (lambda t: fn.kernel(-np.asarray(t))) if flip else fn.kernel
         self.cfg = cfg
         self.beta = beta1
         self.flip = flip
-        self.bernstein = bernstein
-        self.label = label
+        self.bernstein = fn.kind == "bernstein"
         self.nu: float | None = None
         self.shift = 0.0
         self.dead = False
@@ -233,9 +231,14 @@ class _LaplaceChain:
     def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
         H = -dec.H if self.flip else dec.H
         h = -dec.h_next if self.flip else dec.h_next
+        cache = eig_hermitian(H) if dec.hermitian and k == 1 else None
         if k == 1:
-            self.nu = smallmat_nu(H)
-            _check_anchor(self.nu, self.abscissa, self.boundary_closed, self.label)
+            # the anchor comes from the spectral data the cycle computes anyway
+            self.nu = float(cache.D[0]) if dec.hermitian else float(la.eigvals(H).real.min())
+            fn = self.fn
+            label = f"{fn.name} ({'reflected' if self.flip else 'positive'} side)"
+            _check_anchor(self.nu, fn.abscissa_neg if self.flip else fn.abscissa,
+                          fn.boundary_closed, label if fn.kind == "two_sided" else fn.name)
             self.shift = min(0.0, self.nu)
             if self.bernstein and self.shift != 0.0:
                 raise ConvergenceRegionError(
@@ -248,6 +251,8 @@ class _LaplaceChain:
             return np.zeros(dec.m)
         if self.shift != 0.0:
             H = H - self.shift * np.eye(H.shape[0], dtype=H.dtype)
+        if dec.hermitian and (k > 1 or self.shift != 0.0):
+            cache = eig_hermitian(H)   # one per cycle; cycle 1 of a shifted chain takes two
 
         kernel = _shifted_kernel(self.kernel, self.shift)
         if k == 1:
@@ -269,7 +274,6 @@ class _LaplaceChain:
                 return np.zeros(dec.m)
         # one propagator per cycle: the apply, every refinement round and
         # the next cycle's g values share these columns
-        cache = eig_hermitian(H) if dec.hermitian else None
         e1 = np.eye(dec.m, dtype=H.dtype)[0]
         E = expm_columns(H, e1, rule.nodes, cache)
         # the Bernstein integrand needs (I - exp(-t_i H)) e_1 as well; the
@@ -282,9 +286,10 @@ class _LaplaceChain:
         rounds = 0
         if k >= 3:
             # midpoint refinement of the interpolation surface until the
-            # update stabilizes; switch to pairwise-sum knots if midpoints
-            # keep missing. A diverging run grows its rules, so refinement
-            # stops before a surface evaluation would pass MAX_SURFACE_GRID
+            # update stabilizes; if three midpoint rounds keep missing, one
+            # last round takes the pairwise-sum knots. A diverging run grows
+            # its rules, so refinement stops before a surface evaluation
+            # would pass MAX_SURFACE_GRID
             knots = self.eval_rule.nodes
             target = self.cfg.eps_q * max(prev_iterate_norm, 1e-300)
             while rounds < MAX_REFINE_ROUNDS:
@@ -365,20 +370,9 @@ def _chains(fn: TransformFunction, cfg: RestartConfig, bnorm: float) -> list:
     """The error chains that together carry the update of one transform kind."""
     if fn.kind == "stieltjes":
         return [_StieltjesChain(fn.kernel, cfg, bnorm)]
-    if fn.kind == "two_sided":
-        # both one-sided parts share the Krylov basis; the reflected part
-        # works on (-H, -h_next)
-        return [
-            _LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg,
-                          beta1=bnorm, label=f"{fn.name} (positive side)"),
-            _LaplaceChain(lambda t: fn.kernel(-np.asarray(t)), fn.abscissa_neg,
-                          fn.boundary_closed, cfg, beta1=bnorm, flip=True,
-                          label=f"{fn.name} (reflected side)"),
-        ]
-    # Bernstein: grouped (1 - exp(-tH)) integrand in cycle 1, sign-flipped
-    # error chain afterwards
-    return [_LaplaceChain(fn.kernel, fn.abscissa, fn.boundary_closed, cfg, beta1=bnorm,
-                          bernstein=fn.kind == "bernstein", label=fn.name)]
+    # two-sided transforms run a reflected chain on (-H, -h_next) over the same basis
+    flips = (False, True) if fn.kind == "two_sided" else (False,)
+    return [_LaplaceChain(fn, cfg, bnorm, flip) for flip in flips]
 
 
 def _checked_norm(v: np.ndarray, name: str, n: int) -> float:
@@ -446,18 +440,11 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             # otherwise pass the update-norm test
             report.reason = "non_finite"
             return fm, report
-        if dec.breakdown:
+        done = (rel <= cfg.tol if cfg.stopping == "reference_error"
+                else k >= 2 and upd <= cfg.tol * itn)
+        if dec.breakdown or done:
             report.converged = True
-            report.reason = "breakdown"
-            return fm, report
-        if cfg.stopping == "reference_error":
-            if rel <= cfg.tol:
-                report.converged = True
-                report.reason = "reference_error"
-                return fm, report
-        elif k >= 2 and upd <= cfg.tol * itn:
-            report.converged = True
-            report.reason = "update_norm"
+            report.reason = "breakdown" if dec.breakdown else cfg.stopping
             return fm, report
         start = dec.v_next
 
@@ -481,13 +468,10 @@ def _exp_sqrt_kernel(tau: float):
     return kernel
 
 
-def _inv_power_kernel():
-    def kernel(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(t > 0, t**-1.5 / (2.0 * math.sqrt(math.pi)), 0.0)
-        return out
-    return kernel
+def _inv_power_kernel(t):
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(t > 0, t**-1.5 / (2.0 * math.sqrt(math.pi)), 0.0)
 
 
 def _gamma_kernel(t):
@@ -528,7 +512,7 @@ def builtin_kernels(tau: float = 1.0) -> dict[str, TransformFunction]:
         ),
         "sqrt": TransformFunction(
             name="sqrt", kind="bernstein",
-            kernel=_inv_power_kernel(),
+            kernel=_inv_power_kernel,
             abscissa=0.0, boundary_closed=False, c=0.0, a=0.0,
             scalar_form=_safe_sqrt,
         ),
@@ -538,13 +522,13 @@ def builtin_kernels(tau: float = 1.0) -> dict[str, TransformFunction]:
             abscissa=0.0, boundary_closed=False,
             scalar_form=lambda s: s**-0.5,
         ),
+        # an oscillating density, so not a true Stieltjes function
         "exp-sqrt-shifted": TransformFunction(
             name="exp-sqrt-shifted", kind="stieltjes",
             kernel=lambda t: -np.sin(tau * np.sqrt(np.asarray(t, dtype=float)))
             / (math.pi * np.asarray(t, dtype=float)),
             abscissa=0.0, boundary_closed=False,
             scalar_form=lambda s: (np.exp(-tau * np.sqrt(s)) - 1.0) / s,
-            non_standard=True,   # oscillating density, not a true Stieltjes fn
         ),
     }
     return kernels

@@ -2,8 +2,8 @@
 
 Everything here works on the m x m Hessenberg matrices of a restart cycle:
 the columns exp(-t H) v, or (I - exp(-t H)) v, for a whole array of
-quadrature nodes at once (a closed form from the eigendecomposition when H is
-Hermitian, scipy's expm otherwise), and the spectral anchor.
+quadrature nodes at once: a closed form from the eigendecomposition when H is
+Hermitian, scipy's expm otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "eig_hermitian",
     "expm_action",
     "expm_columns",
-    "smallmat_nu",
 ]
 
 # nodes per stacked expm call, which bounds its memory to PADE_CHUNK small matrices
@@ -89,11 +88,3 @@ def expm_action(H: np.ndarray, v: np.ndarray, t: float,
                 cache: SpectralCache | None = None) -> np.ndarray:
     """exp(-t H) v for t >= 0: one node of :func:`expm_columns`."""
     return expm_columns(H, v, [t], cache)[:, 0]
-
-
-def smallmat_nu(H: np.ndarray) -> float:
-    """Smallest real part of the spectrum of H."""
-    H = np.asarray(H)
-    if float(np.abs(H - H.conj().T).max()) <= 1e-12 * max(1.0, float(np.abs(H).max())):
-        return float(la.eigvalsh((H + H.conj().T) / 2.0)[0])
-    return float(np.min(la.eigvals(H).real))

@@ -112,6 +112,16 @@ class TestTwoPass:
                              reference=ref)
         assert op.matvec_count == 0
 
+    def test_huge_operator_matches_scaled_result(self):
+        # an overflowing step norm used to stop pass 1 at step 1 as a breakdown
+        a = laplacian_nd(6, 2).toarray()
+        b = np.random.default_rng(0).standard_normal(a.shape[0])
+        fn = builtin_kernels()["inv-sqrt-stieltjes"]
+        f, rep = two_pass_lanczos(LinearOperator.from_dense(a), b, fn, 1e-10, 5)
+        g, rep_huge = two_pass_lanczos(LinearOperator.from_dense(1e160 * a), b, fn, 1e-10, 5)
+        assert rep_huge.steps == rep.steps > 1
+        assert np.linalg.norm(g - 1e-80 * f) <= 1e-12 * np.linalg.norm(1e-80 * f)
+
     def test_gamma_2d_matvec_count(self):
         # published comparator series: 100 matvecs at N=20 for the gamma
         # function on the 2D grid Laplacian

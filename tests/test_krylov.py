@@ -175,6 +175,17 @@ class TestArnoldiBasics:
             arnoldi(op, np.ones(8), 6)
         assert op.matvec_count == 3
 
+    def test_huge_operator_runs_every_step(self):
+        # ||A v|| past ~1e154 overflows np.linalg.norm although A v is
+        # finite; an inf step norm read as a lucky breakdown at step 1
+        a = laplacian_nd(6, 2).toarray()
+        b = np.random.default_rng(0).standard_normal(a.shape[0])
+        ref = arnoldi(op_from_dense(a), b, 10)
+        dec = arnoldi(op_from_dense(1e160 * a), b, 10)
+        assert dec.m == 10 and not dec.breakdown
+        np.testing.assert_allclose(dec.H / 1e160, ref.H, rtol=0, atol=1e-12 * np.abs(ref.H).max())
+        assert dec.h_next / 1e160 == pytest.approx(ref.h_next, rel=1e-12)
+
     def test_truncation_on_breakdown(self):
         # b spans a 2-dimensional invariant subspace of a 4x4 diagonal
         a = np.diag([1.0, 2.0, 3.0, 4.0])

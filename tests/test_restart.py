@@ -123,7 +123,6 @@ class TestBuiltinKernels:
 
     def test_oscillating_density_flagged(self):
         fn = builtin_kernels(tau=1.0)["exp-sqrt-shifted"]
-        assert fn.non_standard
         got = transform_value(fn, 1.0, eps=1e-9)
         assert got == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-6)
 
@@ -434,6 +433,67 @@ class TestSemiOrthogonalCycles:
         full_matvecs, full_err = solve()
         assert semi_matvecs == full_matvecs
         assert semi_err <= min(1.1 * full_err, cfg.tol)
+
+
+class TestAnchor:
+    """The anchor a chain records in cycle 1: the smallest real part of spec(H)."""
+
+    @staticmethod
+    def anchor(a, kind="power-neg-3-2"):
+        op = LinearOperator.from_dense(np.asarray(a, dtype=float))
+        dec = arnoldi(op, np.ones(op.n) / math.sqrt(op.n), op.n)
+        chain = restart._LaplaceChain(builtin_kernels()[kind], RestartConfig(m=op.n), 1.0)
+        chain.cycle(dec, 1, 0.0)
+        return chain.nu
+
+    def test_diagonal(self):
+        assert self.anchor(np.diag([1.0, 2.0, 3.0])) == pytest.approx(1.0)
+
+    def test_tridiag(self):
+        assert self.anchor([[2.0, -1.0], [-1.0, 2.0]]) == pytest.approx(1.0)
+
+    def test_rotation_has_zero_real_part(self):
+        # spec = {i, -i}: a closed boundary admits the anchor 0
+        nu = self.anchor([[0.0, 1.0], [-1.0, 0.0]], kind="exp-sqrt")
+        assert nu == pytest.approx(0.0, abs=1e-14)
+
+    def test_reflected_chain_anchors_on_minus_h(self):
+        fn = builtin_kernels()["gamma"]
+        op = LinearOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
+        dec = arnoldi(op, np.ones(3) / math.sqrt(3.0), 3)
+        chains = restart._chains(fn, RestartConfig(m=3), 1.0)
+        for chain in chains:
+            chain.cycle(dec, 1, 0.0)
+        assert [c.flip for c in chains] == [False, True]
+        assert [c.nu for c in chains] == pytest.approx([1.0, -3.0])
+        assert chains[1].shift == chains[1].nu
+
+
+class TestRefinementRounds:
+    def test_no_round_refits_the_previous_knots(self, monkeypatch):
+        # the pairwise-sum knots depend only on the two rules, so a second
+        # pairwise round would refit the same surface and change nothing
+        fits = []   # one list of knot arrays per chain cycle
+        real_cycle, real_fit = restart._LaplaceChain.cycle, restart.spline_fit
+
+        def recording_cycle(chain, dec, k, prev_iterate_norm):
+            fits.append([])
+            return real_cycle(chain, dec, k, prev_iterate_norm)
+
+        def recording_fit(knots, values):
+            fits[-1].append(np.array(knots))
+            return real_fit(knots, values)
+
+        monkeypatch.setattr(restart._LaplaceChain, "cycle", recording_cycle)
+        monkeypatch.setattr(restart, "spline_fit", recording_fit)
+        mat = convection_diffusion_nd(15, 1e-3, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        restarted_laplace(LinearOperator.from_matrix(mat), b / np.linalg.norm(b),
+                          builtin_kernels()["gamma"], RestartConfig(m=8, max_cycles=3))
+        assert max(len(cycle) for cycle in fits) == 1 + restart.MAX_REFINE_ROUNDS
+        for cycle in fits:
+            for prev, knots in zip(cycle, cycle[1:]):
+                assert not np.array_equal(prev, knots)
 
 
 class TestDeadChain:

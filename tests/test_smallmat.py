@@ -13,7 +13,6 @@ from laplace_krylov.smallmat import (
     eig_hermitian,
     expm_action,
     expm_columns,
-    smallmat_nu,
 )
 
 
@@ -280,14 +279,3 @@ class TestEigHermitian:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-class TestNu:
-    def test_diagonal(self):
-        assert smallmat_nu(np.diag([1.0, 2.0, 3.0])) == pytest.approx(1.0)
-
-    def test_tridiag(self):
-        assert smallmat_nu(np.array([[2.0, -1.0], [-1.0, 2.0]])) == pytest.approx(1.0)
-
-    def test_rotation_has_zero_real_part(self):
-        assert smallmat_nu(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(0.0, abs=1e-14)

@@ -40,3 +40,21 @@ def test_traced_solve_records_the_spline_chain(load_perfbench):
     stats = t.solve_stats()[0]
     assert stats["spline.spline_fit"]["calls"] > 0
     assert stats["krylov.arnoldi"]["calls"] >= 3
+
+
+def test_traced_hermitian_solve_decomposes_once_per_cycle(load_perfbench):
+    # the anchor of cycle 1 comes from the cycle's own eigendecomposition
+    tracer = load_perfbench("tracer")
+    mat = laplacian_nd(10, 2)
+    b = np.random.default_rng(0).standard_normal(mat.n)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        t.solve = 0
+        _, rep = tracer.restart.restarted_laplace(LinearOperator.from_matrix(mat), b,
+                                                  builtin_kernels()["power-neg-3-2"],
+                                                  RestartConfig(m=4, tol=1e-7))
+    finally:
+        t.remove()
+    assert rep.cycles >= 3
+    assert t.solve_stats()[0]["smallmat.eig_hermitian"]["calls"] == rep.cycles
