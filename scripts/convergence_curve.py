@@ -34,8 +34,10 @@ def main() -> int:
     b /= np.linalg.norm(b)
 
     fn = builtin_kernels()["power-neg-3-2"]
-    kind = "two-pass Lanczos" if mat.symmetric else "unrestarted Arnoldi"
-    print(f"reference: {min(400, mat.n)}-step {kind} approximation ...")
+    cap = min(400, mat.n)
+    how = (f"{cap}-step two-pass Lanczos approximation" if mat.symmetric else
+           f"unrestarted Arnoldi approximation, stopped once F(H_k) e_1 settles (cap {cap} steps)")
+    print(f"reference: {how} ...")
     ref = reference_apply(LinearOperator.from_matrix(mat), None, b, fn)
 
     op = LinearOperator.from_matrix(mat)

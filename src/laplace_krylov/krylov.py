@@ -66,6 +66,37 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
     eigendecompositions see an exactly symmetric matrix. ``V`` and
     ``v_next`` are views of one basis array.
     """
+    for size, H, Q, beta in _arnoldi_steps(op, start, m, _basis):
+        pass
+    broke = H[size, size - 1] == 0.0
+    Hs = np.array(H[:size, :size])
+    h_next = 0.0 if broke else float(H[size, size - 1].real)
+    v_next = Q[size] if not broke else np.zeros(op.n, dtype=Q.dtype)
+
+    if op.hermitian:
+        Hs = (Hs + Hs.conj().T) / 2.0
+        if np.iscomplexobj(Hs) and np.max(np.abs(Hs.imag)) < 1e-13 * max(1.0, np.abs(Hs).max()):
+            Hs = Hs.real
+
+    return KrylovDecomposition(
+        V=Q[:size].T,
+        H=Hs,
+        h_next=h_next,
+        v_next=v_next,
+        m=size,
+        beta=beta,
+        hermitian=op.hermitian,
+    )
+
+
+def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
+                   basis: np.ndarray | None = None):
+    """The step loop of :func:`arnoldi`. Yields ``(k, H, Q, beta)`` after each
+    step: the basis size, the (m+1) x m Hessenberg and (m+1) x n row-basis
+    arrays filled to size k (complex copies once a complex operator meets a
+    real start) and the start norm. A lucky breakdown, the last step, leaves
+    ``H[k, k-1] == 0``.
+    """
     start = np.asarray(start, dtype=complex if np.iscomplexobj(start) else float)
     n = op.n
     if start.shape != (n,):
@@ -76,16 +107,14 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
     if not 0.0 < beta < np.inf:
         raise ValueError("starting vector must be finite and nonzero")
 
-    # basis vectors as rows; start may be a row of _basis, and start / beta is a copy
-    Q = np.zeros((m + 1, n), start.dtype) if _basis is None else np.asarray(_basis, start.dtype)
+    # basis vectors as rows; start may be a row of basis, and start / beta is a copy
+    Q = np.zeros((m + 1, n), start.dtype) if basis is None else np.asarray(basis, start.dtype)
     H = np.zeros((m + 1, m), dtype=start.dtype)
     Q[0] = start / beta
     # Simon's omega rows j-1, j (om[k] ~ |v_j^H v_k|), advanced by the Lanczos recurrence
-    full, om_prev, om = _basis is None or not op.hermitian, np.zeros(m + 1), np.eye(1, m + 1)[0]
+    full, om_prev, om = basis is None or not op.hermitian, np.zeros(m + 1), np.eye(1, m + 1)[0]
     eps1 = np.sqrt(n) * np.finfo(float).eps / 2
 
-    size = m
-    broke = False
     for j in range(m):
         w = op.apply(Q[j])
         if np.iscomplexobj(w) and not np.iscomplexobj(Q):
@@ -112,7 +141,7 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
             om[j: j + 2] = eps1 * norm_w / hs, 1.0
             full = np.abs(om[:j + 1]).max() > SEMI_ORTH
         if full:
-            top = 0 if _basis is None else lo
+            top = 0 if basis is None else lo
             c = Q[: j + 1].conj() @ w
             w -= c @ Q[: j + 1]
             H[top: j + 1, j] += c[top:]
@@ -120,27 +149,8 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
         # with no full pass, h is the first pass's norm
 
         if h <= BREAKDOWN_RTOL * norm_w:
-            size = j + 1
-            broke = True
-            break
+            yield j + 1, H, Q, beta
+            return
         H[j + 1, j] = h
         Q[j + 1] = w / h
-
-    Hs = np.array(H[:size, :size])
-    h_next = 0.0 if broke else float(H[size, size - 1].real)
-    v_next = Q[size] if not broke else np.zeros(n, dtype=Q.dtype)
-
-    if op.hermitian:
-        Hs = (Hs + Hs.conj().T) / 2.0
-        if np.iscomplexobj(Hs) and np.max(np.abs(Hs.imag)) < 1e-13 * max(1.0, np.abs(Hs).max()):
-            Hs = Hs.real
-
-    return KrylovDecomposition(
-        V=Q[:size].T,
-        H=Hs,
-        h_next=h_next,
-        v_next=v_next,
-        m=size,
-        beta=beta,
-        hermitian=op.hermitian,
-    )
+        yield j + 1, H, Q, beta

@@ -17,6 +17,7 @@ from laplace_krylov.baselines import (
     stieltjes_pipeline,
     two_pass_lanczos,
 )
+from laplace_krylov.krylov import arnoldi
 from laplace_krylov.operators import LinearOperator, SparseMatrix, convection_diffusion_nd, laplacian_nd
 from laplace_krylov.restart import RestartConfig, builtin_kernels
 
@@ -110,6 +111,14 @@ class TestTwoPass:
         with pytest.raises(ValueError, match="reference"):
             two_pass_lanczos(op, np.ones(op.n), builtin_kernels()["sqrt"], 1e-6, 4,
                              reference=ref)
+        assert op.matvec_count == 0
+
+    @pytest.mark.parametrize("arg", ["check_every_m", "max_steps"])
+    def test_rejects_step_counts_below_one(self, arg):
+        op = LinearOperator.from_matrix(laplacian_nd(4, 2))
+        kwargs = {"check_every_m": 4, arg: 0}
+        with pytest.raises(ValueError, match=arg):
+            two_pass_lanczos(op, np.ones(op.n), builtin_kernels()["sqrt"], 1e-6, **kwargs)
         assert op.matvec_count == 0
 
     def test_huge_operator_matches_scaled_result(self):
@@ -236,6 +245,12 @@ class TestGMRES:
             gmres_solve(op, np.array([1.0, 0.0]), 1e-10, restart=1)
 
 
+def arnoldi_reference(mat, b, fn, k):
+    """The unrestarted reference of fixed length k: arnoldi, then F(H) e_1."""
+    dec = arnoldi(LinearOperator.from_matrix(mat), b, k)
+    return dec.beta * (dec.V @ baselines._scalar_on_matrix(fn, dec.H)), dec.m
+
+
 class TestReference:
     def test_diagonal_exact(self):
         mat = SparseMatrix(np.diag([1.0, 4.0, 9.0]))
@@ -320,6 +335,14 @@ class TestReference:
         with pytest.raises(ValueError):
             reference_apply(op, None, np.full(16, fill), builtin_kernels()["sqrt"])
 
+    @pytest.mark.parametrize("mat", [laplacian_nd(4, 2), convection_diffusion_nd(4, 1e-2, 2)],
+                             ids=["hermitian", "non-hermitian"])
+    def test_rejects_steps_below_one(self, mat):
+        op = LinearOperator.from_matrix(mat)
+        with pytest.raises(ValueError, match="steps"):
+            reference_apply(op, None, np.ones(op.n), builtin_kernels()["sqrt"], steps=0)
+        assert op.matvec_count == 0
+
     def test_nonsymmetric_reference(self):
         mat = convection_diffusion_nd(4, 1e-2, 2)
         rng = np.random.default_rng(5)
@@ -330,6 +353,39 @@ class TestReference:
         s = la.sqrtm(dense)
         oracle = la.solve(dense @ s, b)
         assert np.linalg.norm(ref - np.real(oracle)) <= 1e-8 * np.linalg.norm(oracle)
+
+    def test_non_hermitian_stops_once_settled(self):
+        # checkpoint changes 3.5e-4, 8.4e-14, 2.4e-14 at steps 100, 125, 150
+        mat = convection_diffusion_nd(40, 1e-2, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        fn = builtin_kernels()["power-neg-3-2"]
+        op = LinearOperator.from_matrix(mat)
+        ref = reference_apply(op, None, b, fn)
+        k = op.matvec_count
+        assert k == 150
+        assert np.array_equal(ref, arnoldi_reference(mat, b, fn, k)[0])
+        full, _ = arnoldi_reference(mat, b, fn, 400)
+        assert np.linalg.norm(ref - full) <= 1e-12 * np.linalg.norm(full)
+
+    def test_non_hermitian_unsettled_runs_to_the_end(self):
+        # funm's rounding keeps the checkpoint changes at ~5e-10
+        mat = convection_diffusion_nd(12, 1e-2, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        fn = builtin_kernels()["gamma"]
+        op = LinearOperator.from_matrix(mat)
+        ref = reference_apply(op, None, b, fn)
+        # the full run: min(400, n) = 144 steps, cut to 142 by a lucky breakdown
+        full, k = arnoldi_reference(mat, b, fn, mat.n)
+        assert op.matvec_count == k
+        assert np.array_equal(ref, full)
+
+    def test_non_hermitian_failing_checkpoints_raise_at_the_end(self):
+        mat = convection_diffusion_nd(12, 1e-2, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        op = LinearOperator.from_matrix(mat)
+        with pytest.raises(ValueError, match="not accurate enough"):
+            reference_apply(op, None, b, builtin_kernels()["exp-sqrt"])
+        assert op.matvec_count == arnoldi(LinearOperator.from_matrix(mat), b, mat.n).m
 
 
 class TestPipeline:
