@@ -4,9 +4,11 @@
 
 The inputs are those of the first cycle of F(s) = s^{-3/2} on the benchmark
 problems at N = 20 (n = 8000): the convection-diffusion operator with m = 20
-(non-Hermitian H, every node through a stacked scipy expm) and the 3D
-Laplacian with m = 50 (Hermitian H, closed form from the eigendecomposition),
-where Arnoldi is timed both orthonormal and semi-orthogonal (restart cycles).
+(non-Hermitian H; the propagator is timed in closed form from the general
+eigendecomposition and on the stacked scipy expm it falls back to) and the
+3D Laplacian with m = 50 (Hermitian H, closed form from the unitary
+eigendecomposition), where Arnoldi is timed both orthonormal and
+semi-orthogonal (restart cycles).
 Each rule is frozen once at eps_q = 1e-10, the default for tol = 1e-7.
 Arnoldi is also timed at m = 400, the cap of the unrestarted non-Hermitian
 reference, which stops once F(H_k) e_1 has settled (125 steps here) and is
@@ -16,14 +18,13 @@ steps.
 
 import numpy as np
 import pytest
-import scipy.linalg as la
 
 from laplace_krylov.baselines import reference_apply
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
 from laplace_krylov.quadrature import apply_rule_matrix, build_laplace_rule
 from laplace_krylov.restart import builtin_kernels, spline_fit
-from laplace_krylov.smallmat import eig_hermitian, expm_columns
+from laplace_krylov.smallmat import eig_general, eig_hermitian, expm_columns
 
 KERNEL = builtin_kernels()["power-neg-3-2"].kernel
 EPS_Q = 1e-10
@@ -33,14 +34,14 @@ def first_cycle(mat, m):
     op = LinearOperator.from_matrix(mat)
     b = np.random.default_rng(0).standard_normal(op.n)
     dec = arnoldi(op, b, m)
-    # the anchor as a restart cycle takes it: from the cycle's own spectral data
-    cache = eig_hermitian(dec.H) if dec.hermitian else None
-    rule = build_laplace_rule(KERNEL, anchor(dec.H, cache), EPS_Q)
+    # the cache and anchor as a restart cycle takes them
+    cache = (eig_hermitian if dec.hermitian else eig_general)(dec.H)
+    rule = build_laplace_rule(KERNEL, anchor(cache), EPS_Q)
     return dec.H, np.eye(m)[:, 0], rule, cache, op, b
 
 
-def anchor(H, cache):
-    return float(cache.D[0]) if cache is not None else float(la.eigvals(H).real.min())
+def anchor(cache):
+    return float(cache.D.real.min())
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +98,8 @@ def test_arnoldi_non_hermitian_m400(benchmark, cd3d):
 
 
 def test_build_laplace_rule_non_hermitian(benchmark, cd3d):
-    H, *_ = cd3d
-    rule = benchmark(build_laplace_rule, KERNEL, anchor(H, None), EPS_Q)
+    _, _, _, cache, *_ = cd3d
+    rule = benchmark(build_laplace_rule, KERNEL, anchor(cache), EPS_Q)
     assert rule.count > 0
 
 
@@ -108,21 +109,40 @@ def test_spline_fit_rule_nodes(benchmark, cd3d):
     assert np.all(np.isfinite(surface(rule.nodes)))
 
 
+def test_eig_general(benchmark, cd3d):
+    H, *_ = cd3d
+    cache = benchmark(eig_general, H)
+    assert cache.X is not None
+
+
 def test_propagator_non_hermitian(benchmark, cd3d):
+    H, e1, rule, cache, *_ = cd3d
+    assert cache.X is not None   # the closed form, as every cd3d cycle takes it
+    E = benchmark(expm_columns, H, e1, rule.nodes, cache)
+    assert E.shape == (20, rule.count)
+
+
+def test_propagator_non_hermitian_fallback(benchmark, cd3d):
     H, e1, rule, *_ = cd3d
     E = benchmark(expm_columns, H, e1, rule.nodes)
     assert E.shape == (20, rule.count)
 
 
 def test_propagator_one_minus_non_hermitian(benchmark, cd3d):
+    H, e1, rule, cache, *_ = cd3d
+    E = benchmark(expm_columns, H, e1, rule.nodes, cache, one_minus=True)
+    assert E.shape == (20, rule.count)
+
+
+def test_propagator_one_minus_non_hermitian_fallback(benchmark, cd3d):
     H, e1, rule, *_ = cd3d
     E = benchmark(expm_columns, H, e1, rule.nodes, one_minus=True)
     assert E.shape == (20, rule.count)
 
 
 def test_apply_rule_matrix_non_hermitian(benchmark, cd3d):
-    H, e1, rule, *_ = cd3d
-    E = expm_columns(H, e1, rule.nodes)
+    H, e1, rule, cache, *_ = cd3d
+    E = expm_columns(H, e1, rule.nodes, cache)
     y = benchmark(apply_rule_matrix, rule, KERNEL(rule.nodes), E)
     assert np.all(np.isfinite(y))
 

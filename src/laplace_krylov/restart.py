@@ -39,7 +39,7 @@ from .quadrature import (
     build_laplace_rule,
     integrate_halfline,
 )
-from .smallmat import eig_hermitian, expm_columns
+from .smallmat import eig_general, eig_hermitian, expm_columns
 from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
 
 __all__ = [
@@ -204,7 +204,8 @@ class _LaplaceChain:
     raw kernel in cycle 2 and on a refined spline surface afterwards.
 
     The anchor nu, min Re spec(H) in cycle 1, comes from that cycle's own
-    eigendecomposition when the operator is Hermitian. Negative anchors
+    eigendecomposition, the one each cycle's propagator columns are formed
+    from. Negative anchors
     (reflected two-sided parts) are handled in the shifted formulation: the
     chain works on H - nu I and the kernel f(t) exp(-nu t), which is the same
     transform value but keeps every intermediate quantity bounded instead of
@@ -231,10 +232,11 @@ class _LaplaceChain:
     def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
         H = -dec.H if self.flip else dec.H
         h = -dec.h_next if self.flip else dec.h_next
-        cache = eig_hermitian(H) if dec.hermitian and k == 1 else None
+        decompose = eig_hermitian if dec.hermitian else eig_general
+        cache = decompose(H) if k == 1 else None
         if k == 1:
             # the anchor comes from the spectral data the cycle computes anyway
-            self.nu = float(cache.D[0]) if dec.hermitian else float(la.eigvals(H).real.min())
+            self.nu = float(cache.D.real.min())
             fn = self.fn
             label = f"{fn.name} ({'reflected' if self.flip else 'positive'} side)"
             _check_anchor(self.nu, fn.abscissa_neg if self.flip else fn.abscissa,
@@ -251,8 +253,8 @@ class _LaplaceChain:
             return np.zeros(dec.m)
         if self.shift != 0.0:
             H = H - self.shift * np.eye(H.shape[0], dtype=H.dtype)
-        if dec.hermitian and (k > 1 or self.shift != 0.0):
-            cache = eig_hermitian(H)   # one per cycle; cycle 1 of a shifted chain takes two
+        if k > 1 or self.shift != 0.0:
+            cache = decompose(H)   # one per cycle; cycle 1 of a shifted chain takes two
 
         kernel = _shifted_kernel(self.kernel, self.shift)
         if k == 1:
@@ -484,8 +486,11 @@ def _gamma_kernel(t):
 
 def _safe_sqrt(s):
     # matrix-function references evaluate the closed form on computed
-    # eigenvalues, which sit a few ulps below zero for singular PSD inputs
-    return np.sqrt(np.maximum(np.asarray(s, dtype=float), 0.0))
+    # eigenvalues: real ones sit a few ulps below zero for singular PSD
+    # inputs, complex ones (Schur forms of non-normal matrices) take the
+    # principal root
+    s = np.asarray(s)
+    return np.sqrt(s if np.iscomplexobj(s) else np.maximum(s, 0.0))
 
 
 def builtin_kernels(tau: float = 1.0) -> dict[str, TransformFunction]:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,17 @@ class TestReference:
         s = la.sqrtm(dense)
         oracle = la.solve(dense @ s, b)
         assert np.linalg.norm(ref - np.real(oracle)) <= 1e-8 * np.linalg.norm(oracle)
+
+    def test_exp_sqrt_keeps_imaginary_parts_of_complex_eigenvalues(self):
+        # spec = {2 + i, 2 - i}: funm passes complex eigenvalues to the
+        # scalar form, whose square root must not drop their imaginary parts
+        h = np.array([[2.0, -1.0], [1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = baselines._scalar_on_matrix(builtin_kernels()["exp-sqrt"], h)
+        expected = la.expm(-la.sqrtm(h))[:, 0]
+        assert expected == pytest.approx([0.2197, -0.0786], abs=1e-4)
+        assert np.linalg.norm(y - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_non_hermitian_stops_once_settled(self):
         # checkpoint changes 3.5e-4, 8.4e-14, 2.4e-14 at steps 100, 125, 150

@@ -356,8 +356,9 @@ class TestRestartedLaplace:
         assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
     def test_one_propagator_per_cycle(self, monkeypatch):
-        # nonsymmetric, so every node takes a dense expm; cycles >= 3 also
-        # run spline refinement rounds, which reuse E
+        # nonsymmetric, so the columns come from one general
+        # eigendecomposition per cycle; cycles >= 3 also run spline
+        # refinement rounds, which reuse E
         op = LinearOperator.from_matrix(convection_diffusion_nd(8, 1e-3, 3))
         b = np.ones(op.n) / math.sqrt(op.n)
         arnoldi_calls = []
@@ -456,6 +457,51 @@ class TestAnchor:
         # spec = {i, -i}: a closed boundary admits the anchor 0
         nu = self.anchor([[0.0, 1.0], [-1.0, 0.0]], kind="exp-sqrt")
         assert nu == pytest.approx(0.0, abs=1e-14)
+
+    def test_nonsymmetric_anchor_is_the_smallest_real_part(self):
+        # spec = {2 + i, 2 - i}
+        assert self.anchor([[2.0, -1.0], [1.0, 2.0]]) == pytest.approx(2.0)
+
+    def test_defective_matrix_anchors_through_the_expm_path(self, monkeypatch):
+        # a Jordan block has no eigenvector basis: the cycle's propagator
+        # falls back to expm, and its anchor still comes from the same
+        # decomposition's eigenvalues
+        caches = []
+        real_eig = restart.eig_general
+
+        def recording_eig(H):
+            caches.append(real_eig(H))
+            return caches[-1]
+
+        monkeypatch.setattr(restart, "eig_general", recording_eig)
+        nu = self.anchor(np.diag([2.0, 2.0, 2.0]) + np.diag([1.0, 1.0], 1))
+        assert [c.X for c in caches] == [None]
+        assert nu == pytest.approx(2.0, rel=1e-4)
+
+    def test_one_general_decomposition_per_nonsymmetric_cycle(self, monkeypatch):
+        op = LinearOperator.from_matrix(convection_diffusion_nd(8, 1e-3, 3))
+        b = np.ones(op.n) / math.sqrt(op.n)
+        arnoldi_calls, decomposed = [], []
+        real_arnoldi, real_eig = restart.arnoldi, restart.eig_general
+
+        def counting_arnoldi(*args, **kwargs):
+            arnoldi_calls.append(1)
+            return real_arnoldi(*args, **kwargs)
+
+        def counting_eig(H):
+            decomposed.append(len(arnoldi_calls))
+            return real_eig(H)
+
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("the anchor must come from the cycle's decomposition")
+
+        monkeypatch.setattr(restart, "arnoldi", counting_arnoldi)
+        monkeypatch.setattr(restart, "eig_general", counting_eig)
+        monkeypatch.setattr(restart.la, "eigvals", no_eigvals)
+        _, rep = restarted_laplace(op, b, builtin_kernels()["power-neg-3-2"],
+                                   RestartConfig(m=10, tol=1e-7))
+        assert rep.cycles >= 4
+        assert decomposed == list(range(1, rep.cycles + 1))
 
     def test_reflected_chain_anchors_on_minus_h(self):
         fn = builtin_kernels()["gamma"]

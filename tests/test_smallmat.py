@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
+from laplace_krylov import smallmat
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov.operators import LinearOperator, convection_diffusion_nd
 from laplace_krylov.quadrature import QuadratureRule, apply_rule_matrix
+from laplace_krylov.restart import RestartConfig, builtin_kernels, restarted_laplace
 from laplace_krylov.smallmat import (
+    KAPPA_MAX,
     PADE_CHUNK,
+    eig_general,
     eig_hermitian,
     expm_action,
     expm_columns,
@@ -256,6 +260,92 @@ class TestOneMinusExpm:
         out = expm_columns(h, v, [2.0], one_minus=True)[:, 0]
         ref = v - la.expm(-2.0 * h) @ v
         assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
+def kappa1(x):
+    return np.linalg.norm(x, 1) * np.linalg.norm(la.inv(x), 1)
+
+
+class TestGeneralClosedForm:
+    """Columns from one general eigendecomposition, or the stacked expm when
+    the eigenvector basis is ill conditioned."""
+
+    @pytest.mark.parametrize("one_minus", [False, True])
+    def test_real_non_normal_matches_per_node_expm(self, one_minus):
+        # a real Hessenberg matrix, as the Arnoldi cycles produce, with
+        # complex-conjugate eigenpairs and a non-normal eigenvector basis
+        rng = np.random.default_rng(21)
+        h = random_hessenberg(12, rng, spd_shift=3.0)
+        cache = eig_general(h)
+        assert np.abs(cache.D.imag).max() > 0.1
+        assert 10 < kappa1(cache.X) <= KAPPA_MAX
+        v = np.eye(12)[:, 0]
+        t = np.concatenate([[0.0], np.geomspace(1e-10, 300.0, 25) / norm1(h)])
+        if one_minus:
+            t = t[1:]
+            ref = per_node_one_minus(h, v, t)
+        else:
+            ref = per_node_expm(h, v, t)
+        out = expm_columns(h, v, t, cache, one_minus=one_minus)
+        assert out.dtype == np.float64
+        assert max_rel(out, ref) <= 1e-12
+
+    def test_complex_matrix(self):
+        rng = np.random.default_rng(22)
+        h = gaussian(10, rng, complex) + 4.0 * np.eye(10)
+        v = rng.standard_normal(10)
+        cache = eig_general(h)
+        assert cache.X is not None
+        t = np.linspace(0.0, 80.0, 17) / norm1(h)
+        out = expm_columns(h, v, t, cache)
+        assert max_rel(out, per_node_expm(h, v, t)) <= 1e-12
+        out = expm_columns(h, v, t[1:], cache, one_minus=True)
+        assert max_rel(out, per_node_one_minus(h, v, t[1:])) <= 1e-12
+
+    @pytest.mark.parametrize("h", [
+        np.diag([2.0, 2.0, 2.0]) + np.diag([1.0, 1.0], 1),   # a Jordan block
+        np.array([[1.0, 1e6], [0.0, 1.0 + 1e-3]]),           # kappa_1 ~ 4e9
+        np.array([[1.0, 1e300], [0.0, 1.0]]),                # X^{-1} overflows
+        np.array([[1.0, 1e308], [0.0, 1.0]]),                # X exactly singular
+    ], ids=["jordan", "near-defective", "inverse-overflows", "singular-basis"])
+    def test_ill_conditioned_basis_takes_the_expm_path(self, h):
+        cache = eig_general(h)
+        assert cache.X is None
+        v = np.ones(h.shape[0])
+        t = np.linspace(0.0, 3.0, 7)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(expm_columns(h, v, t, cache), expm_columns(h, v, t),
+                                  equal_nan=True)
+            assert np.array_equal(expm_columns(h, v, t, cache, one_minus=True),
+                                  expm_columns(h, v, t, one_minus=True), equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["power-neg-3-2", "gamma", "sqrt"])
+    def test_restart_matches_forced_fallback(self, kind, monkeypatch):
+        # plain, shifted reflected (gamma) and one_minus (Bernstein) chains;
+        # the operator is scaled to real spectrum parts 1.2-2.2, as unscaled
+        # Gamma(A) reaches 1e51 and its restarted runs diverge
+        mat = convection_diffusion_nd(15, 1e-3, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        b /= np.linalg.norm(b)
+        pade_calls = []
+        real_expm = la.expm
+
+        def counting_expm(a):
+            pade_calls.append(a.shape[0])
+            return real_expm(a)
+
+        def solve():
+            op = LinearOperator(lambda x: mat.matvec(x) / 20.0, mat.n)
+            return restarted_laplace(op, b, builtin_kernels()[kind], RestartConfig(m=10))
+
+        monkeypatch.setattr(la, "expm", counting_expm)
+        x, rep = solve()
+        assert rep.converged and not pade_calls
+        monkeypatch.setattr(smallmat, "KAPPA_MAX", 0.0)
+        x_fallback, rep_fallback = solve()
+        assert pade_calls
+        assert (rep.matvecs, rep.reason) == (rep_fallback.matvecs, rep_fallback.reason)
+        assert np.linalg.norm(x - x_fallback) <= 1e-12 * np.linalg.norm(x_fallback)
 
 
 class TestEigHermitian:
