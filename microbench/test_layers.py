@@ -10,6 +10,8 @@ eigendecomposition and on the stacked scipy expm it falls back to) and the
 eigendecomposition), where Arnoldi is timed both orthonormal and
 semi-orthogonal (restart cycles).
 Each rule is frozen once at eps_q = 1e-10, the default for tol = 1e-7.
+The error kernel of a later cycle is timed on that rule, with a spline
+surface on its nodes, as cycle 3 evaluates it.
 Arnoldi is also timed at m = 400, the cap of the unrestarted non-Hermitian
 reference, which stops once F(H_k) e_1 has settled (125 steps here) and is
 timed as a whole; so is the Hermitian reference, two-pass Lanczos over 400
@@ -23,7 +25,7 @@ from laplace_krylov.baselines import reference_apply
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
 from laplace_krylov.quadrature import apply_rule_matrix, build_laplace_rule
-from laplace_krylov.restart import builtin_kernels, spline_fit
+from laplace_krylov.restart import ErrorModel, builtin_kernels, error_function_values, spline_fit
 from laplace_krylov.smallmat import eig_general, eig_hermitian, expm_columns
 
 KERNEL = builtin_kernels()["power-neg-3-2"].kernel
@@ -107,6 +109,16 @@ def test_spline_fit_rule_nodes(benchmark, cd3d):
     _, _, rule, *_ = cd3d
     surface = benchmark(spline_fit, rule.nodes, KERNEL(rule.nodes))
     assert np.all(np.isfinite(surface(rule.nodes)))
+
+
+def test_error_function_values_spline(benchmark, cd3d):
+    # a cycle-3 error kernel: the spline surface on the previous rule's
+    # nodes, its g from that rule's propagator columns, evaluated at every node
+    H, e1, rule, cache, *_ = cd3d
+    model = ErrorModel(rule=rule, g_values=expm_columns(H, e1, rule.nodes, cache)[-1],
+                       surface=spline_fit(rule.nodes, KERNEL(rule.nodes)))
+    vals = benchmark(error_function_values, model, rule.nodes)
+    assert np.all(np.isfinite(vals))
 
 
 def test_eig_general(benchmark, cd3d):

@@ -6,8 +6,9 @@ half line to [0, 1) and tames algebraic endpoint behavior. An adaptive
 G7/K15 scheme subdivides [0, 1) until the summed error estimates meet the
 combined relative/absolute target. :func:`gk15` sums every segment, for
 scalar and vector-valued integrands alike. The Kronrod nodes of the
-accepted subintervals are frozen into a reusable :class:`QuadratureRule`;
-the exp(-nu t) factor is *not* absorbed into the weights, so the same rule
+accepted subintervals are frozen into a reusable :class:`QuadratureRule`,
+together with the kernel samples taken there while the rule adapted; the
+exp(-nu t) factor is *not* absorbed into the weights, so the same rule
 can be applied with exp(-t H) for any small matrix H.
 :func:`integrate_halfline` returns the adaptive value itself.
 """
@@ -120,6 +121,7 @@ class QuadratureRule:
     eps_q: float
     nu: float
     interval_errors: np.ndarray | None = None   # accepted G/K error estimates
+    values: np.ndarray | None = None            # f(t_i), sampled while the rule adapted
 
     @property
     def count(self) -> int:
@@ -147,24 +149,25 @@ def _adapt(segment_eval, eps: float, max_intervals: int,
            initial: int = 10, x_hi: float = 1.0):
     """Adaptive bisection of [0, x_hi) driven by worst-first error splitting.
 
-    ``segment_eval(a, b) -> (K, err)`` where K may be a scalar or a vector.
-    Returns the accepted interval records sorted by left endpoint and their
-    summed value.
+    ``segment_eval(a, b) -> (K, err, samples)`` where K may be a scalar or a
+    vector and ``samples`` is whatever the segment keeps of its integrand.
+    Returns the accepted interval records ``(a, b, K, err, samples)`` sorted
+    by left endpoint and their summed value.
     """
     heap = []
     records = {}
     next_id = 0
     for i in range(initial):
         a, b = x_hi * i / initial, x_hi * (i + 1) / initial
-        k, err = segment_eval(a, b)
-        records[next_id] = (a, b, k, err)
+        k, err, samples = segment_eval(a, b)
+        records[next_id] = (a, b, k, err, samples)
         heapq.heappush(heap, (-err, next_id))
         next_id += 1
 
     while True:
         acc = None
         err_sum = 0.0
-        for (_, _, k, err) in records.values():
+        for (_, _, k, err, _) in records.values():
             acc = k if acc is None else acc + k
             err_sum += err
         target = max(eps, eps * math.hypot(*np.ravel(acc)))
@@ -176,31 +179,39 @@ def _adapt(segment_eval, eps: float, max_intervals: int,
                 f"(error {err_sum:.3e}, target {target:.3e})"
             )
         neg_err, rid = heapq.heappop(heap)
-        a, b, _, _ = records.pop(rid)
+        a, b, *_ = records.pop(rid)
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            k, err = segment_eval(lo, hi)
-            records[next_id] = (lo, hi, k, err)
+            k, err, samples = segment_eval(lo, hi)
+            records[next_id] = (lo, hi, k, err, samples)
             heapq.heappush(heap, (-err, next_id))
             next_id += 1
 
 
 KERNEL_FLOOR = 1e-280
+# terms of a chained error-kernel sum below this fraction of the largest
+# |w_i g_i| change its value only by rounding
+TERM_FLOOR = 1e-13
 
 
 def _pilot_segment(f, nu: float, weight_kind: str):
+    """Segment evaluator for :func:`_adapt`: gk15 of the substituted, damped
+    integrand, and f at the segment's 15 nodes as f returned them."""
     def segment(a, b):
+        samples = []
+
         def integrand(x):
             t = _x_to_t(x)
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                fv = np.asarray(f(t), dtype=float)
+                samples.append(np.asarray(f(t)))
+                fv = np.asarray(samples[-1], dtype=float)
                 # transposed, the damping and the Jacobian scale each row
                 # of a vector integrand
                 y = ((fv.T * _damp(weight_kind, nu, t)) * _jacobian(x)).T
             # kernels that have decayed to the subnormal range kill the
             # product even where the damping factor overflows
             return np.where(np.abs(fv) < KERNEL_FLOOR, 0.0, y)
-        return gk15(integrand, a, b)
+        return (*gk15(integrand, a, b), samples[0])
     return segment
 
 
@@ -214,7 +225,8 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     (1 - exp(-nu t)) for Bernstein-style integrands whose kernel is singular
     at t = 0. ``t_max`` truncates the domain; chained error kernels pass the
     previous rule's largest node here since their support never grows and
-    their interpolation surface is not trustworthy beyond it.
+    their interpolation surface is not trustworthy beyond it. The rule
+    keeps f at its nodes in ``values``: the samples the adaptive pass took.
     """
     if eps_q <= 0:
         raise ValueError("eps_q must be positive")
@@ -231,21 +243,21 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     live = [rec for rec in intervals if not (rec[2] == 0.0 and rec[3] == 0.0)]
     if not live:
         raise ZeroIntegrandError("integrand vanished on every subinterval")
-    nodes = []
-    weights = []
-    errors = []
-    for (a, b, _, err) in live:
+    nodes, weights, errors, values = [], [], [], []
+    for (a, b, _, err, fv) in live:
+        # the points gk15 evaluated f at
         half = 0.5 * (b - a)
         x = a + half * (GK15_NODES + 1.0)
         nodes.append(_x_to_t(x))
         weights.append(half * GK15_WEIGHTS * _jacobian(x))
         errors.append(err)
+        values.append(fv)
     t = np.concatenate(nodes)
     w = np.concatenate(weights)
     if np.any(np.diff(t) <= 0):
         raise RuntimeError("frozen nodes are not strictly ascending")
     return QuadratureRule(nodes=t, weights=w, eps_q=eps_q, nu=nu,
-                          interval_errors=np.asarray(errors))
+                          interval_errors=np.asarray(errors), values=np.concatenate(values))
 
 
 def integrate_halfline(f, nu: float = 0.0, eps: float = 1e-12,

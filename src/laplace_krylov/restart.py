@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ from .krylov import KrylovDecomposition, arnoldi
 from .operators import LinearOperator
 from .quadrature import (
     KERNEL_FLOOR,
+    TERM_FLOOR,
     QuadratureRule,
     ZeroIntegrandError,
     apply_rule_matrix,
@@ -124,6 +125,7 @@ class CycleRecord:
     wall_ms: float
     h_next: float
     beta: float
+    refine_rounds: int      # spline refinement rounds, the most of any chain
 
 
 @dataclass
@@ -146,19 +148,30 @@ class ErrorModel:
     """State required to evaluate the cycle-k error kernel f^(k).
 
     ``surface`` approximates f^(k-1) (the raw kernel in cycle 2, a spline
-    later), ``rule`` and ``g_values`` come from cycle k-1.
+    later), ``rule`` and ``g_values`` come from cycle k-1. ``nodes`` and
+    ``wg`` are the rule nodes and products w_i g_i of the terms the sum
+    keeps: those with |w_i g_i| at least TERM_FLOOR of the largest, and
+    every non-finite one.
     """
 
     rule: QuadratureRule
     g_values: np.ndarray
     surface: Callable
+    nodes: np.ndarray = field(init=False, repr=False)
+    wg: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        wg = self.rule.weights * self.g_values
+        keep = ~(np.abs(wg) < TERM_FLOOR * np.abs(wg).max())
+        self.nodes, self.wg = self.rule.nodes[keep], wg[keep]
 
 
 def error_function_values(model: ErrorModel, nodes) -> np.ndarray:
-    """f^(k)(t) = sum_i w_i * s^(k-1)(t + t_i) * g^(k-1)(t_i) at the nodes."""
+    """f^(k)(t) = sum_i w_i * s^(k-1)(t + t_i) * g^(k-1)(t_i) at the nodes,
+    over the terms the model keeps."""
     ts = np.atleast_1d(np.asarray(nodes, dtype=float))
-    grid = ts[:, None] + model.rule.nodes[None, :]
-    return np.asarray(model.surface(grid)) @ (model.rule.weights * model.g_values)
+    grid = ts[:, None] + model.nodes[None, :]
+    return np.asarray(model.surface(grid)) @ model.wg
 
 
 def _check_anchor(nu: float, abscissa: float, closed: bool, label: str) -> None:
@@ -227,15 +240,16 @@ class _LaplaceChain:
         self.node_values: np.ndarray | None = None
         self.eval_rule: QuadratureRule | None = None
         self.eval_g: np.ndarray | None = None
-        self.refine_rounds_last = 0
+        self.rounds = 0   # refinement rounds of the last cycle
 
     def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
         H = -dec.H if self.flip else dec.H
         h = -dec.h_next if self.flip else dec.h_next
+        self.rounds = 0
         decompose = eig_hermitian if dec.hermitian else eig_general
-        cache = decompose(H) if k == 1 else None
         if k == 1:
             # the anchor comes from the spectral data the cycle computes anyway
+            cache = decompose(H)
             self.nu = float(cache.D.real.min())
             fn = self.fn
             label = f"{fn.name} ({'reflected' if self.flip else 'positive'} side)"
@@ -253,27 +267,33 @@ class _LaplaceChain:
             return np.zeros(dec.m)
         if self.shift != 0.0:
             H = H - self.shift * np.eye(H.shape[0], dtype=H.dtype)
-        if k > 1 or self.shift != 0.0:
-            cache = decompose(H)   # one per cycle; cycle 1 of a shifted chain takes two
+        if k > 1:
+            cache = decompose(H)   # one per cycle
+        elif self.shift != 0.0:
+            # H - shift I has the eigenvectors of H
+            cache = replace(cache, D=cache.D - self.shift)
 
         kernel = _shifted_kernel(self.kernel, self.shift)
         if k == 1:
-            model, f = None, kernel
+            model = None
             rule = build_laplace_rule(self.kernel, self.nu, self.cfg.eps_q,
                                       weight_kind="one_minus_exp" if self.bernstein else "exp")
+            # a shifted chain's rule sampled the unshifted kernel
+            vals = np.asarray(kernel(rule.nodes))
         else:
             # cycle 2 uses the exact kernel as its surface
             surface = kernel if k == 2 else spline_fit(self.eval_rule.nodes, self.node_values)
             model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
-            f = lambda ts: error_function_values(model, ts)  # noqa: E731
             try:
-                rule = build_laplace_rule(f, self.nu - self.shift, self.cfg.eps_q,
+                rule = build_laplace_rule(lambda ts: error_function_values(model, ts),
+                                          self.nu - self.shift, self.cfg.eps_q,
                                           t_max=float(self.eval_rule.nodes.max()))
             except ZeroIntegrandError:
                 # the error kernel decayed below resolution: this chain is
                 # exhausted and contributes nothing from here on
                 self.dead = True
                 return np.zeros(dec.m)
+            vals = rule.values   # f^(k) at the nodes, sampled by the rule build
         # one propagator per cycle: the apply, every refinement round and
         # the next cycle's g values share these columns
         e1 = np.eye(dec.m, dtype=H.dtype)[0]
@@ -282,31 +302,35 @@ class _LaplaceChain:
         # difference of columns of E would cancel at small t_i
         one_minus = self.bernstein and k == 1
         Y = expm_columns(H, e1, rule.nodes, cache, one_minus=True) if one_minus else E
-        vals = np.asarray(f(rule.nodes))
         y = apply_rule_matrix(rule, vals, Y)
 
-        rounds = 0
         if k >= 3:
             # midpoint refinement of the interpolation surface until the
             # update stabilizes; if three midpoint rounds keep missing, one
-            # last round takes the pairwise-sum knots. A diverging run grows
-            # its rules, so refinement stops before a surface evaluation
-            # would pass MAX_SURFACE_GRID
-            knots = self.eval_rule.nodes
+            # last round takes the pairwise-sum knots. self.model (f^(k-1))
+            # is fixed, so old knots keep their values (node_values at the
+            # first round's). A diverging run grows its rules, so refinement
+            # stops before a surface evaluation would pass MAX_SURFACE_GRID
+            knots, knot_values = self.eval_rule.nodes, self.node_values
             target = self.cfg.eps_q * max(prev_iterate_norm, 1e-300)
-            while rounds < MAX_REFINE_ROUNDS:
+            while self.rounds < MAX_REFINE_ROUNDS:
                 # the next round's knot count (pairwise sums: before np.unique)
-                count = ((rule.nodes.size + 1) * self.eval_rule.nodes.size if rounds >= 3
+                count = ((rule.nodes.size + 1) * self.eval_rule.nodes.size if self.rounds >= 3
                          else 2 * knots.size - 1)
                 if count * self.model.rule.nodes.size > MAX_SURFACE_GRID:
                     break
-                rounds += 1
-                if rounds > 3:
+                self.rounds += 1
+                if self.rounds > 3:
                     sums = (rule.nodes[:, None] + self.eval_rule.nodes[None, :]).ravel()
                     knots = np.unique(np.concatenate([self.eval_rule.nodes, sums]))
+                    knot_values = error_function_values(self.model, knots)
                 else:
-                    knots = np.sort(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
-                surface = spline_fit(knots, error_function_values(self.model, knots))
+                    mids = 0.5 * (knots[:-1] + knots[1:])
+                    slots = np.arange(1, knots.size)   # each midpoint between its knots
+                    knot_values = np.insert(knot_values, slots,
+                                            error_function_values(self.model, mids))
+                    knots = np.insert(knots, slots, mids)
+                surface = spline_fit(knots, knot_values)
                 model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
                 vals = error_function_values(model, rule.nodes)
                 y_new = apply_rule_matrix(rule, vals, E)
@@ -314,7 +338,6 @@ class _LaplaceChain:
                 y = y_new
                 if delta <= target:
                     break
-        self.refine_rounds_last = rounds
         # E[-1] holds the next cycle's g(t_i) = e_m^T exp(-t_i H) e_1
         self.model, self.eval_rule, self.eval_g, self.node_values = model, rule, E[-1], vals
         return beta * y
@@ -333,6 +356,8 @@ class _StieltjesChain:
     in ``ritz``, the summed log h_{i+1,i} in ``log_c`` and the product of
     the signs in ``sign``.
     """
+
+    rounds = 0   # no interpolation surface to refine
 
     def __init__(self, rho, cfg: RestartConfig, beta1: float):
         self.rho = rho
@@ -435,6 +460,7 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             cycle=k, matvecs=op.matvec_count - base_count, update_norm=upd,
             iterate_norm=itn, rel_error=rel, wall_ms=wall_ms,
             h_next=dec.h_next, beta=beta_k,
+            refine_rounds=max(chain.rounds for chain in chains),
         ))
 
         if not (math.isfinite(upd) and math.isfinite(itn)):

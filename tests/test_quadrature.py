@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
+from laplace_krylov import quadrature
 from laplace_krylov.quadrature import (
     G7_WEIGHTS,
     GK15_NODES,
@@ -98,6 +99,37 @@ class TestBuildLaplaceRule:
         with pytest.raises((QuadratureDivergenceError, ValueError)):
             build_laplace_rule(lambda t: 1.0 / np.maximum(t, 1e-300), 1.0, 1e-10,
                                max_intervals=64)
+
+
+class TestRuleSamples:
+    """The rule keeps the kernel samples its adaptive pass took, one per node."""
+
+    def test_samples_are_the_kernel_at_the_nodes(self):
+        rule = build_laplace_rule(np.sqrt, 0.5, 1e-10)
+        assert np.array_equal(rule.values, np.sqrt(rule.nodes))
+
+    def test_truncated_rule(self):
+        rule = build_laplace_rule(np.sqrt, 0.5, 1e-10, t_max=5.0)
+        assert rule.nodes.max() < 5.0
+        assert np.array_equal(rule.values, np.sqrt(rule.nodes))
+
+    def test_dead_intervals_drop_their_samples(self, monkeypatch):
+        # the kernel vanishes beyond t = 2, so the intervals out there are
+        # dropped with their samples
+        kernel = lambda t: np.where(t < 2.0, np.exp(-t), 0.0)  # noqa: E731
+        accepted = []
+        real_adapt = quadrature._adapt
+
+        def recording_adapt(*args, **kwargs):
+            out = real_adapt(*args, **kwargs)
+            accepted.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(quadrature, "_adapt", recording_adapt)
+        rule = build_laplace_rule(kernel, 0.5, 1e-10)
+        assert 15 * accepted[0] > rule.count
+        assert rule.values.shape == rule.nodes.shape
+        assert np.array_equal(rule.values, kernel(rule.nodes))
 
 
 class TestApplyRuleMatrix:

@@ -503,6 +503,31 @@ class TestAnchor:
         assert rep.cycles >= 4
         assert decomposed == list(range(1, rep.cycles + 1))
 
+    @pytest.mark.parametrize("mat", [laplacian_nd(10, 2), convection_diffusion_nd(8, 1e-3, 2)],
+                             ids=["hermitian", "general"])
+    def test_one_decomposition_per_chain_cycle(self, monkeypatch, mat):
+        # the reflected chain of gamma is shifted; its cycle 1 takes the
+        # shifted eigenvalues from the anchor's decomposition
+        decomposed, per_cycle = [], []
+        real_cycle = restart._LaplaceChain.cycle
+
+        def counting_cycle(chain, dec, k, prev_iterate_norm):
+            before = len(decomposed)
+            out = real_cycle(chain, dec, k, prev_iterate_norm)
+            per_cycle.append((chain.flip, chain.shift != 0.0, len(decomposed) - before))
+            return out
+
+        for name in ("eig_hermitian", "eig_general"):
+            real = getattr(restart, name)
+            monkeypatch.setattr(restart, name, lambda H, real=real: decomposed.append(1) or real(H))
+        monkeypatch.setattr(restart._LaplaceChain, "cycle", counting_cycle)
+        op = LinearOperator.from_matrix(mat)
+        b = np.random.default_rng(0).standard_normal(op.n)
+        _, rep = restarted_laplace(op, b / np.linalg.norm(b), builtin_kernels()["gamma"],
+                                   RestartConfig(m=8, max_cycles=4))
+        assert (True, True, 1) in per_cycle    # the shifted reflected chain's cycle 1
+        assert [count for *_, count in per_cycle] == [1] * 2 * rep.cycles
+
     def test_reflected_chain_anchors_on_minus_h(self):
         fn = builtin_kernels()["gamma"]
         op = LinearOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
@@ -540,6 +565,50 @@ class TestRefinementRounds:
         for cycle in fits:
             for prev, knots in zip(cycle, cycle[1:]):
                 assert not np.array_equal(prev, knots)
+
+    def test_midpoint_rounds_evaluate_only_the_midpoints(self, monkeypatch):
+        # within a cycle the surface model of f^(k-1) is fixed, so a midpoint
+        # round evaluates it at the knots.size - 1 midpoints and keeps the
+        # old knots' values; the pairwise-sum round evaluates all its knots
+        cycles = []
+        real_cycle, real_fit = restart._LaplaceChain.cycle, restart.spline_fit
+        real_values = restart.error_function_values
+
+        def recording_cycle(chain, dec, k, prev_iterate_norm):
+            cycles.append({"model": chain.model, "evals": [], "fits": []})
+            return real_cycle(chain, dec, k, prev_iterate_norm)
+
+        def recording_values(model, nodes):
+            if model is cycles[-1]["model"]:
+                cycles[-1]["evals"].append(np.array(nodes))
+            return real_values(model, nodes)
+
+        def recording_fit(knots, values):
+            cycles[-1]["fits"].append(np.array(knots))
+            return real_fit(knots, values)
+
+        monkeypatch.setattr(restart._LaplaceChain, "cycle", recording_cycle)
+        monkeypatch.setattr(restart, "error_function_values", recording_values)
+        monkeypatch.setattr(restart, "spline_fit", recording_fit)
+        mat = laplacian_nd(20, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        _, rep = restarted_laplace(LinearOperator.from_matrix(mat), b / np.linalg.norm(b),
+                                   builtin_kernels()["power-neg-3-2"], RestartConfig(m=10))
+        midpoint_rounds = 0
+        for cycle, record in zip(cycles, rep.records):
+            # fits[0] is the surface on the previous rule's nodes
+            fits, evals = cycle["fits"], cycle["evals"]
+            assert len(evals) == max(len(fits) - 1, 0) == record.refine_rounds
+            for r, (prev, knots, points) in enumerate(zip(fits, fits[1:], evals), 1):
+                if r <= 3:
+                    assert points.size == prev.size - 1
+                    assert np.array_equal(knots[0::2], prev)
+                    assert np.array_equal(knots[1::2], points)
+                    midpoint_rounds += 1
+                else:
+                    assert np.array_equal(points, knots)
+        assert midpoint_rounds >= 2
+        assert [r.refine_rounds for r in rep.records[:2]] == [0, 0]
 
 
 class TestDeadChain:
@@ -634,6 +703,47 @@ class TestErrorRepresentation:
                 lambda tau: math.sqrt(t + tau) * g(tau), 0, np.inf,
                 epsabs=1e-12, epsrel=1e-12, limit=200)
             assert approx_val == pytest.approx(oracle, abs=1e-7 * max(1, abs(oracle)))
+
+    @pytest.mark.parametrize("case", ["truncated", "dead-intervals"])
+    def test_rule_samples_are_the_error_function_at_the_nodes(self, case):
+        # f^(2) sampled while its rule adapts, 15 points at a time, against
+        # one evaluation at every node; a surface that vanishes beyond t = 3
+        # leaves dead intervals below the truncation point
+        prev = build_laplace_rule(np.sqrt, 1.0, 1e-10)
+        surface = np.sqrt if case == "truncated" else (
+            lambda t: np.where(t < 3.0, np.sqrt(t), 0.0))
+        model = ErrorModel(rule=prev, g_values=np.exp(-0.5 * prev.nodes), surface=surface)
+        t_max = 5.0 if case == "truncated" else float(prev.nodes.max())
+        rule = build_laplace_rule(lambda ts: error_function_values(model, ts), 1.0, 1e-10,
+                                  t_max=t_max)
+        if case == "dead-intervals":
+            assert 3.0 < rule.nodes.max() < 2 * 3.0
+        exact = error_function_values(model, rule.nodes)
+        assert rule.values.shape == rule.nodes.shape
+        assert la.norm(rule.values - exact) <= 1e-15 * la.norm(exact)
+
+    def test_negligible_terms_are_dropped(self):
+        rule = build_laplace_rule(np.sqrt, 1.0, 1e-10)
+        g = np.exp(-0.5 * rule.nodes)
+        terms = np.abs(rule.weights * g)
+        assert np.log10(terms.max() / terms[terms > 0].min()) > 16
+        model = ErrorModel(rule=rule, g_values=g, surface=np.sqrt)
+        assert model.nodes.size < rule.count
+        assert np.all(np.abs(model.wg) >= restart.TERM_FLOOR * terms.max())
+        ts = np.linspace(0.0, 20.0, 41)
+        full = np.sqrt(ts[:, None] + rule.nodes[None, :]) @ (rule.weights * g)
+        got = error_function_values(model, ts)
+        assert la.norm(got - full) <= 1e-12 * la.norm(full)
+
+    def test_non_finite_terms_are_kept(self):
+        rule = build_laplace_rule(np.sqrt, 1.0, 1e-10)
+        g = np.exp(-0.5 * rule.nodes)
+        g[3] = np.inf
+        assert np.isinf(error_function_values(ErrorModel(rule=rule, g_values=g,
+                                                         surface=np.sqrt), [1.0])).all()
+        g[3] = np.nan
+        assert np.isnan(error_function_values(ErrorModel(rule=rule, g_values=g,
+                                                         surface=np.sqrt), [1.0])).all()
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_error_function_constant_sign(self, m):
