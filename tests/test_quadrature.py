@@ -104,13 +104,10 @@ class TestBuildLaplaceRule:
 class TestRuleSamples:
     """The rule keeps the kernel samples its adaptive pass took, one per node."""
 
-    def test_samples_are_the_kernel_at_the_nodes(self):
-        rule = build_laplace_rule(np.sqrt, 0.5, 1e-10)
-        assert np.array_equal(rule.values, np.sqrt(rule.nodes))
-
-    def test_truncated_rule(self):
-        rule = build_laplace_rule(np.sqrt, 0.5, 1e-10, t_max=5.0)
-        assert rule.nodes.max() < 5.0
+    @pytest.mark.parametrize("t_max", [None, 5.0])
+    def test_samples_are_the_kernel_at_the_nodes(self, t_max):
+        rule = build_laplace_rule(np.sqrt, 0.5, 1e-10, t_max=t_max)
+        assert rule.nodes.max() < (t_max or np.inf)
         assert np.array_equal(rule.values, np.sqrt(rule.nodes))
 
     def test_dead_intervals_drop_their_samples(self, monkeypatch):

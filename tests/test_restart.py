@@ -229,6 +229,22 @@ class TestRestartedLaplace:
         assert rep.reason == "max_cycles" and rep.matvecs == 24
         assert np.all(np.isfinite(x))
 
+    def test_grown_update_voids_the_update_norm_stop(self):
+        # Gamma(A) b with cond(X) ~ 9e16: the cycle-2 update is 2.6e14 times
+        # the cycle-1 one, and later small updates only measure amplified
+        # rounding, so the run must not read as converged
+        mat = convection_diffusion_nd(15, 1e-3, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b / np.linalg.norm(b),
+                                       builtin_kernels()["gamma"], RestartConfig(m=8, tol=1e-7))
+        assert not rep.converged
+        assert rep.reason == "growing_updates"
+        upd = [r.update_norm for r in rep.records]
+        assert upd[1] > restart.UPDATE_GROWTH_LIMIT * upd[0]
+        # the update-norm test alone would have stopped here
+        assert rep.cycles >= 3 and upd[-1] <= 1e-7 * rep.records[-1].iterate_norm
+
     def test_non_finite_iterate_is_not_converged(self):
         # the unit b of the test above scaled by 1.4e146: Gamma(A) b then has
         # norm 2.2e308, past the float64 range, so the cycle-1 norms are inf
