@@ -190,7 +190,8 @@ def _adapt(segment_eval, eps: float, max_intervals: int,
 
 KERNEL_FLOOR = 1e-280
 # terms of a chained error-kernel sum below this fraction of the largest
-# |w_i g_i| change its value only by rounding
+# |w_i g_i| are dropped: in a sum that does not cancel they weigh no more
+# than its rounding
 TERM_FLOOR = 1e-13
 
 
