@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Print a digest of the library's outputs on a fixed set of cases.
+
+A change that must not alter any result is checked by running this script
+against the library sources of both trees and comparing the output:
+
+    PYTHONPATH=src python3 scripts/same_outputs.py > change.txt
+    PYTHONPATH=<parent checkout>/src python3 scripts/same_outputs.py > parent.txt
+    diff parent.txt change.txt
+
+Each line holds a case name, the matvec count, the stop reason (or the
+repr of the exception the case raised) and the sha256 digests of the
+case's arrays, so equal lines mean bit-identical outputs. BLAS runs on one
+thread, since a threaded BLAS may sum in another order. The cases:
+
+- the ten one-cycle-chain problems: five transforms on laplacian_nd(20, 2)
+  at m = 10 and on convection_diffusion_nd(15, 1e-3, 2) at m = 8, update-norm
+  stopping at tol 1e-7 (x and the per-cycle update norms);
+- three start vectors each of the two benchmark matrices, reference-error
+  stopping against ``reference_apply`` (x and the reference);
+- ``transform_value`` of every catalog kernel at s = 0.5, 1, 4;
+- two quadrature rules (nodes, weights, values and interval errors).
+"""
+
+import os
+
+# BLAS reads its thread count once, when numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import sys
+
+import numpy as np
+
+import laplace_krylov
+from laplace_krylov.baselines import reference_apply
+from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
+from laplace_krylov.quadrature import build_laplace_rule
+from laplace_krylov.restart import (
+    RestartConfig,
+    builtin_kernels,
+    restarted_laplace,
+    transform_value,
+)
+
+TOL = 1e-7
+CHAIN_KINDS = ["power-neg-3-2", "exp-sqrt", "gamma", "sqrt", "inv-sqrt-stieltjes"]
+
+
+def digest(a) -> str:
+    """sha256 of an array's float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def unit_starts(n: int, count: int) -> list:
+    """``count`` seed-0 standard normal vectors, each normalized."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(count):
+        b = rng.standard_normal(n)
+        out.append(b / np.linalg.norm(b))
+    return out
+
+
+def solve(mat, m: int, fn, b, reference=None):
+    """restarted_laplace at tol TOL: (matvecs, reason, arrays)."""
+    stopping = "update_norm" if reference is None else "reference_error"
+    x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b, fn,
+                               RestartConfig(m=m, tol=TOL, stopping=stopping),
+                               reference=reference)
+    tail = [r.update_norm for r in rep.records] if reference is None else reference
+    return rep.matvecs, rep.reason, [x, tail]
+
+
+def cases():
+    """(name, thunk) pairs; a thunk returns (matvecs, reason, arrays)."""
+    kernels = builtin_kernels()
+    for label, mat, m in (("lap2d-N20-m10", laplacian_nd(20, 2), 10),
+                          ("cd2d-N15-m8", convection_diffusion_nd(15, 1e-3, 2), 8)):
+        b = unit_starts(mat.n, 1)[0]
+        for kind in CHAIN_KINDS:
+            fn = kernels[kind]
+            yield f"{kind}/{label}", lambda mat=mat, m=m, fn=fn, b=b: solve(mat, m, fn, b)
+    for label, mat, m in (("lap3d-N20-m50", laplacian_nd(20, 3), 50),
+                          ("cd3d-N20-m20", convection_diffusion_nd(20, 1e-3, 3), 20)):
+        for j, b in enumerate(unit_starts(mat.n, 3)):
+            def run(mat=mat, m=m, b=b, fn=kernels["power-neg-3-2"]):
+                ref = reference_apply(LinearOperator.from_matrix(mat), None, b, fn)
+                return solve(mat, m, fn, b, reference=ref)
+            yield f"reference/{label}/start{j}", run
+    for name, kernel in kernels.items():
+        for s in (0.5, 1.0, 4.0):
+            yield f"transform/{name}/s={s}", lambda k=kernel, s=s: ("-", "-", [transform_value(k, s)])
+    truncated = {"t_max": 5.0, "weight_kind": "one_minus_exp"}
+    for label, kwargs in (("rule/sqrt", {}), ("rule/sqrt-tmax5-one_minus_exp", truncated)):
+        def rule_case(kwargs=kwargs):
+            rule = build_laplace_rule(np.sqrt, 0.7, 1e-10, **kwargs)
+            return "-", "-", [rule.nodes, rule.weights, rule.values, rule.interval_errors]
+        yield label, rule_case
+
+
+def line(name: str, thunk) -> str:
+    """One output line: the case name, matvecs, reason and array digests."""
+    try:
+        matvecs, reason, arrays = thunk()
+    except Exception as exc:   # the exception is the case's output
+        return f"{name} - {exc!r}"
+    return " ".join([name, str(matvecs), reason, *map(digest, arrays)])
+
+
+def main() -> int:
+    print(f"library: {laplace_krylov.__file__}", file=sys.stderr)
+    for name, thunk in cases():
+        print(line(name, thunk), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

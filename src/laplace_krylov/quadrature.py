@@ -5,17 +5,17 @@ substitution x = sqrt(t)/(1+sqrt(t)), i.e. t = (x/(1-x))^2, which maps the
 half line to [0, 1) and tames algebraic endpoint behavior. An adaptive
 G7/K15 scheme subdivides [0, 1) until the summed error estimates meet the
 combined relative/absolute target. :func:`gk15` sums every segment, for
-scalar and vector-valued integrands alike. The Kronrod nodes of the
-accepted subintervals are frozen into a reusable :class:`QuadratureRule`,
-together with the kernel samples taken there while the rule adapted; the
-exp(-nu t) factor is *not* absorbed into the weights, so the same rule
-can be applied with exp(-t H) for any small matrix H.
+scalar and vector-valued integrands alike. The adaptive pass is the only
+source of a frozen :class:`QuadratureRule`: each segment records its
+Kronrod nodes, weights and kernel samples where gk15 evaluates them, and
+the accepted segments are concatenated. The exp(-nu t) factor is *not*
+absorbed into the weights, so the same rule can be applied with
+exp(-t H) for any small matrix H.
 :func:`integrate_halfline` returns the adaptive value itself.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -136,56 +136,37 @@ def _damp(kind: str, s: float, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def _x_to_t(x: np.ndarray) -> np.ndarray:
-    r = x / (1.0 - x)
-    return r * r
+def _adapt(segment_eval, eps: float, max_intervals: int, x_hi: float = 1.0):
+    """Adaptive bisection of [0, x_hi), ten equal intervals to start with.
 
-
-def _jacobian(x: np.ndarray) -> np.ndarray:
-    return 2.0 * x / (1.0 - x) ** 3
-
-
-def _adapt(segment_eval, eps: float, max_intervals: int,
-           initial: int = 10, x_hi: float = 1.0):
-    """Adaptive bisection of [0, x_hi) driven by worst-first error splitting.
-
-    ``segment_eval(a, b) -> (K, err, samples)`` where K may be a scalar or a
-    vector and ``samples`` is whatever the segment keeps of its integrand.
-    Returns the accepted interval records ``(a, b, K, err, samples)`` sorted
-    by left endpoint and their summed value.
+    ``segment_eval(a, b) -> (K, err, piece)`` where K may be a scalar or a
+    vector and ``piece`` is whatever the segment keeps of its integrand. The
+    intervals are kept in split order: the worst one (the first of equal
+    errors) is replaced by its halves at the end. Returns the accepted
+    records ``(a, b, K, err, piece)`` sorted by left endpoint and their
+    summed value.
     """
-    heap = []
-    records = {}
-    next_id = 0
-    for i in range(initial):
-        a, b = x_hi * i / initial, x_hi * (i + 1) / initial
-        k, err, samples = segment_eval(a, b)
-        records[next_id] = (a, b, k, err, samples)
-        heapq.heappush(heap, (-err, next_id))
-        next_id += 1
-
+    edges = [x_hi * i / 10 for i in range(11)]
+    records = [(a, b, *segment_eval(a, b)) for a, b in zip(edges, edges[1:])]
     while True:
-        acc = None
-        err_sum = 0.0
-        for (_, _, k, err, _) in records.values():
+        # explicit sums: sum() compensates its rounding from Python 3.12 on
+        acc, err_sum, worst = None, 0.0, 0
+        for i, (_, _, k, err, _) in enumerate(records):
             acc = k if acc is None else acc + k
             err_sum += err
+            if err > records[worst][3]:
+                worst = i
         target = max(eps, eps * math.hypot(*np.ravel(acc)))
         if err_sum <= target:
-            return sorted(records.values(), key=lambda r: r[0]), acc
+            return sorted(records, key=lambda r: r[0]), acc
         if len(records) >= max_intervals:
             raise QuadratureDivergenceError(
                 f"no convergence with {len(records)} subintervals "
                 f"(error {err_sum:.3e}, target {target:.3e})"
             )
-        neg_err, rid = heapq.heappop(heap)
-        a, b, *_ = records.pop(rid)
+        a, b, *_ = records.pop(worst)
         mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            k, err, samples = segment_eval(lo, hi)
-            records[next_id] = (lo, hi, k, err, samples)
-            heapq.heappush(heap, (-err, next_id))
-            next_id += 1
+        records += [(lo, hi, *segment_eval(lo, hi)) for lo, hi in ((a, mid), (mid, b))]
 
 
 KERNEL_FLOOR = 1e-280
@@ -197,22 +178,26 @@ TERM_FLOOR = 1e-13
 
 def _pilot_segment(f, nu: float, weight_kind: str):
     """Segment evaluator for :func:`_adapt`: gk15 of the substituted, damped
-    integrand, and f at the segment's 15 nodes as f returned them."""
+    integrand, and the segment's share of a rule where gk15 evaluated it:
+    the 15 nodes t, their weights 0.5 (b - a) w_j J(x_j) without the
+    damping, and f(t) as f returned it."""
     def segment(a, b):
-        samples = []
+        piece = []
 
         def integrand(x):
-            t = _x_to_t(x)
+            r = x / (1.0 - x)
+            t = r * r
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                samples.append(np.asarray(f(t)))
-                fv = np.asarray(samples[-1], dtype=float)
+                jac = 2.0 * x / (1.0 - x) ** 3   # dt/dx
+                piece[:] = t, 0.5 * (b - a) * GK15_WEIGHTS * jac, np.asarray(f(t))
+                fv = np.asarray(piece[2], dtype=float)
                 # transposed, the damping and the Jacobian scale each row
                 # of a vector integrand
-                y = ((fv.T * _damp(weight_kind, nu, t)) * _jacobian(x)).T
+                y = ((fv.T * _damp(weight_kind, nu, t)) * jac).T
             # kernels that have decayed to the subnormal range kill the
             # product even where the damping factor overflows
             return np.where(np.abs(fv) < KERNEL_FLOOR, 0.0, y)
-        return (*gk15(integrand, a, b), samples[0])
+        return (*gk15(integrand, a, b), piece)
     return segment
 
 
@@ -226,8 +211,9 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     (1 - exp(-nu t)) for Bernstein-style integrands whose kernel is singular
     at t = 0. ``t_max`` truncates the domain; chained error kernels pass the
     previous rule's largest node here since their support never grows and
-    their interpolation surface is not trustworthy beyond it. The rule
-    keeps f at its nodes in ``values``: the samples the adaptive pass took.
+    their interpolation surface is not trustworthy beyond it. Nodes,
+    weights and the samples f(t_i) kept in ``values`` are the ones the
+    adaptive pass formed on its accepted intervals.
     """
     if eps_q <= 0:
         raise ValueError("eps_q must be positive")
@@ -235,8 +221,7 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     if t_max is not None:
         r = math.sqrt(t_max)
         x_hi = min(1.0, r / (1.0 + r))
-    segment = _pilot_segment(f, nu, weight_kind)
-    intervals, _ = _adapt(segment, eps_q, max_intervals, x_hi=x_hi)
+    intervals, _ = _adapt(_pilot_segment(f, nu, weight_kind), eps_q, max_intervals, x_hi=x_hi)
 
     # intervals whose sampled integrand is identically zero contribute
     # nothing for any matrix argument dominated by the anchor decay; keeping
@@ -244,21 +229,11 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     live = [rec for rec in intervals if not (rec[2] == 0.0 and rec[3] == 0.0)]
     if not live:
         raise ZeroIntegrandError("integrand vanished on every subinterval")
-    nodes, weights, errors, values = [], [], [], []
-    for (a, b, _, err, fv) in live:
-        # the points gk15 evaluated f at
-        half = 0.5 * (b - a)
-        x = a + half * (GK15_NODES + 1.0)
-        nodes.append(_x_to_t(x))
-        weights.append(half * GK15_WEIGHTS * _jacobian(x))
-        errors.append(err)
-        values.append(fv)
-    t = np.concatenate(nodes)
-    w = np.concatenate(weights)
+    t, w, values = (np.concatenate(parts) for parts in zip(*(rec[4] for rec in live)))
     if np.any(np.diff(t) <= 0):
         raise RuntimeError("frozen nodes are not strictly ascending")
     return QuadratureRule(nodes=t, weights=w, eps_q=eps_q, nu=nu,
-                          interval_errors=np.asarray(errors), values=np.concatenate(values))
+                          interval_errors=np.array([rec[3] for rec in live]), values=values)
 
 
 def integrate_halfline(f, nu: float = 0.0, eps: float = 1e-12,

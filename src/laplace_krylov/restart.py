@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -218,7 +219,9 @@ class _LaplaceChain:
     :meth:`cycle` runs the one recursion for every k: f^(1) is the kernel
     (with the grouped (1 - exp(-t H)) integrand for Bernstein functions),
     and f^(k) is built from f^(k-1) by :func:`error_function_values` on the
-    raw kernel in cycle 2 and on a refined spline surface afterwards.
+    raw kernel in cycle 2 and on a refined spline surface afterwards. Each
+    cycle builds one rule for f^(k) at the anchor nu - shift and takes the
+    samples f^(k)(t_i) from it (``rule.values``).
 
     The anchor nu, min Re spec(H) in cycle 1, comes from that cycle's own
     eigendecomposition, the one each cycle's propagator columns are formed
@@ -265,8 +268,10 @@ class _LaplaceChain:
                     f"Bernstein evaluation needs a positive anchor (nu={self.nu:.6g})"
                 )
         beta = self.beta
-        # the grouped Bernstein integrand of cycle 1 flips the error's sign
-        self.beta = (beta if self.bernstein and k == 1 else -beta) * h
+        # the grouped Bernstein integrand of cycle 1, f(t) (I - exp(-t H)) e_1,
+        # flips the error's sign
+        one_minus = self.bernstein and k == 1
+        self.beta = (beta if one_minus else -beta) * h
         if self.dead:
             return np.zeros(dec.m)
         if self.shift != 0.0:
@@ -278,33 +283,28 @@ class _LaplaceChain:
             cache = replace(cache, D=cache.D - self.shift)
 
         kernel = _shifted_kernel(self.kernel, self.shift)
-        if k == 1:
-            model = None
-            rule = build_laplace_rule(self.kernel, self.nu, self.cfg.eps_q,
-                                      weight_kind="one_minus_exp" if self.bernstein else "exp")
-            # a shifted chain's rule sampled the unshifted kernel
-            vals = np.asarray(kernel(rule.nodes))
-        else:
+        f, model, t_max = kernel, None, None
+        if k > 1:
             # cycle 2 uses the exact kernel as its surface
             surface = kernel if k == 2 else spline_fit(self.eval_rule.nodes, self.node_values)
             model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
-            try:
-                rule = build_laplace_rule(lambda ts: error_function_values(model, ts),
-                                          self.nu - self.shift, self.cfg.eps_q,
-                                          t_max=float(self.eval_rule.nodes.max()))
-            except ZeroIntegrandError:
-                # the error kernel decayed below resolution: this chain is
-                # exhausted and contributes nothing from here on
-                self.dead = True
-                return np.zeros(dec.m)
-            vals = rule.values   # f^(k) at the nodes, sampled by the rule build
+            f, t_max = partial(error_function_values, model), float(self.eval_rule.nodes.max())
+        try:
+            rule = build_laplace_rule(f, self.nu - self.shift, self.cfg.eps_q, t_max=t_max,
+                                      weight_kind="one_minus_exp" if one_minus else "exp")
+        except ZeroIntegrandError:
+            if k == 1:
+                raise
+            # the error kernel decayed below resolution: this chain is
+            # exhausted and contributes nothing from here on
+            self.dead = True
+            return np.zeros(dec.m)
+        vals = rule.values   # f^(k) at the nodes, sampled by the rule build
         # one propagator per cycle: the apply, every refinement round and
         # the next cycle's g values share these columns
         e1 = np.eye(dec.m, dtype=H.dtype)[0]
         E = expm_columns(H, e1, rule.nodes, cache)
-        # the Bernstein integrand needs (I - exp(-t_i H)) e_1 as well; the
-        # difference of columns of E would cancel at small t_i
-        one_minus = self.bernstein and k == 1
+        # (I - exp(-t_i H)) e_1 in closed form: e_1 minus E's columns would cancel at small t_i
         Y = expm_columns(H, e1, rule.nodes, cache, one_minus=True) if one_minus else E
         y = apply_rule_matrix(rule, vals, Y)
 

@@ -33,6 +33,8 @@ PADE_CHUNK = 64
 # (1e-3 tol, so 1e-10 at the default tol 1e-7). The convection-diffusion
 # cycles measure kappa_1 up to 1.7e3.
 KAPPA_MAX = 1e4
+# Largest |H - H^H| entry, relative to max(1, max |H_ij|), of a Hermitian H.
+HERMITIAN_TOL = 1e-8
 
 
 @dataclass
@@ -49,11 +51,11 @@ class SpectralCache:
     Xinv: np.ndarray | None = None
 
 
-def eig_hermitian(H: np.ndarray, tol: float = 1e-8) -> SpectralCache:
-    """Eigendecomposition of a (numerically) Hermitian matrix."""
+def eig_hermitian(H: np.ndarray) -> SpectralCache:
+    """Eigendecomposition of a Hermitian matrix, within HERMITIAN_TOL."""
     H = np.asarray(H)
     scale = max(1.0, float(np.abs(H).max()))
-    if float(np.abs(H - H.conj().T).max()) > tol * scale:
+    if float(np.abs(H - H.conj().T).max()) > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     D, X = la.eigh((H + H.conj().T) / 2.0)
     return SpectralCache(D=D, X=X)

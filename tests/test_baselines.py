@@ -35,6 +35,11 @@ def dirichlet_closed_form(n1, d, b, scalar):
     return scipy.fft.idstn(scalar(lam) * coef, type=1, norm="ortho").ravel()
 
 
+def unit_start(n):
+    b = np.random.default_rng(0).standard_normal(n)
+    return b / np.linalg.norm(b)
+
+
 def complex_hpd():
     """30 x 30 complex Hermitian positive definite matrix and a complex b."""
     rng = np.random.default_rng(14)
@@ -355,6 +360,16 @@ class TestReference:
         oracle = la.solve(dense @ s, b)
         assert np.linalg.norm(ref - np.real(oracle)) <= 1e-8 * np.linalg.norm(oracle)
 
+    @pytest.mark.parametrize("name", ["sqrt", "inv-sqrt-stieltjes"])
+    def test_nonsymmetric_square_root_references(self, name):
+        # the dense branches of the two square-root transforms (~7e-15 off sqrtm)
+        mat = convection_diffusion_nd(10, 1e-2, 2)
+        b = unit_start(mat.n)
+        ref = reference_apply(LinearOperator.from_matrix(mat), None, b, builtin_kernels()[name])
+        s = la.sqrtm(mat.toarray())
+        oracle = np.real(s @ b if name == "sqrt" else la.solve(s, b))
+        assert np.linalg.norm(ref - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
     def test_exp_sqrt_keeps_imaginary_parts_of_complex_eigenvalues(self):
         # spec = {2 + i, 2 - i}: funm passes complex eigenvalues to the
         # scalar form, whose square root must not drop their imaginary parts
@@ -416,3 +431,29 @@ class TestPipeline:
         w, q = la.eigh(mat.toarray())
         oracle = q @ (w**-1.5 * (q.T @ b))
         assert np.linalg.norm(x - oracle) <= 1e-5 * np.linalg.norm(oracle)
+
+    def test_power_plus_one_multiplies_first(self):
+        # G(A) (A b) with G(s) = s^{-1/2} is A^{1/2} b (9.1e-11 off at tol 1e-8)
+        mat = laplacian_nd(10, 2)
+        b = unit_start(mat.n)
+        op = LinearOperator.from_matrix(mat)
+        x, report, first = stieltjes_pipeline(op, b, builtin_kernels()["inv-sqrt-stieltjes"],
+                                              power=1, cfg=RestartConfig(m=10, tol=1e-8))
+        assert first == 1
+        assert op.matvec_count == first + report.matvecs
+        w, q = la.eigh(mat.toarray())
+        oracle = q @ (np.sqrt(w) * (q.T @ b))
+        assert np.linalg.norm(x - oracle) <= 1e-9 * np.linalg.norm(oracle)
+
+    def test_non_hermitian_first_phase_is_gmres(self):
+        # A^{-3/2} b through restarted GMRES (60 matvecs), 8.4e-10 off at tol 1e-8
+        mat = convection_diffusion_nd(10, 1e-2, 2)
+        b = unit_start(mat.n)
+        op = LinearOperator.from_matrix(mat)
+        x, report, first = stieltjes_pipeline(op, b, builtin_kernels()["inv-sqrt-stieltjes"],
+                                              power=-1, cfg=RestartConfig(m=10, tol=1e-8))
+        assert first == 60
+        assert op.matvec_count == first + report.matvecs
+        a = mat.toarray()
+        oracle = np.real(la.solve(a @ la.sqrtm(a), b))
+        assert np.linalg.norm(x - oracle) <= 1e-8 * np.linalg.norm(oracle)

@@ -29,6 +29,13 @@ class TestVectorFormat:
         with pytest.raises(ValueError):
             cli.read_vector(p)
 
+    def test_rejects_truncated_payload(self, tmp_path):
+        p = tmp_path / "short.lkv"
+        cli.write_vector(p, np.ones(3))
+        p.write_bytes(p.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated payload"):
+            cli.read_vector(p)
+
 
 class TestGen:
     def test_laplacian3d_n20_dimension(self, tmp_path):
@@ -59,6 +66,10 @@ class TestGen:
         assert mat.n == 3  # the path component beats the single edge
         ones = np.ones(3)
         assert np.abs(mat.matvec(ones)).max() <= 1e-12
+
+    def test_graph_needs_input(self, tmp_path):
+        with pytest.raises(SystemExit, match="needs --input"):
+            cli.main(["gen", "--kind", "graph", "-o", str(tmp_path / "lap.mtx")])
 
     # a real general input: a repeated edge with another value, a self-loop,
     # and an explicitly stored 0.0 that joins node 3 to the path 4-5-6
@@ -172,6 +183,13 @@ class TestRun:
         assert code == 0
         # e_1 is an eigenvector: one cycle, exact value 1^(-3/2) e_1
         assert np.allclose(cli.read_vector(out), b, atol=1e-9)
+
+    def test_b_file_of_wrong_length(self, tmp_path):
+        bfile = tmp_path / "b.lkv"
+        cli.write_vector(bfile, np.ones(2))
+        with pytest.raises(SystemExit, match="--b-file has length 2, expected 3"):
+            cli.main(["run", "--matrix", "diag:1,2,3", "--function", "power-neg-3-2",
+                      "--m", "2", "--b-file", str(bfile)])
 
     def test_csv_deterministic_up_to_timings(self, tmp_path):
         rows = []

@@ -44,6 +44,12 @@ def mgs_reference(a, b, m):
 
 
 class TestArnoldiBasics:
+    def test_rejects_start_of_wrong_length(self):
+        op = op_from_dense(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="wrong length"):
+            arnoldi(op, np.ones(2), 2)
+        assert op.matvec_count == 0
+
     def test_eigenvector_start_breaks_down(self):
         dec = arnoldi(op_from_dense(np.diag([1.0, 2.0])), np.array([1.0, 0.0]), 1)
         assert dec.H == pytest.approx(np.array([[1.0]]))

@@ -195,6 +195,17 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError):
             read_matrix_market(p)
 
+    @pytest.mark.parametrize("header, message", [
+        ("coordinate complex general\n2 2 1\n1 1 1.0 0.0\n", "unsupported field"),
+        ("coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n", "unsupported symmetry"),
+        ("coordinate real general\n2 3 1\n1 1 1.0\n", "only square"),
+    ], ids=["field", "symmetry", "non-square"])
+    def test_rejects_unsupported_header(self, tmp_path, header, message):
+        p = tmp_path / "bad.mtx"
+        p.write_text("%%MatrixMarket matrix " + header)
+        with pytest.raises(MatrixMarketError, match=message):
+            read_matrix_market(p)
+
     def test_rejects_malformed_header(self, tmp_path):
         p = tmp_path / "bad.mtx"
         p.write_text("%%NotMatrixMarket nonsense\n")

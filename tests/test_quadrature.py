@@ -209,3 +209,78 @@ class TestVectorHalfline:
         w, q = la.eigh(h)
         oracle = q @ (w**-0.5 * q.T[:, 0])
         assert np.linalg.norm(out - oracle) <= 1e-9
+
+
+def heap_adapt_reference(segment_eval, eps, max_intervals, initial=10, x_hi=1.0):
+    """Worst-first bisection through a heap keyed on (-err, id), so equal
+    errors split the earlier interval first; the records are summed in
+    creation order."""
+    import heapq
+
+    heap, records, next_id = [], {}, 0
+    for i in range(initial):
+        a, b = x_hi * i / initial, x_hi * (i + 1) / initial
+        k, err, samples = segment_eval(a, b)
+        records[next_id] = (a, b, k, err, samples)
+        heapq.heappush(heap, (-err, next_id))
+        next_id += 1
+    while True:
+        acc, err_sum = None, 0.0
+        for (_, _, k, err, _) in records.values():
+            acc = k if acc is None else acc + k
+            err_sum += err
+        target = max(eps, eps * math.hypot(*np.ravel(acc)))
+        if err_sum <= target:
+            return sorted(records.values(), key=lambda r: r[0]), acc
+        if len(records) >= max_intervals:
+            raise QuadratureDivergenceError("no convergence")
+        _, rid = heapq.heappop(heap)
+        a, b, *_ = records.pop(rid)
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            k, err, samples = segment_eval(lo, hi)
+            records[next_id] = (lo, hi, k, err, samples)
+            heapq.heappush(heap, (-err, next_id))
+            next_id += 1
+
+
+def mirrored_segment(a, b):
+    """gk15 of |u|^0.3 over the distances of [a, b] from 0.5: intervals
+    mirrored about the split point 0.5 return exactly equal errors."""
+    lo, hi = sorted((abs(a - 0.5), abs(b - 0.5)))
+    return (*gk15(lambda u: u**0.3, lo, hi), None)
+
+
+class TestAdaptOnOneList:
+    """_adapt keeps its intervals in one list; records and sum are those of
+    the heap-based reference, ties included."""
+
+    @staticmethod
+    def assert_same_pass(segment_eval, eps, **kwargs):
+        got, total = quadrature._adapt(segment_eval, eps, quadrature.MAX_INTERVALS, **kwargs)
+        ref, ref_total = heap_adapt_reference(segment_eval, eps, quadrature.MAX_INTERVALS,
+                                              **kwargs)
+        assert len(got) == len(ref) > 10
+        for g, r in zip(got, ref):
+            assert g[:2] == r[:2] and g[3] == r[3]
+            assert np.array_equal(g[2], r[2])
+        assert np.array_equal(total, ref_total)
+
+    def test_tied_errors_split_the_earlier_interval_first(self):
+        errors = [mirrored_segment(i / 10, (i + 1) / 10)[1] for i in range(10)]
+        assert errors.count(max(errors)) == 2   # [0.4, 0.5] and [0.5, 0.6]
+        # at 1e-6 the pass stops between the splits of a tied pair, so the
+        # tie-break decides which of the two is split
+        self.assert_same_pass(mirrored_segment, 1e-6)
+
+    def test_vector_integrand(self):
+        def f(t):
+            return np.column_stack([np.exp(-t), np.sqrt(t)])
+
+        self.assert_same_pass(quadrature._pilot_segment(f, 1.0, "exp"), 1e-11)
+
+    def test_truncated_rule(self):
+        # the kinks of |sin 3t| on [0, 5] make the pass split
+        r = math.sqrt(5.0)
+        segment = quadrature._pilot_segment(lambda t: np.abs(np.sin(3.0 * t)), 0.7, "exp")
+        self.assert_same_pass(segment, 1e-10, x_hi=r / (1.0 + r))

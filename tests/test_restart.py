@@ -312,6 +312,13 @@ class TestRestartedLaplace:
         assert rep.converged
         assert np.linalg.norm(x - exact) <= 1e-7 * np.linalg.norm(exact)
 
+    def test_reference_error_stopping_needs_a_reference(self):
+        op = diag_op([1.0, 2.0])
+        with pytest.raises(ValueError, match="needs a reference"):
+            restarted_laplace(op, np.ones(2), sqrt_kernel(),
+                              RestartConfig(m=1, stopping="reference_error"))
+        assert op.matvec_count == 0
+
     def test_rejects_zero_b(self):
         op = diag_op([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -554,6 +561,59 @@ class TestAnchor:
         assert [c.flip for c in chains] == [False, True]
         assert [c.nu for c in chains] == pytest.approx([1.0, -3.0])
         assert chains[1].shift == chains[1].nu
+
+
+
+class TestOneRuleBuildPerCycle:
+    """Every cycle, the first included, builds one rule and takes its kernel
+    samples from it."""
+
+    def test_kernel_is_sampled_only_by_rule_builds(self, monkeypatch):
+        calls = {"inside": 0, "outside": 0}
+        depth = [0]
+        real_rule = restart.build_laplace_rule
+
+        def counting_rule(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real_rule(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def kernel(t):
+            calls["inside" if depth[0] else "outside"] += 1
+            return np.sqrt(np.asarray(t, dtype=float))
+
+        monkeypatch.setattr(restart, "build_laplace_rule", counting_rule)
+        fn = TransformFunction(name="counted-sqrt-t", kind="laplace", kernel=kernel)
+        op = LinearOperator.from_matrix(laplacian_nd(10, 2))
+        b = np.ones(op.n) / math.sqrt(op.n)
+        _, rep = restarted_laplace(op, b, fn, RestartConfig(m=5, max_cycles=2))
+        assert rep.cycles == 2
+        assert calls["inside"] > 0
+        assert calls["outside"] == 0
+
+    def test_reflected_chain_builds_at_anchor_zero(self, monkeypatch):
+        anchors = []
+        real_rule = restart.build_laplace_rule
+
+        def spy(f, nu, *args, **kwargs):
+            anchors.append(nu)
+            return real_rule(f, nu, *args, **kwargs)
+
+        monkeypatch.setattr(restart, "build_laplace_rule", spy)
+        op = LinearOperator.from_matrix(laplacian_nd(10, 2))
+        b = np.ones(op.n) / math.sqrt(op.n)
+        restarted_laplace(op, b, builtin_kernels()["gamma"], RestartConfig(m=5, max_cycles=1))
+        # cycle 1: the positive chain at min spec(H), the reflected one shifted
+        assert len(anchors) == 2
+        assert anchors[0] > 0
+        assert anchors[1] == 0.0
+
+    def test_vanishing_kernel_raises_in_cycle_one(self):
+        fn = TransformFunction(name="zero", kind="laplace", kernel=lambda t: np.zeros_like(t))
+        with pytest.raises(ZeroIntegrandError):
+            restarted_laplace(diag_op([1.0, 2.0]), np.ones(2), fn, RestartConfig(m=1))
 
 
 class TestRefinementRounds:
@@ -987,6 +1047,14 @@ class TestBernstein:
         exact = np.array([1.0, 2.0, 3.0]) * b
         assert rep.converged
         assert np.abs(x - exact).max() <= 1e-6 * np.abs(exact).max()
+
+    def test_negative_anchor_rejected(self):
+        # abscissa -1 admits the anchor -0.5, but a Bernstein chain cannot shift
+        fn = TransformFunction(name="sqrt-shifted-abscissa", kind="bernstein",
+                               kernel=builtin_kernels()["sqrt"].kernel, abscissa=-1.0)
+        op = diag_op([-0.5, 1.0])
+        with pytest.raises(ConvergenceRegionError, match="positive anchor"):
+            restarted_laplace(op, np.ones(2) / math.sqrt(2.0), fn, RestartConfig(m=2))
 
     def test_affine_part_costs_one_matvec(self):
         fn = builtin_kernels()["sqrt"]

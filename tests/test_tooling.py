@@ -1,8 +1,9 @@
-"""The layer micro-benchmarks (microbench/) and the convergence script
-(scripts/) sit outside the test paths and import library names directly, so
-a change to the library API breaks only them. These tests load the
-micro-benchmark module by path and run each of its benchmarks once on small
-problems, and run the script on a tiny grid."""
+"""The layer micro-benchmarks (microbench/) and the scripts (scripts/) sit
+outside the test paths and import library names directly, so a change to the
+library API breaks only them. These tests load the micro-benchmark module by
+path and run each of its benchmarks once on small problems, run the
+convergence script on a tiny grid and run one case of the same-outputs
+script."""
 
 import inspect
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from laplace_krylov.operators import convection_diffusion_nd, laplacian_nd
+from laplace_krylov.restart import builtin_kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,3 +45,21 @@ def test_convergence_curve_script(matrix):
         capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "terminated: reference_error" in out.stdout
+
+
+def test_same_outputs_script_cases(load_path, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")   # restored after the script sets them
+    so = load_path("scripts/same_outputs.py")
+    cases = dict(so.cases())
+    # ten chain problems, six reference runs, 6 x 3 transform values, two rules
+    assert len(cases) == 36
+    name, matvecs, reason, *digests = so.line("rule/sqrt", cases["rule/sqrt"]).split()
+    assert (name, matvecs, reason) == ("rule/sqrt", "-", "-")
+    assert len(digests) == 4 and all(len(d) == 64 for d in digests)
+
+    b = so.unit_starts(36, 1)[0]
+    fields = so.line("tiny", lambda: so.solve(laplacian_nd(6, 2), 5,
+                                              builtin_kernels()["power-neg-3-2"], b)).split()
+    assert fields[2] == "update_norm" and len(fields) == 5   # x and the update norms
+    assert so.line("raises", lambda: 1 / 0) == "raises - ZeroDivisionError('division by zero')"
