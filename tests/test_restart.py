@@ -563,7 +563,6 @@ class TestAnchor:
         assert chains[1].shift == chains[1].nu
 
 
-
 class TestOneRuleBuildPerCycle:
     """Every cycle, the first included, builds one rule and takes its kernel
     samples from it."""
