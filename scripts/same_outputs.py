@@ -19,7 +19,13 @@ thread, since a threaded BLAS may sum in another order. The cases:
 - three start vectors each of the two benchmark matrices, reference-error
   stopping against ``reference_apply`` (x and the reference);
 - ``transform_value`` of every catalog kernel at s = 0.5, 1, 4;
-- two quadrature rules (nodes, weights, values and interval errors).
+- two quadrature rules (nodes, weights, values and interval errors);
+- two-pass Lanczos for s^{-3/2} on laplacian_nd(20, 2), on a complex
+  Hermitian positive definite matrix from a real b, and on diag(1, 4, 9)
+  from e_1, where pass 1 breaks down at step 1 (f and the checkpoint
+  errors);
+- ``cg_solve`` on laplacian_nd(20, 3) and ``gmres_solve`` (restart 8) on
+  convection_diffusion_nd(15, 1e-3, 2), seed-0 start, rtol 1e-9 (x).
 """
 
 import os
@@ -34,7 +40,7 @@ import sys
 import numpy as np
 
 import laplace_krylov
-from laplace_krylov.baselines import reference_apply
+from laplace_krylov.baselines import cg_solve, gmres_solve, reference_apply, two_pass_lanczos
 from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
 from laplace_krylov.quadrature import build_laplace_rule
 from laplace_krylov.restart import (
@@ -49,8 +55,9 @@ CHAIN_KINDS = ["power-neg-3-2", "exp-sqrt", "gamma", "sqrt", "inv-sqrt-stieltjes
 
 
 def digest(a) -> str:
-    """sha256 of an array's float64 bytes."""
-    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+    """sha256 of an array's float64 bytes (complex128 for a complex array)."""
+    a = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    return hashlib.sha256(a.tobytes()).hexdigest()
 
 
 def unit_starts(n: int, count: int) -> list:
@@ -71,6 +78,26 @@ def solve(mat, m: int, fn, b, reference=None):
                                reference=reference)
     tail = [r.update_norm for r in rep.records] if reference is None else reference
     return rep.matvecs, rep.reason, [x, tail]
+
+
+def two_pass(op, b, fn, m: int):
+    """two_pass_lanczos at tol TOL, checked every m steps: (matvecs, reason, arrays)."""
+    f, rep = two_pass_lanczos(op, b, fn, TOL, m)
+    reason = "converged" if rep.converged else "unconverged"
+    return rep.matvecs, reason, [f, [rel for _, rel in rep.checkpoints]]
+
+
+def complex_hpd():
+    """30 x 30 complex Hermitian positive definite matrix and a real b."""
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    return x @ x.conj().T / 30 + np.eye(30), rng.standard_normal(30)
+
+
+def linear_solve(solver, mat, *args):
+    """A linear solver from the seed-0 start at rtol 1e-9: (iterations, "-", [x])."""
+    x, iters = solver(LinearOperator.from_matrix(mat), unit_starts(mat.n, 1)[0], 1e-9, *args)
+    return iters, "-", [x]
 
 
 def cases():
@@ -98,6 +125,18 @@ def cases():
             rule = build_laplace_rule(np.sqrt, 0.7, 1e-10, **kwargs)
             return "-", "-", [rule.nodes, rule.weights, rule.values, rule.interval_errors]
         yield label, rule_case
+    fn = kernels["power-neg-3-2"]
+    lap2d = laplacian_nd(20, 2)
+    yield "two-pass/lap2d-N20-m10", lambda: two_pass(
+        LinearOperator.from_matrix(lap2d), unit_starts(lap2d.n, 1)[0], fn, 10)
+    hpd, real_b = complex_hpd()
+    yield "two-pass/complex-hpd-real-b", lambda: two_pass(
+        LinearOperator.from_dense(hpd), real_b, fn, 5)
+    yield "two-pass/diag-1-4-9-e1", lambda: two_pass(
+        LinearOperator.from_dense(np.diag([1.0, 4.0, 9.0])), np.eye(3)[0], fn, 1)
+    yield "cg/lap3d-N20", lambda: linear_solve(cg_solve, laplacian_nd(20, 3))
+    yield "gmres/cd2d-N15-m8", lambda: linear_solve(
+        gmres_solve, convection_diffusion_nd(15, 1e-3, 2), 8)
 
 
 def line(name: str, thunk) -> str:

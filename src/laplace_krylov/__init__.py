@@ -6,7 +6,6 @@ from .operators import (
     adjacency,
     convection_diffusion_nd,
     graph_laplacian,
-    kron_sum,
     laplacian_nd,
     largest_connected_component,
     read_matrix_market,

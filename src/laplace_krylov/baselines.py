@@ -1,8 +1,10 @@
 """Comparators: two-pass Lanczos, CG, restarted GMRES, reference oracles.
 
-These are the baseline methods the restarted transforms are measured
-against, plus the composite "first solve a linear system, then restart on a
-Stieltjes function" pipeline.
+The baselines the restarted transforms are measured against, and the
+"solve a linear system, then restart on a Stieltjes function" pipeline.
+Two-pass Lanczos keeps its own three-term recurrence: O(n) memory and no
+reorthogonalization. CG is hand-written because scipy's cg takes its dtype
+from A, which a LinearOperator does not declare.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "stieltjes_pipeline",
 ]
 
+GMRES_MAX_RESTARTS = 10000
+
 
 class IterationLimitError(RuntimeError):
     """An iterative solver hit its iteration cap before converging."""
@@ -46,9 +50,6 @@ class TwoPassReport:
 
 def _f_of_tridiag(alphas, betas, scalar_form):
     """F(H_j) e_1 * ||b|| coefficient vector for a Lanczos tridiagonal."""
-    j = len(alphas)
-    if j == 1:
-        return np.array([float(scalar_form(alphas[0]))])
     d, q = la.eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
     return q @ (np.asarray(scalar_form(d)) * q[0, :])
 
@@ -73,18 +74,6 @@ def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
             return
         v_prev, v = v, w / beta
         beta_prev = beta
-
-
-def _lanczos_sum(op: LinearOperator, v: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Pass 2: sum_i coeff_i v_i over the Lanczos vectors regenerated from v,
-    in O(n) memory. The sum takes v's dtype, promoted once when a complex
-    operator meets a real v."""
-    f = np.zeros_like(v)
-    for c, (u, *_) in zip(coeff, _lanczos(op, v, len(coeff))):
-        if u.dtype != f.dtype:
-            f = f.astype(np.result_type(f, u))
-        f += c * u
-    return f
 
 
 def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
@@ -158,7 +147,7 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     # that ended on a checkpoint already holds the coefficients
     coeff = (y if y is not None and y.size == len(alphas)
              else _f_of_tridiag(alphas, betas[:-1], fn.scalar_form))
-    f = bnorm * _lanczos_sum(op, b / bnorm, coeff)
+    f = bnorm * sum(c * u for c, (u, *_) in zip(coeff, _lanczos(op, b / bnorm, len(coeff))))
     report.matvecs = 2 * report.steps
     if reference is not None:
         report.final_error = float(np.linalg.norm(f - reference) / ref_norm)
@@ -173,6 +162,8 @@ def cg_solve(op: LinearOperator, b: np.ndarray, rtol: float,
     """
     if not op.hermitian:
         raise ValueError("CG needs a Hermitian operator")
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be finite and positive, got {rtol}")
     n = op.n
     if max_iter is None:
         max_iter = 10 * n
@@ -196,14 +187,15 @@ def cg_solve(op: LinearOperator, b: np.ndarray, rtol: float,
     raise IterationLimitError(f"CG did not reach rtol={rtol} within {max_iter} iterations")
 
 
-def gmres_solve(op: LinearOperator, b: np.ndarray, rtol: float, restart: int,
-                max_restarts: int = 10000):
+def gmres_solve(op: LinearOperator, b: np.ndarray, rtol: float, restart: int):
     """Restarted GMRES from a zero initial guess.
 
     The new residual after a cycle is reconstructed from the Arnoldi basis,
     so the matvec count is exactly cycles * restart. Raises on stagnation
-    over three consecutive restarts.
+    over three consecutive restarts, or after GMRES_MAX_RESTARTS cycles.
     """
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError(f"rtol must be finite and positive, got {rtol}")
     n = op.n
     bnorm = float(np.linalg.norm(b))
     target = rtol * bnorm
@@ -212,7 +204,7 @@ def gmres_solve(op: LinearOperator, b: np.ndarray, rtol: float, restart: int,
     res = bnorm
     stagnant = 0
     iters = 0
-    for _ in range(max_restarts):
+    for _ in range(GMRES_MAX_RESTARTS):
         dec = arnoldi(op, r, min(restart, n))
         m = dec.m
         iters += m

@@ -118,6 +118,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.method == "two-pass" and args.csv:
+        raise ValueError("--csv needs the restart method: two-pass Lanczos records no cycles")
     mat = _load_matrix(args.matrix)
     op = operators.LinearOperator.from_matrix(mat)
     fn = _parse_function(args.function)
@@ -136,9 +138,7 @@ def cmd_run(args) -> int:
     if args.output:
         write_vector(args.output, np.real(x))
     if args.csv:
-        records = getattr(rep, "records", None)
-        if records is not None:
-            write_report_csv(args.csv, records)
+        write_report_csv(args.csv, rep.records)
     print(f"method={args.method} function={fn.name} n={op.n} matvecs={rep.matvecs} "
           f"status={status}")
     if status != "converged":

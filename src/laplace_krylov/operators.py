@@ -23,7 +23,6 @@ __all__ = [
     "SparseMatrix",
     "LinearOperator",
     "adjacency",
-    "kron_sum",
     "laplacian_nd",
     "convection_diffusion_nd",
     "graph_laplacian",
@@ -129,12 +128,6 @@ def _tridiag(n: int, lower: float, diag: float, upper: float) -> sp.csr_matrix:
 def _kron_sum(a, b) -> sp.csr_matrix:
     """A (x) I + I (x) B for square scipy matrices A and B."""
     return sp.kronsum(b, a, format="csr")  # scipy's kronsum(B, A) is I (x) B + A (x) I
-
-
-def kron_sum(m1: SparseMatrix, m2: SparseMatrix) -> SparseMatrix:
-    """Kronecker sum M1 (x) I + I (x) M2 of two square matrices."""
-    return SparseMatrix(_kron_sum(m1.to_scipy(), m2.to_scipy()),
-                        symmetric=m1.symmetric and m2.symmetric)
 
 
 def laplacian_nd(n: int, d: int = 3) -> SparseMatrix:

@@ -531,7 +531,9 @@ def _safe_sqrt(s):
 
 
 def builtin_kernels(tau: float = 1.0) -> dict[str, TransformFunction]:
-    """The benchmark transforms with verified constants and abscissas."""
+    """The benchmark transforms; ``tau`` > 0 scales the two exp-sqrt kernels."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     c32 = 2.0 / math.sqrt(math.pi)  # L{sqrt(t)}(s) = (sqrt(pi)/2) s^(-3/2)
     kernels = {
         "power-neg-3-2": TransformFunction(

@@ -186,10 +186,27 @@ class TestCG:
         assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
         assert op.matvec_count == iters
 
+    def test_complex_hermitian_real_b(self):
+        # CG promotes its real iterates to complex at the first matvec
+        a, _ = complex_hpd()
+        b = np.random.default_rng(15).standard_normal(30)
+        op = LinearOperator.from_dense(a)
+        x, iters = cg_solve(op, b, 1e-10)
+        assert np.iscomplexobj(x) and np.abs(x.imag).max() > 0
+        assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b) * 1.01
+        assert iters >= 1 and op.matvec_count == iters
+
     def test_rejects_non_hermitian(self):
         op = LinearOperator.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             cg_solve(op, np.ones(2), 1e-8)
+
+    @pytest.mark.parametrize("rtol", [math.nan, -1e-8, 0.0, math.inf])
+    def test_rejects_bad_rtol(self, rtol):
+        op = LinearOperator.from_matrix(laplacian_nd(6, 2))
+        with pytest.raises(ValueError, match="rtol must be finite and positive"):
+            cg_solve(op, unit_start(op.n), rtol)
+        assert op.matvec_count == 0
 
     @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
     def test_rejects_bad_b(self, fill):
@@ -242,6 +259,13 @@ class TestGMRES:
         sol, _ = gmres_solve(LinearOperator.from_dense(a), b, 1e-10, restart=10)
         exact = la.solve(a, b)
         assert np.linalg.norm(sol - exact) <= 1e-9 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("rtol", [math.nan, -1e-8, 0.0, math.inf])
+    def test_rejects_bad_rtol(self, rtol):
+        op = LinearOperator.from_matrix(convection_diffusion_nd(6, 1e-2, 2))
+        with pytest.raises(ValueError, match="rtol must be finite and positive"):
+            gmres_solve(op, unit_start(op.n), rtol, restart=5)
+        assert op.matvec_count == 0
 
     def test_stagnation_detected(self):
         # GMRES(1) on a rotation makes no progress

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from laplace_krylov import cli
-from laplace_krylov.operators import read_matrix_market
+from laplace_krylov.operators import LinearOperator, read_matrix_market
 
 
 class TestVectorFormat:
@@ -239,6 +239,26 @@ class TestRun:
         code = cli.main(["run", "--matrix", "diag:-1,2",
                          "--function", "power-neg-3-2", "--m", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("tau", ["-1", "0", "nan"])
+    def test_bad_tau_exit_code(self, tau, capsys):
+        code = cli.main(["run", "--matrix", "diag:1,2,3",
+                         "--function", f"exp-sqrt:{tau}", "--m", "3"])
+        assert code == 1
+        assert "tau must be finite and positive" in capsys.readouterr().err
+
+    def test_two_pass_refuses_csv(self, tmp_path, capsys, monkeypatch):
+        # two-pass Lanczos records no cycles, so it would write no CSV
+        def no_matvec(self, x):
+            pytest.fail("a matvec ran before the refusal")
+
+        monkeypatch.setattr(LinearOperator, "apply", no_matvec)
+        rep = tmp_path / "r.csv"
+        code = cli.main(["run", "--matrix", "diag:1,2,3", "--function", "power-neg-3-2",
+                         "--m", "2", "--method", "two-pass", "--csv", str(rep)])
+        assert code == 1
+        assert "--csv" in capsys.readouterr().err
+        assert not rep.exists()
 
     def test_unknown_function(self):
         with pytest.raises(SystemExit):

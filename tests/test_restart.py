@@ -126,6 +126,13 @@ class TestBuiltinKernels:
         got = transform_value(fn, 1.0, eps=1e-9)
         assert got == pytest.approx(math.exp(-1.0) - 1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_tau(self, tau):
+        # at tau = -1 the exp-sqrt kernel's transform at s = 2 is -0.2431,
+        # while its scalar form gives exp(sqrt(2)) = 4.1133
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            builtin_kernels(tau=tau)
+
 
 class TestRestartedLaplace:
     def test_diagonal_elementwise(self):
