@@ -37,7 +37,7 @@ def first_cycle(mat, m):
     b = np.random.default_rng(0).standard_normal(op.n)
     dec = arnoldi(op, b, m)
     # the cache and anchor as a restart cycle takes them
-    cache = (eig_hermitian if dec.hermitian else eig_general)(dec.H)
+    cache = (eig_hermitian if op.hermitian else eig_general)(dec.H)
     rule = build_laplace_rule(KERNEL, anchor(cache), EPS_Q)
     return dec.H, np.eye(m)[:, 0], rule, cache, op, b
 

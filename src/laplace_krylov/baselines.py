@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .krylov import _arnoldi_steps, _norm, arnoldi
+from .krylov import BREAKDOWN_RTOL, _arnoldi_steps, _norm, arnoldi
 from .operators import LinearOperator
 from .restart import RestartConfig, TransformFunction, _checked_norm, restarted_laplace
 
@@ -54,6 +54,11 @@ def _f_of_tridiag(alphas, betas, scalar_form):
     return q @ (np.asarray(scalar_form(d)) * q[0, :])
 
 
+def _change_norm(y: np.ndarray, y_prev: np.ndarray) -> float:
+    """||y - y_prev|| for coefficient vectors, y_prev zero-padded to y's length."""
+    return float(np.linalg.norm(y - np.pad(y_prev, (0, y.size - y_prev.size))))
+
+
 def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
     """Plain Lanczos three-term recurrence from the unit vector v.
 
@@ -68,7 +73,7 @@ def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
         alpha = np.vdot(v, w).real
         w = w - alpha * v
         beta = _norm(w)
-        broke = beta <= 1e-14 * max(scale, abs(alpha))
+        broke = beta <= BREAKDOWN_RTOL * max(scale, abs(alpha))
         yield v, alpha, beta, broke
         if broke:
             return
@@ -133,9 +138,7 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
                 break
         else:
             if y_prev is not None:
-                diff = y.copy()
-                diff[: y_prev.size] -= y_prev
-                rel = float(np.linalg.norm(diff) / np.linalg.norm(y))
+                rel = _change_norm(y, y_prev) / float(np.linalg.norm(y))
                 report.checkpoints.append((j, rel))
                 if rel <= tol:
                     report.converged = True
@@ -315,9 +318,7 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
             y_prev, settled = None, 0
             continue
         if y_prev is not None:
-            diff = y.copy()
-            diff[: y_prev.size] -= y_prev
-            small = np.linalg.norm(diff) <= REF_SETTLED_RTOL * np.linalg.norm(y)
+            small = _change_norm(y, y_prev) <= REF_SETTLED_RTOL * np.linalg.norm(y)
             settled = settled + 1 if small else 0
         y_prev = y
         if last or settled == 2:

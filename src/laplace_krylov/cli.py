@@ -130,8 +130,8 @@ def cmd_run(args) -> int:
         stopping="reference_error" if reference is not None else "update_norm",
     )
     if args.method == "two-pass":
-        x, rep = baselines.two_pass_lanczos(op, b, fn, cfg.tol, cfg.m,
-                                            reference=reference)
+        x, rep = baselines.two_pass_lanczos(op, b, fn, cfg.tol, cfg.m, reference=reference,
+                                            max_steps=min(op.n, 1000, cfg.max_cycles * cfg.m))
     else:
         x, rep = restart.restarted_laplace(op, b, fn, cfg, reference=reference)
     status = "converged" if rep.converged else getattr(rep, "reason", "max_cycles")

@@ -40,7 +40,6 @@ class KrylovDecomposition:
     v_next: np.ndarray     # next unit basis vector (unused when h_next == 0)
     m: int
     beta: float            # norm of the starting vector
-    hermitian: bool = False
 
     @property
     def breakdown(self) -> bool:
@@ -85,7 +84,6 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
         v_next=v_next,
         m=size,
         beta=beta,
-        hermitian=op.hermitian,
     )
 
 

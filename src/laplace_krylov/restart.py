@@ -14,7 +14,7 @@ Krylov basis; complete Bernstein functions run the standard chain after a
 sign flip, with the linear part applied directly; Stieltjes functions, a
 special case of Laplace transforms, run a chain that integrates shifted
 resolvents against the density times a product over the earlier cycles'
-Ritz values.
+Ritz values. Every chain reads the cycle's one eigendecomposition of H.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .quadrature import (
     build_laplace_rule,
     integrate_halfline,
 )
-from .smallmat import eig_general, eig_hermitian, expm_columns
+from .smallmat import SpectralCache, eig_general, eig_hermitian, expm_columns
 from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
 
 __all__ = [
@@ -223,13 +223,14 @@ class _LaplaceChain:
     cycle builds one rule for f^(k) at the anchor nu - shift and takes the
     samples f^(k)(t_i) from it (``rule.values``).
 
-    The anchor nu, min Re spec(H) in cycle 1, comes from that cycle's own
-    eigendecomposition, the one each cycle's propagator columns are formed
-    from. Negative anchors
+    The anchor nu, min Re spec(H) (of -H on the flip chain) in cycle 1, and
+    every cycle's propagator columns come from the eigendecomposition of H
+    that the driver makes once per cycle for all chains. Negative anchors
     (reflected two-sided parts) are handled in the shifted formulation: the
     chain works on H - nu I and the kernel f(t) exp(-nu t), which is the same
     transform value but keeps every intermediate quantity bounded instead of
-    pairing huge impulse-response values with decaying kernels.
+    pairing huge impulse-response values with decaying kernels. Flip and shift
+    map D to sign D - shift; only the expm fallback forms sign H - shift I.
     """
 
     def __init__(self, fn: TransformFunction, cfg: RestartConfig, beta1: float,
@@ -249,15 +250,12 @@ class _LaplaceChain:
         self.eval_g: np.ndarray | None = None
         self.rounds = 0   # refinement rounds of the last cycle
 
-    def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
-        H = -dec.H if self.flip else dec.H
-        h = -dec.h_next if self.flip else dec.h_next
+    def cycle(self, dec: KrylovDecomposition, cache: SpectralCache, k: int,
+              prev_iterate_norm: float) -> np.ndarray:
+        sign = -1.0 if self.flip else 1.0
         self.rounds = 0
-        decompose = eig_hermitian if dec.hermitian else eig_general
         if k == 1:
-            # the anchor comes from the spectral data the cycle computes anyway
-            cache = decompose(H)
-            self.nu = float(cache.D.real.min())
+            self.nu = float(np.min(sign * cache.D.real))
             fn = self.fn
             label = f"{fn.name} ({'reflected' if self.flip else 'positive'} side)"
             _check_anchor(self.nu, fn.abscissa_neg if self.flip else fn.abscissa,
@@ -271,16 +269,14 @@ class _LaplaceChain:
         # the grouped Bernstein integrand of cycle 1, f(t) (I - exp(-t H)) e_1,
         # flips the error's sign
         one_minus = self.bernstein and k == 1
-        self.beta = (beta if one_minus else -beta) * h
+        self.beta = (beta if one_minus else -beta) * sign * dec.h_next
         if self.dead:
             return np.zeros(dec.m)
-        if self.shift != 0.0:
-            H = H - self.shift * np.eye(H.shape[0], dtype=H.dtype)
-        if k > 1:
-            cache = decompose(H)   # one per cycle
-        elif self.shift != 0.0:
-            # H - shift I has the eigenvectors of H
-            cache = replace(cache, D=cache.D - self.shift)
+        H = dec.H   # with X, expm_columns takes only H's dtype and finiteness
+        if self.flip or self.shift != 0.0:
+            cache = replace(cache, D=sign * cache.D - self.shift)
+            if cache.X is None:
+                H = sign * H - self.shift * np.eye(dec.m, dtype=H.dtype)
 
         kernel = _shifted_kernel(self.kernel, self.shift)
         f, model, t_max = kernel, None, None
@@ -357,8 +353,8 @@ class _StieltjesChain:
     e_m^T (H + tI)^{-1} e_1 = (-1)^(m+1) prod_i h_{i+1,i} / prod_l (t + theta_l)
     (Afanasjew, Eiermann, Ernst & Güttel, LAA 429, 2008; Frommer, Güttel &
     Schweitzer, SIMAX 35, 2014), so the chain keeps every earlier Ritz value
-    in ``ritz``, the summed log h_{i+1,i} in ``log_c`` and the product of
-    the signs in ``sign``.
+    (the eigenvalues of the cycle's shared decomposition) in ``ritz``, the
+    summed log h_{i+1,i} in ``log_c`` and the product of the signs in ``sign``.
     """
 
     rounds = 0   # no interpolation surface to refine
@@ -376,13 +372,13 @@ class _StieltjesChain:
         log_det = np.log(t[:, None] + self.ritz).sum(axis=1)
         return self.sign * np.exp(self.log_c - log_det).real
 
-    def cycle(self, dec: KrylovDecomposition, k: int, prev_iterate_norm: float) -> np.ndarray:
+    def cycle(self, dec: KrylovDecomposition, cache: SpectralCache, k: int,
+              prev_iterate_norm: float) -> np.ndarray:
         H = dec.H
         m = dec.m
-        ritz = la.eigvals(H)
         if k == 1:
             # spec(A) off (-inf, 0]: the anchor must lie right of 0
-            _check_anchor(float(np.min(ritz.real)), 0.0, False, "a Stieltjes function")
+            _check_anchor(float(np.min(cache.D.real)), 0.0, False, "a Stieltjes function")
         eye = np.eye(m, dtype=H.dtype)
 
         def integrand(t):
@@ -390,7 +386,7 @@ class _StieltjesChain:
             return (self.rho(t) * self._psi(t))[:, None] * r
 
         contribution = self.beta * integrate_halfline(integrand, 0.0, self.cfg.eps_q)
-        self.ritz = np.concatenate([self.ritz, ritz])
+        self.ritz = np.concatenate([self.ritz, cache.D])
         self.log_c += np.log(np.diag(H, -1)).sum()
         self.sign *= (-1.0) ** (m + 1)
         self.beta = -self.beta * dec.h_next
@@ -452,7 +448,8 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         t0 = time.perf_counter()
         dec = arnoldi(op, start, cfg.m, _basis=basis)  # the next cycle overwrites dec.V
         beta_k = chains[0].beta
-        coeff = sum(chain.cycle(dec, k, itn) for chain in chains)
+        cache = (eig_hermitian if op.hermitian else eig_general)(dec.H)   # one per cycle
+        coeff = sum(chain.cycle(dec, cache, k, itn) for chain in chains)
         d = dec.V @ coeff
         fm = fm + d
         wall_ms = 1e3 * (time.perf_counter() - t0)

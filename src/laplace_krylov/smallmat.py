@@ -46,7 +46,7 @@ class SpectralCache:
     for the closed form; D still holds the eigenvalues.
     """
 
-    D: np.ndarray                   # eigenvalues, ascending and real for Hermitian H
+    D: np.ndarray                   # eigenvalues, real for Hermitian H (eig_hermitian: ascending)
     X: np.ndarray | None            # eigenvectors (columns)
     Xinv: np.ndarray | None = None
 

@@ -162,6 +162,15 @@ class TestRun:
                              "--method", method])
             assert code == 0, (fn, method)
 
+    def test_two_pass_stops_at_max_cycles(self, capsys):
+        # at most max_cycles * m Lanczos steps (2 here, 4 matvecs), where
+        # all n = 12 steps would run without the cap
+        code = cli.main(["run", "--matrix", "diag:1,1.3,1.7,2,2.4,2.9,3.5,4,5,6,7,8",
+                         "--function", "power-neg-3-2", "--m", "2", "--max-cycles", "1",
+                         "--tol", "1e-12", "--method", "two-pass"])
+        assert code == 2
+        assert "matvecs=4 status=max_cycles" in capsys.readouterr().out
+
     def test_seeded_start_vector_is_deterministic(self, tmp_path):
         outs = []
         for tag in ("a", "b"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg as la
+import scipy.special
 
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov import cli, restart
@@ -39,6 +40,11 @@ def spd_matrix(n, seed, shift=None):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     return a @ a.T + (n if shift is None else shift) * np.eye(n)
+
+
+def spectral_cache(op, dec):
+    """The eigendecomposition restarted_laplace makes of a cycle's H."""
+    return (restart.eig_hermitian if op.hermitian else restart.eig_general)(dec.H)
 
 
 def spectral_apply(a, b, scalar):
@@ -474,7 +480,7 @@ class TestAnchor:
         op = LinearOperator.from_dense(np.asarray(a, dtype=float))
         dec = arnoldi(op, np.ones(op.n) / math.sqrt(op.n), op.n)
         chain = restart._LaplaceChain(builtin_kernels()[kind], RestartConfig(m=op.n), 1.0)
-        chain.cycle(dec, 1, 0.0)
+        chain.cycle(dec, spectral_cache(op, dec), 1, 0.0)
         return chain.nu
 
     def test_diagonal(self):
@@ -533,30 +539,35 @@ class TestAnchor:
         assert rep.cycles >= 4
         assert decomposed == list(range(1, rep.cycles + 1))
 
+    @pytest.mark.parametrize("kind", ["power-neg-3-2", "gamma", "sqrt", "inv-sqrt-stieltjes"])
     @pytest.mark.parametrize("mat", [laplacian_nd(10, 2), convection_diffusion_nd(8, 1e-3, 2)],
                              ids=["hermitian", "general"])
-    def test_one_decomposition_per_chain_cycle(self, monkeypatch, mat):
-        # the reflected chain of gamma is shifted; its cycle 1 takes the
-        # shifted eigenvalues from the anchor's decomposition
-        decomposed, per_cycle = [], []
-        real_cycle = restart._LaplaceChain.cycle
+    def test_one_decomposition_per_cycle(self, monkeypatch, mat, kind):
+        # every chain of a cycle, the shifted reflected chain of gamma and
+        # the Stieltjes chain's Ritz values included, reads the driver's one
+        # eigendecomposition of H
+        arnoldi_calls, decomposed = [], []
+        real_arnoldi = restart.arnoldi
 
-        def counting_cycle(chain, dec, k, prev_iterate_norm):
-            before = len(decomposed)
-            out = real_cycle(chain, dec, k, prev_iterate_norm)
-            per_cycle.append((chain.flip, chain.shift != 0.0, len(decomposed) - before))
-            return out
+        def counting_arnoldi(*args, **kwargs):
+            arnoldi_calls.append(1)
+            return real_arnoldi(*args, **kwargs)
+
+        def no_eigvals(*args, **kwargs):
+            raise AssertionError("the Ritz values must come from the cycle's decomposition")
 
         for name in ("eig_hermitian", "eig_general"):
             real = getattr(restart, name)
-            monkeypatch.setattr(restart, name, lambda H, real=real: decomposed.append(1) or real(H))
-        monkeypatch.setattr(restart._LaplaceChain, "cycle", counting_cycle)
+            monkeypatch.setattr(restart, name, lambda H, real=real:
+                                decomposed.append(len(arnoldi_calls)) or real(H))
+        monkeypatch.setattr(restart, "arnoldi", counting_arnoldi)
+        monkeypatch.setattr(restart.la, "eigvals", no_eigvals)
         op = LinearOperator.from_matrix(mat)
         b = np.random.default_rng(0).standard_normal(op.n)
-        _, rep = restarted_laplace(op, b / np.linalg.norm(b), builtin_kernels()["gamma"],
+        _, rep = restarted_laplace(op, b / np.linalg.norm(b), builtin_kernels()[kind],
                                    RestartConfig(m=8, max_cycles=4))
-        assert (True, True, 1) in per_cycle    # the shifted reflected chain's cycle 1
-        assert [count for *_, count in per_cycle] == [1] * 2 * rep.cycles
+        assert rep.cycles >= 3
+        assert decomposed == list(range(1, rep.cycles + 1))
 
     def test_reflected_chain_anchors_on_minus_h(self):
         fn = builtin_kernels()["gamma"]
@@ -564,7 +575,7 @@ class TestAnchor:
         dec = arnoldi(op, np.ones(3) / math.sqrt(3.0), 3)
         chains = restart._chains(fn, RestartConfig(m=3), 1.0)
         for chain in chains:
-            chain.cycle(dec, 1, 0.0)
+            chain.cycle(dec, spectral_cache(op, dec), 1, 0.0)
         assert [c.flip for c in chains] == [False, True]
         assert [c.nu for c in chains] == pytest.approx([1.0, -3.0])
         assert chains[1].shift == chains[1].nu
@@ -629,9 +640,9 @@ class TestRefinementRounds:
         fits = []   # one list of knot arrays per chain cycle
         real_cycle, real_fit = restart._LaplaceChain.cycle, restart.spline_fit
 
-        def recording_cycle(chain, dec, k, prev_iterate_norm):
+        def recording_cycle(chain, dec, cache, k, prev_iterate_norm):
             fits.append([])
-            return real_cycle(chain, dec, k, prev_iterate_norm)
+            return real_cycle(chain, dec, cache, k, prev_iterate_norm)
 
         def recording_fit(knots, values):
             fits[-1].append(np.array(knots))
@@ -656,9 +667,9 @@ class TestRefinementRounds:
         real_cycle, real_fit = restart._LaplaceChain.cycle, restart.spline_fit
         real_values = restart.error_function_values
 
-        def recording_cycle(chain, dec, k, prev_iterate_norm):
+        def recording_cycle(chain, dec, cache, k, prev_iterate_norm):
             cycles.append({"model": chain.model, "evals": [], "fits": []})
-            return real_cycle(chain, dec, k, prev_iterate_norm)
+            return real_cycle(chain, dec, cache, k, prev_iterate_norm)
 
         def recording_values(model, nodes):
             if model is cycles[-1]["model"]:
@@ -703,10 +714,10 @@ class TestDeadChain:
         current = {}
         real_cycle, real_rule = restart._LaplaceChain.cycle, restart.build_laplace_rule
 
-        def recording_cycle(chain, dec, k, prev_iterate_norm):
+        def recording_cycle(chain, dec, cache, k, prev_iterate_norm):
             current.update(chain=chain, k=k)
             beta = chain.beta
-            out = real_cycle(chain, dec, k, prev_iterate_norm)
+            out = real_cycle(chain, dec, cache, k, prev_iterate_norm)
             calls.append((chain, k, dec.h_next, beta, out))
             return out
 
@@ -896,28 +907,33 @@ def dense_psi(decs, t):
 
 
 def ritz_case(name):
-    """Arnoldi cycles to feed one Stieltjes chain, and known (t, psi(t), atol)."""
+    """Arnoldi cycles with their spectral caches to feed one Stieltjes chain,
+    and known (t, psi(t), atol)."""
     rng = np.random.default_rng(9)
+
+    def cycle(op, start, m):
+        dec = arnoldi(op, start, m)
+        return dec, spectral_cache(op, dec)
+
     if name == "scalar":
-        return [arnoldi(diag_op([2.0]), np.ones(1), 1)], [(3.0, 0.2, 1e-15)]
+        return [cycle(diag_op([2.0]), np.ones(1), 1)], [(3.0, 0.2, 1e-15)]
     if name == "laplace-of-g":
         # psi = L{g} with g(tau) = e_m^T exp(-tau H) e_1; the oracle is
         # adaptive quadrature of the eigendecomposition closed form
-        dec = arnoldi(LinearOperator.from_dense(spd_matrix(5, seed=9)), np.eye(5)[0], 5)
+        dec, cache = cycle(LinearOperator.from_dense(spd_matrix(5, seed=9)), np.eye(5)[0], 5)
         w, q = la.eigh(dec.H)
         coeff = q[-1, :] * q[0, :]
         oracle, _ = scipy.integrate.quad(lambda tau: float(coeff @ np.exp(-tau * w)) * np.exp(-tau),
                                          0, np.inf, epsabs=1e-12, epsrel=1e-12)
-        return [dec], [(1.0, oracle, 1e-8)]
+        return [(dec, cache)], [(1.0, oracle, 1e-8)]
     if name == "large-shift":
         h = np.triu(rng.standard_normal((4, 4)), -1) + 4.0 * np.eye(4)
-        return [arnoldi(LinearOperator.from_dense(h), np.eye(4)[0], 4)], [(1e9, 0.0, 1e-15)]
+        return [cycle(LinearOperator.from_dense(h), np.eye(4)[0], 4)], [(1e9, 0.0, 1e-15)]
     # Hermitian and non-Hermitian cycles of even and odd length, one of them m=1
     spd = LinearOperator.from_dense(spd_matrix(8, seed=3))
     cd = LinearOperator.from_matrix(convection_diffusion_nd(4, 1e-2, 2))
-    decs = [arnoldi(spd, rng.standard_normal(8), 4), arnoldi(cd, rng.standard_normal(16), 5),
-            arnoldi(spd, rng.standard_normal(8), 1), arnoldi(cd, rng.standard_normal(16), 6)]
-    return decs, []
+    return [cycle(spd, rng.standard_normal(8), 4), cycle(cd, rng.standard_normal(16), 5),
+            cycle(spd, rng.standard_normal(8), 1), cycle(cd, rng.standard_normal(16), 6)], []
 
 
 class TestStieltjes:
@@ -934,12 +950,12 @@ class TestStieltjes:
 
     @pytest.mark.parametrize("case", ["mixed", "scalar", "laplace-of-g", "large-shift"])
     def test_ritz_form_matches_dense_solves(self, case):
-        decs, known = ritz_case(case)
+        cycles, known = ritz_case(case)
         rho = builtin_kernels()["inv-sqrt-stieltjes"].kernel
         chain = restart._StieltjesChain(rho, RestartConfig(m=1, tol=1e-6), 1.0)
-        for k, dec in enumerate(decs, start=1):
-            chain.cycle(dec, k, 1.0)
-            ref = dense_psi(decs[:k], RITZ_POINTS)
+        for k, (dec, cache) in enumerate(cycles, start=1):
+            chain.cycle(dec, cache, k, 1.0)
+            ref = dense_psi([d for d, _ in cycles[:k]], RITZ_POINTS)
             assert np.all(np.abs(chain._psi(RITZ_POINTS) - ref) <= 1e-12 * np.abs(ref))
         for t, value, atol in known:
             assert chain._psi(np.array([t]))[0] == pytest.approx(value, abs=atol)
@@ -1036,6 +1052,24 @@ class TestTwoSided:
         with pytest.raises(ConvergenceRegionError):
             restarted_laplace(op, b, builtin_kernels()["gamma"],
                               RestartConfig(m=2, tol=1e-7))
+
+    def test_jordan_block_runs_both_chains_through_expm(self, monkeypatch):
+        # J = lam I + N has no eigenvector basis, so the cycle's cache drops
+        # X and both chains, the shifted reflected one on -H - shift I
+        # included, take their columns from expm; Gamma(J) b is
+        # Gamma(lam) [b + psi N b + (psi^2 + psi') N^2 b / 2]
+        caches = []
+        real_eig = restart.eig_general
+        monkeypatch.setattr(restart, "eig_general", lambda H: caches.append(real_eig(H)) or caches[-1])
+        lam, N = 1.5, np.diag([1.0, 1.0], 1)
+        b = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+        x, rep = restarted_laplace(LinearOperator.from_dense(lam * np.eye(3) + N), b,
+                                   builtin_kernels()["gamma"], RestartConfig(m=3))
+        psi, dpsi = scipy.special.digamma(lam), scipy.special.polygamma(1, lam)
+        exact = scipy.special.gamma(lam) * (b + psi * (N @ b) + 0.5 * (psi**2 + dpsi) * (N @ N @ b))
+        assert rep.reason == "breakdown"
+        assert [c.X for c in caches] == [None]
+        assert np.linalg.norm(x - exact) <= 1e-13 * np.linalg.norm(exact)
 
 
 class TestBernstein:
