@@ -18,6 +18,9 @@ thread, since a threaded BLAS may sum in another order. The cases:
   stopping at tol 1e-7 (x and the per-cycle update norms);
 - three start vectors each of the two benchmark matrices, reference-error
   stopping against ``reference_apply`` (x and the reference);
+- ``reference_apply`` for exp(-sqrt(A)) on the graph Laplacian of a random
+  2000-node graph, where F(T_k) e_1 never settles and Lanczos runs its
+  400 steps (the reference);
 - ``transform_value`` of every catalog kernel at s = 0.5, 1, 4;
 - two quadrature rules (nodes, weights, values and interval errors);
 - two-pass Lanczos for s^{-3/2} on laplacian_nd(20, 2), on a complex
@@ -41,7 +44,13 @@ import numpy as np
 
 import laplace_krylov
 from laplace_krylov.baselines import cg_solve, gmres_solve, reference_apply, two_pass_lanczos
-from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
+from laplace_krylov.cli import _random_connected_graph
+from laplace_krylov.operators import (
+    LinearOperator,
+    convection_diffusion_nd,
+    graph_laplacian,
+    laplacian_nd,
+)
 from laplace_krylov.quadrature import build_laplace_rule
 from laplace_krylov.restart import (
     RestartConfig,
@@ -116,6 +125,13 @@ def cases():
                 ref = reference_apply(LinearOperator.from_matrix(mat), None, b, fn)
                 return solve(mat, m, fn, b, reference=ref)
             yield f"reference/{label}/start{j}", run
+    graph = graph_laplacian(_random_connected_graph(2000, np.random.default_rng(0)))
+
+    def graph_reference(fn=kernels["exp-sqrt"]):
+        op = LinearOperator.from_matrix(graph)
+        ref = reference_apply(op, None, unit_starts(graph.n, 1)[0], fn)
+        return op.matvec_count, "-", [ref]
+    yield "reference/graph-N2000-exp-sqrt", graph_reference
     for name, kernel in kernels.items():
         for s in (0.5, 1.0, 4.0):
             yield f"transform/{name}/s={s}", lambda k=kernel, s=s: ("-", "-", [transform_value(k, s)])

@@ -81,6 +81,11 @@ def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
         beta_prev = beta
 
 
+def _lanczos_pass2(op: LinearOperator, b: np.ndarray, bnorm: float, coeff: np.ndarray):
+    """Pass 2: ||b|| V_j coeff, regenerating the j = coeff.size Lanczos vectors."""
+    return bnorm * sum(c * u for c, (u, *_) in zip(coeff, _lanczos(op, b / bnorm, len(coeff))))
+
+
 def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
                      tol: float, check_every_m: int,
                      reference: np.ndarray | None = None,
@@ -146,11 +151,10 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             y_prev = y
     report.steps = len(alphas)
 
-    # pass 2 regenerates the same steps: 2 * steps matvecs in total; a run
-    # that ended on a checkpoint already holds the coefficients
+    # a run that ended on a checkpoint already holds the coefficients
     coeff = (y if y is not None and y.size == len(alphas)
              else _f_of_tridiag(alphas, betas[:-1], fn.scalar_form))
-    f = bnorm * sum(c * u for c, (u, *_) in zip(coeff, _lanczos(op, b / bnorm, len(coeff))))
+    f = _lanczos_pass2(op, b, bnorm, coeff)
     report.matvecs = 2 * report.steps
     if reference is not None:
         report.final_error = float(np.linalg.norm(f - reference) / ref_norm)
@@ -243,9 +247,8 @@ def gmres_solve(op: LinearOperator, b: np.ndarray, rtol: float, restart: int):
 # Reference oracles for benchmark error measurement
 # ---------------------------------------------------------------------------
 
-# Checkpoint spacing and settled change of the non-Hermitian reference. Once
-# F(H_k) e_1 has converged its changes sit at the sqrtm rounding floor, 2e-14
-# to 8e-14 on the convection-diffusion problems.
+# Checkpoint spacing and settled change of the references: once F(T_k) e_1 has
+# converged, its changes sit at the rounding floor (1e-14 to 8e-14 in the tests).
 REF_CHECK_EVERY = 25
 REF_SETTLED_RTOL = 1e-12
 
@@ -274,55 +277,67 @@ def _scalar_on_matrix(fn: TransformFunction, H: np.ndarray) -> np.ndarray:
     raise ValueError(f"no dense evaluation available for {fn.name}")
 
 
+class _Settled:
+    """The references' stop. Called after step k with ``evaluate()`` giving
+    y_k = F(T_k) e_1, it is true at the last step and after two successive
+    checkpoints, REF_CHECK_EVERY steps apart, that each change y_k by at most
+    REF_SETTLED_RTOL ||y_k|| (Saad, SINUM 29, 1992); ``y`` is then y_k. A
+    checkpoint whose evaluation raises is not settled; the last one may raise.
+    """
+
+    y, count = None, 0
+
+    def __call__(self, k: int, last: bool, evaluate) -> bool:
+        if not last and k % REF_CHECK_EVERY != 0:
+            return False
+        try:
+            y = evaluate()
+        except ValueError:
+            if last:
+                raise
+            self.y, self.count = None, 0
+            return False
+        small = self.y is not None and (
+            _change_norm(y, self.y) <= REF_SETTLED_RTOL * np.linalg.norm(y))
+        self.y, self.count = y, self.count + 1 if small else 0
+        return last or self.count == 2
+
+
 def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
                     fn: TransformFunction, steps: int = 400) -> np.ndarray:
     """High-accuracy F(A)b used as the benchmark reference.
 
     Hermitian A: dense spectral solve for n <= 1000 (when the dense matrix
-    is available), otherwise two-pass Lanczos over ``min(steps, n)`` steps
-    with no stored basis: O(n) memory and 2 steps matvecs. Without
-    reorthogonalization ||b|| V F(T) e_1 stays accurate (Druskin, Greenbaum
-    & Knizhnerman, SISC 19, 1998; Musco, Musco & Sidford, SODA 2018).
+    is available), otherwise two-pass Lanczos with no stored basis: O(n)
+    memory and 2 matvecs a step. Without reorthogonalization
+    ||b|| V F(T) e_1 stays accurate (Druskin, Greenbaum & Knizhnerman,
+    SISC 19, 1998; Musco, Musco & Sidford, SODA 2018).
     Non-Hermitian A: unrestarted Arnoldi with dense evaluation of F on the
-    projected matrix. A step costs O(k n), so the run stops before the cap of
-    ``min(steps, n)`` steps once ``y_k = F(H_k) e_1`` has settled: two
-    successive checkpoints, REF_CHECK_EVERY steps apart, each change it by at
-    most REF_SETTLED_RTOL ||y_k|| (Saad, SINUM 29, 1992). A checkpoint whose
-    dense evaluation raises is not settled; the last step (the cap or a
-    breakdown) is evaluated as it is and may raise. The Hermitian length stays
-    fixed: its steps cost O(n) (400 take ~0.06 s at n = 8000), so a stop
-    would save little.
+    projected matrix. Both stop once F(T_k) e_1 has settled (:class:`_Settled`),
+    at a breakdown, or at the cap of ``min(steps, n)`` steps.
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if fn.scalar_form is None:
         raise ValueError("reference evaluation needs a scalar closed form")
     n = op.n
+    cap, settled = min(steps, n), _Settled()
     if op.hermitian and dense is not None and n <= 1000:
         w, q = la.eigh(dense)
         return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
     if op.hermitian:
-        # a checkpoint interval past n: one projection, after the last step
-        return two_pass_lanczos(op, b, fn, 0.0, n + 1, max_steps=min(steps, n))[0]
-    cap = min(steps, n)
-    y_prev, settled = None, 0
+        bnorm = _checked_norm(b, "b", n)
+        alphas, betas = [], []
+        for k, (_, alpha, beta, broke) in enumerate(_lanczos(op, b / bnorm, cap), start=1):
+            alphas.append(alpha)
+            betas.append(beta)
+            if settled(k, k == cap or broke,
+                       lambda: _f_of_tridiag(alphas, betas[:-1], fn.scalar_form)):
+                return _lanczos_pass2(op, b, bnorm, settled.y)
     for k, H, Q, beta in _arnoldi_steps(op, b, cap):
-        last = k == cap or H[k, k - 1] == 0.0
-        if not last and k % REF_CHECK_EVERY != 0:
-            continue
-        try:
-            y = _scalar_on_matrix(fn, np.array(H[:k, :k]))
-        except ValueError:
-            if last:
-                raise
-            y_prev, settled = None, 0
-            continue
-        if y_prev is not None:
-            small = _change_norm(y, y_prev) <= REF_SETTLED_RTOL * np.linalg.norm(y)
-            settled = settled + 1 if small else 0
-        y_prev = y
-        if last or settled == 2:
-            return beta * (Q[:k].T @ y)
+        if settled(k, k == cap or H[k, k - 1] == 0.0,
+                   lambda: _scalar_on_matrix(fn, np.array(H[:k, :k]))):
+            return beta * (Q[:k].T @ settled.y)
 
 
 def stieltjes_pipeline(op: LinearOperator, b: np.ndarray, fn: TransformFunction,

@@ -8,8 +8,9 @@ Subcommands
 Result vectors use a small binary format: 16-byte header (magic ``LKV1``,
 4 reserved zero bytes, little-endian u64 length), then float64
 little-endian payload. Exit codes: 0 converged, 2 stopped unconverged
-(max_cycles, non_finite for an overflowed iterate, or growing_updates when
-an update grew too much for the update-norm stop to hold), 1 error.
+(max_cycles, non_finite for an overflowed iterate, growing_updates when an
+update grew too much for the update-norm stop to hold, or quadrature_divergence
+when a later cycle's quadrature diverged and the iterate before it is kept), 1 error.
 """
 
 from __future__ import annotations

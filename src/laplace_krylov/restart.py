@@ -35,6 +35,7 @@ from .operators import LinearOperator
 from .quadrature import (
     KERNEL_FLOOR,
     TERM_FLOOR,
+    QuadratureDivergenceError,
     QuadratureRule,
     ZeroIntegrandError,
     apply_rule_matrix,
@@ -449,12 +450,16 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         dec = arnoldi(op, start, cfg.m, _basis=basis)  # the next cycle overwrites dec.V
         beta_k = chains[0].beta
         cache = (eig_hermitian if op.hermitian else eig_general)(dec.H)   # one per cycle
-        coeff = sum(chain.cycle(dec, cache, k, itn) for chain in chains)
-        d = dec.V @ coeff
-        fm = fm + d
+        try:
+            d = dec.V @ sum(chain.cycle(dec, cache, k, itn) for chain in chains)
+        except QuadratureDivergenceError:
+            if k == 1:
+                raise
+            d, report.reason = None, "quadrature_divergence"   # keep cycle k - 1's iterate
+        fm = fm if d is None else fm + d
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
-        prev_upd, upd = upd, float(la.norm(d, check_finite=False))
+        prev_upd, upd = upd, math.nan if d is None else float(la.norm(d, check_finite=False))
         grew = grew or upd > UPDATE_GROWTH_LIMIT * prev_upd
         itn = float(la.norm(fm, check_finite=False))
         rel = (float(la.norm(fm - reference, check_finite=False) / ref_norm)
@@ -466,6 +471,8 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             refine_rounds=max(chain.rounds for chain in chains),
         ))
 
+        if report.reason:
+            return fm, report
         if not (math.isfinite(upd) and math.isfinite(itn)):
             # an overflowed iterate fails the run; inf <= tol * inf would
             # otherwise pass the update-norm test

@@ -8,7 +8,7 @@ import scipy.fft
 import scipy.linalg as la
 from conftest import full_storage_lanczos
 
-from laplace_krylov import baselines
+from laplace_krylov import baselines, cli
 from laplace_krylov.baselines import (
     IterationLimitError,
     StagnationError,
@@ -19,7 +19,13 @@ from laplace_krylov.baselines import (
     two_pass_lanczos,
 )
 from laplace_krylov.krylov import arnoldi
-from laplace_krylov.operators import LinearOperator, SparseMatrix, convection_diffusion_nd, laplacian_nd
+from laplace_krylov.operators import (
+    LinearOperator,
+    SparseMatrix,
+    convection_diffusion_nd,
+    graph_laplacian,
+    laplacian_nd,
+)
 from laplace_krylov.restart import RestartConfig, builtin_kernels
 
 
@@ -336,8 +342,35 @@ class TestReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert op.matvec_count == 800
+        assert op.matvec_count == 450   # settled after 225 of the 400 steps
         assert peak < 32 * mat.n * 8
+
+    def test_hermitian_stops_once_settled(self):
+        # checkpoint changes 2.9e-11, 2.6e-14, 1.3e-14 at steps 125, 150, 175
+        mat = laplacian_nd(20, 3)
+        b = unit_start(mat.n)
+        fn = builtin_kernels()["power-neg-3-2"]
+        op = LinearOperator.from_matrix(mat)
+        ref = reference_apply(op, None, b, fn)
+        assert op.matvec_count == 350
+        exact = dirichlet_closed_form(20, 3, b, fn.scalar_form)
+        assert np.linalg.norm(ref - exact) <= 1e-12 * np.linalg.norm(exact)
+        full, _ = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 0.0, mat.n + 1,
+                                   max_steps=400)
+        assert np.linalg.norm(ref - full) <= 1e-12 * np.linalg.norm(full)
+
+    def test_hermitian_unsettled_runs_to_the_end(self):
+        # the branch point of sqrt at the graph Laplacian's zero eigenvalue
+        # keeps the checkpoint changes between 1.5e-10 and 9.2e-9
+        mat = graph_laplacian(cli._random_connected_graph(2000, np.random.default_rng(0)))
+        b = unit_start(mat.n)
+        fn = builtin_kernels()["exp-sqrt"]
+        op = LinearOperator.from_matrix(mat)
+        ref = reference_apply(op, None, b, fn)
+        assert op.matvec_count == 2 * min(400, mat.n)
+        full, _ = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 0.0, mat.n + 1,
+                                   max_steps=400)
+        assert np.array_equal(ref, full)
 
     def test_lanczos_breakdown_is_exact(self):
         lam = np.linspace(1.0, 50.0, 50)

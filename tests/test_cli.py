@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from laplace_krylov import cli
+from laplace_krylov import cli, restart
 from laplace_krylov.operators import LinearOperator, read_matrix_market
+from laplace_krylov.quadrature import QuadratureDivergenceError
 
 
 class TestVectorFormat:
@@ -242,6 +243,21 @@ class TestRun:
                              "--m", "8", "--b-file", str(bfile)])
         assert code == 2
         assert "status=non_finite" in capsys.readouterr().out
+
+    def test_quadrature_divergence_exit_code(self, monkeypatch, capsys):
+        real_rule, calls = restart.build_laplace_rule, []
+
+        def rule(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise QuadratureDivergenceError("no convergence with 2000 subintervals")
+            return real_rule(*args, **kwargs)
+
+        monkeypatch.setattr(restart, "build_laplace_rule", rule)
+        code = cli.main(["run", "--matrix", "diag:1,2,3,4,5,6,7,8,9",
+                         "--function", "power-neg-3-2", "--m", "2", "--tol", "1e-7"])
+        assert code == 2
+        assert "matvecs=4 status=quadrature_divergence" in capsys.readouterr().out
 
     def test_error_exit_code(self):
         # negative eigenvalue: anchor outside the convergence region

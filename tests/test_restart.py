@@ -17,7 +17,11 @@ from laplace_krylov.operators import (
     graph_laplacian,
     laplacian_nd,
 )
-from laplace_krylov.quadrature import ZeroIntegrandError, build_laplace_rule
+from laplace_krylov.quadrature import (
+    QuadratureDivergenceError,
+    ZeroIntegrandError,
+    build_laplace_rule,
+)
 from laplace_krylov.restart import (
     ConvergenceRegionError,
     ErrorModel,
@@ -762,6 +766,44 @@ class TestDeadChain:
         for (_, _, h, beta, _), nxt in zip(positive, positive[1:]):
             assert nxt[3] == -beta * h
         assert [r.beta for r in rep.records] == [c[3] for c in positive]
+
+
+class TestQuadratureDivergence:
+    """A later cycle whose rule build diverges keeps the iterate built so far."""
+
+    @staticmethod
+    def diverge_on_call(monkeypatch, call):
+        real_rule, calls = restart.build_laplace_rule, []
+
+        def rule(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise QuadratureDivergenceError("no convergence with 2000 subintervals")
+            return real_rule(*args, **kwargs)
+
+        monkeypatch.setattr(restart, "build_laplace_rule", rule)
+
+    def test_later_cycle_returns_the_previous_iterate(self, monkeypatch):
+        mat = laplacian_nd(10, 2)
+        b = np.ones(mat.n) / math.sqrt(mat.n)
+        fn = builtin_kernels()["power-neg-3-2"]
+        x1, rep1 = restarted_laplace(LinearOperator.from_matrix(mat), b, fn,
+                                     RestartConfig(m=5, tol=1e-7, max_cycles=1))
+        self.diverge_on_call(monkeypatch, 2)
+        x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b, fn,
+                                   RestartConfig(m=5, tol=1e-7))
+        assert np.array_equal(x, x1)
+        assert not rep.converged and rep.reason == "quadrature_divergence"
+        assert rep.cycles == 2 and rep.matvecs == 10
+        assert math.isnan(rep.records[1].update_norm)
+        assert rep.records[1].iterate_norm == rep1.records[0].iterate_norm
+
+    def test_cycle_one_raises(self, monkeypatch):
+        self.diverge_on_call(monkeypatch, 1)
+        op = LinearOperator.from_matrix(laplacian_nd(10, 2))
+        with pytest.raises(QuadratureDivergenceError):
+            restarted_laplace(op, np.ones(op.n), builtin_kernels()["power-neg-3-2"],
+                              RestartConfig(m=5, tol=1e-7))
 
 
 class TestErrorRepresentation:
