@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .krylov import BREAKDOWN_RTOL, _arnoldi_steps, _norm, arnoldi
+from .krylov import BREAKDOWN_RTOL, _arnoldi_steps, arnoldi
 from .operators import LinearOperator
 from .restart import RestartConfig, TransformFunction, _checked_norm, restarted_laplace
 
@@ -69,10 +69,10 @@ def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
     beta_prev = 0.0
     for _ in range(steps):
         w = op.apply(v) - beta_prev * v_prev
-        scale = _norm(w)
+        scale = float(la.norm(w, check_finite=False))
         alpha = np.vdot(v, w).real
         w = w - alpha * v
-        beta = _norm(w)
+        beta = float(la.norm(w, check_finite=False))
         broke = beta <= BREAKDOWN_RTOL * max(scale, abs(alpha))
         yield v, alpha, beta, broke
         if broke:

@@ -5,9 +5,8 @@ Subcommands
     run    apply a transform function to a matrix, emit result + cycle CSV
     bench  reproduce a benchmark series as CSV rows
 
-Result vectors use a small binary format: 16-byte header (magic ``LKV1``,
-4 reserved zero bytes, little-endian u64 length), then float64
-little-endian payload. Exit codes: 0 converged, 2 stopped unconverged
+Vectors are NumPy ``.npy`` files holding one 1-D real array; results are
+written as float64. Exit codes: 0 converged, 2 stopped unconverged
 (max_cycles, non_finite for an overflowed iterate, growing_updates when an
 update grew too much for the update-norm stop to hold, or quadrature_divergence
 when a later cycle's quadrature diverged and the iterate before it is kept), 1 error.
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import struct
 import sys
 import time
 
@@ -26,28 +24,21 @@ import scipy.sparse as sp
 
 from . import baselines, operators, restart
 
-MAGIC = b"LKV1"
-
 
 def write_vector(path: str, vec: np.ndarray) -> None:
-    vec = np.asarray(vec, dtype=np.float64)
+    # through an open file: np.save appends .npy to a bare path
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(b"\x00" * 4)
-        fh.write(struct.pack("<Q", vec.size))
-        fh.write(vec.astype("<f8").tobytes())
+        np.save(fh, np.asarray(vec, dtype=np.float64))
 
 
 def read_vector(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) != 16 or head[:4] != MAGIC:
-            raise ValueError(f"{path}: not an LKV1 vector file")
-        (count,) = struct.unpack("<Q", head[8:16])
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
-            raise ValueError(f"{path}: truncated payload")
-    return data.astype(np.float64)
+    try:
+        vec = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError) as exc:   # pickled, truncated or empty
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(vec, np.ndarray) or vec.ndim != 1 or vec.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: not a 1-D real .npy vector")
+    return vec.astype(np.float64)
 
 
 def write_report_csv(path, records) -> None:
@@ -255,10 +246,10 @@ def main(argv=None) -> int:
     r.add_argument("--max-cycles", type=int, default=60)
     r.add_argument("--method", default="auto",
                    choices=["auto", "two-pass"])
-    r.add_argument("--reference", help="LKV1 vector file with the reference")
-    r.add_argument("--b-file", help="LKV1 vector file with the start vector")
+    r.add_argument("--reference", help=".npy file with the reference vector")
+    r.add_argument("--b-file", help=".npy file with the start vector")
     r.add_argument("--seed", type=int, help="random unit start vector")
-    r.add_argument("--output", "-o", help="write the result vector (LKV1)")
+    r.add_argument("--output", "-o", help="write the result vector (.npy)")
     r.add_argument("--csv", help="write the per-cycle report CSV")
     r.set_defaults(func=cmd_run)
 

@@ -22,14 +22,6 @@ BREAKDOWN_RTOL = 1e-14
 SEMI_ORTH = np.sqrt(np.finfo(float).eps)
 
 
-def _norm(w: np.ndarray) -> float:
-    """np.linalg.norm(w), or BLAS nrm2 (which scales) where squared entries
-    overflow (past ~1e154) or underflow (below ~1e-162)."""
-    with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(w))
-    return norm if 0.0 < norm < np.inf else float(la.norm(w, check_finite=False))
-
-
 @dataclass
 class KrylovDecomposition:
     """One Arnoldi cycle: A V = V H + h_next v_next e_m^T."""
@@ -101,7 +93,7 @@ def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
         raise ValueError("starting vector has wrong length")
     if not (1 <= m <= n):
         raise ValueError("cycle length must satisfy 1 <= m <= n")
-    beta = _norm(start)
+    beta = float(la.norm(start, check_finite=False))
     if not 0.0 < beta < np.inf:
         raise ValueError("starting vector must be finite and nonzero")
 
@@ -120,7 +112,7 @@ def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
             H = H.astype(complex)
         # a copy: the operator may return (a view of) the row it was given
         w = np.array(w, dtype=Q.dtype)
-        norm_w = _norm(w)
+        norm_w = float(la.norm(w, check_finite=False))
         if not np.isfinite(norm_w):
             raise ValueError(f"operator returned non-finite values at Arnoldi step {j + 1}")
         lo = max(j - 1, 0) if op.hermitian else 0
@@ -128,7 +120,7 @@ def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
         w -= c @ Q[lo: j + 1]
         H[lo: j + 1, j] += c
         if not full:
-            h = _norm(w)
+            h = float(la.norm(w, check_finite=False))
             hs = max(h, 1e-300)
             al, be = H.diagonal().real, H.diagonal(-1).real
             t = (al[:j] - al[j]) * om[:j] + H.diagonal(1).real[:j] * om[1: j + 1]
@@ -143,7 +135,7 @@ def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
             c = Q[: j + 1].conj() @ w
             w -= c @ Q[: j + 1]
             H[top: j + 1, j] += c[top:]
-            h = _norm(w)
+            h = float(la.norm(w, check_finite=False))
         # with no full pass, h is the first pass's norm
 
         if h <= BREAKDOWN_RTOL * norm_w:

@@ -136,7 +136,7 @@ def _damp(kind: str, s: float, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def _adapt(segment_eval, eps: float, max_intervals: int, x_hi: float = 1.0):
+def _adapt(segment_eval, eps: float, x_hi: float = 1.0):
     """Adaptive bisection of [0, x_hi), ten equal intervals to start with.
 
     ``segment_eval(a, b) -> (K, err, piece)`` where K may be a scalar or a
@@ -159,7 +159,7 @@ def _adapt(segment_eval, eps: float, max_intervals: int, x_hi: float = 1.0):
         target = max(eps, eps * math.hypot(*np.ravel(acc)))
         if err_sum <= target:
             return sorted(records, key=lambda r: r[0]), acc
-        if len(records) >= max_intervals:
+        if len(records) >= MAX_INTERVALS:
             raise QuadratureDivergenceError(
                 f"no convergence with {len(records)} subintervals "
                 f"(error {err_sum:.3e}, target {target:.3e})"
@@ -203,7 +203,6 @@ def _pilot_segment(f, nu: float, weight_kind: str):
 
 def build_laplace_rule(f, nu: float, eps_q: float,
                        weight_kind: str = "exp",
-                       max_intervals: int = MAX_INTERVALS,
                        t_max: float | None = None) -> QuadratureRule:
     """Adaptive rule for int_0^inf f(t) * damp(nu t) dt, frozen for reuse.
 
@@ -221,7 +220,7 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     if t_max is not None:
         r = math.sqrt(t_max)
         x_hi = min(1.0, r / (1.0 + r))
-    intervals, _ = _adapt(_pilot_segment(f, nu, weight_kind), eps_q, max_intervals, x_hi=x_hi)
+    intervals, _ = _adapt(_pilot_segment(f, nu, weight_kind), eps_q, x_hi=x_hi)
 
     # intervals whose sampled integrand is identically zero contribute
     # nothing for any matrix argument dominated by the anchor decay; keeping
@@ -243,7 +242,7 @@ def integrate_halfline(f, nu: float = 0.0, eps: float = 1e-12,
     ``f`` maps an array t to one value per point, or to one row per point
     for a vector-valued integrand; the result is a scalar or a vector.
     """
-    _, total = _adapt(_pilot_segment(f, nu, weight_kind), eps, MAX_INTERVALS)
+    _, total = _adapt(_pilot_segment(f, nu, weight_kind), eps)
     return total
 
 

@@ -456,7 +456,7 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             if k == 1:
                 raise
             d, report.reason = None, "quadrature_divergence"   # keep cycle k - 1's iterate
-        fm = fm if d is None else fm + d
+        kept, fm = fm, fm if d is None else fm + d
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
         prev_upd, upd = upd, math.nan if d is None else float(la.norm(d, check_finite=False))
@@ -474,10 +474,11 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         if report.reason:
             return fm, report
         if not (math.isfinite(upd) and math.isfinite(itn)):
-            # an overflowed iterate fails the run; inf <= tol * inf would
-            # otherwise pass the update-norm test
+            # an overflowed iterate fails the run (inf <= tol * inf would
+            # otherwise pass the update-norm test); a later cycle keeps cycle
+            # k - 1's iterate, and its record the norms it overflowed to
             report.reason = "non_finite"
-            return fm, report
+            return (fm if k == 1 else kept), report
         done = (rel <= cfg.tol if cfg.stopping == "reference_error"
                 else k >= 2 and upd <= cfg.tol * itn)
         if done and grew and cfg.stopping == "update_norm":

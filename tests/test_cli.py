@@ -11,31 +11,37 @@ from laplace_krylov.quadrature import QuadratureDivergenceError
 
 class TestVectorFormat:
     def test_round_trip(self, tmp_path):
-        p = tmp_path / "v.lkv"
+        p = tmp_path / "v.npy"
         v = np.linspace(-1, 1, 17)
         cli.write_vector(p, v)
         assert np.array_equal(cli.read_vector(p), v)
 
     def test_header_layout(self, tmp_path):
-        p = tmp_path / "v.lkv"
+        # a NumPy .npy file, written to the path as given
+        p = tmp_path / "v"
         cli.write_vector(p, np.array([1.0, 2.0]))
-        raw = p.read_bytes()
-        assert raw[:4] == b"LKV1"
-        assert len(raw) == 16 + 2 * 8
-        assert int.from_bytes(raw[8:16], "little") == 2
+        assert p.read_bytes()[:6] == b"\x93NUMPY"
+        v = np.load(p, allow_pickle=False)
+        assert v.dtype == np.float64 and np.array_equal(v, [1.0, 2.0])
 
     def test_rejects_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.lkv"
+        p = tmp_path / "bad.npy"
         p.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(ValueError):
             cli.read_vector(p)
 
     def test_rejects_truncated_payload(self, tmp_path):
-        p = tmp_path / "short.lkv"
+        p = tmp_path / "short.npy"
         cli.write_vector(p, np.ones(3))
         p.write_bytes(p.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated payload"):
+        with pytest.raises(ValueError, match="short.npy"):
             cli.read_vector(p)
+
+    def test_integer_vector_reads_as_float(self, tmp_path):
+        p = tmp_path / "int.npy"
+        np.save(p, np.arange(3))
+        v = cli.read_vector(p)
+        assert v.dtype == np.float64 and np.array_equal(v, [0.0, 1.0, 2.0])
 
 
 class TestGen:
@@ -120,7 +126,7 @@ class TestGen:
 
 class TestRun:
     def test_diag_smoke_laplace(self, tmp_path, capsys):
-        out = tmp_path / "x.lkv"
+        out = tmp_path / "x.npy"
         rep = tmp_path / "r.csv"
         code = cli.main(["run", "--matrix", "diag:1,2,3",
                          "--function", "power-neg-3-2", "--m", "2",
@@ -136,7 +142,7 @@ class TestRun:
         assert int(rows[-1]["matvecs"]) == 2 * len(rows)
 
     def test_reference_mode(self, tmp_path):
-        ref = tmp_path / "ref.lkv"
+        ref = tmp_path / "ref.npy"
         exact = np.array([1.0, 2.0, 3.0]) ** -1.5 / math.sqrt(3.0)
         cli.write_vector(ref, exact)
         code = cli.main(["run", "--matrix", "diag:1,2,3",
@@ -146,7 +152,7 @@ class TestRun:
 
     @pytest.mark.parametrize("length", [1, 2])
     def test_reference_of_wrong_length_exit_code(self, tmp_path, length):
-        ref = tmp_path / "ref.lkv"
+        ref = tmp_path / "ref.npy"
         cli.write_vector(ref, np.ones(length))
         code = cli.main(["run", "--matrix", "diag:1,2,3",
                          "--function", "power-neg-3-2", "--m", "2",
@@ -175,16 +181,42 @@ class TestRun:
     def test_seeded_start_vector_is_deterministic(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
-            out = tmp_path / f"{tag}.lkv"
+            out = tmp_path / f"{tag}.npy"
             cli.main(["run", "--matrix", "diag:1,2,3",
                       "--function", "power-neg-3-2", "--m", "2",
                       "--seed", "42", "-o", str(out)])
             outs.append(cli.read_vector(out))
         assert np.array_equal(outs[0], outs[1])
 
+    def test_output_is_the_library_result_through_np_load(self, tmp_path):
+        out = tmp_path / "x.npy"
+        assert cli.main(["run", "--matrix", "diag:1,2,3,5,8", "--function", "gamma",
+                         "--m", "2", "--seed", "3", "-o", str(out)]) == 0
+        op = LinearOperator.from_dense(np.diag([1.0, 2.0, 3.0, 5.0, 8.0]))
+        x, _ = restart.restarted_laplace(op, cli._starting_vector(5, 3),
+                                         restart.builtin_kernels()["gamma"],
+                                         restart.RestartConfig(m=2))
+        assert np.array_equal(np.load(out, allow_pickle=False), x)
+        assert [p.name for p in tmp_path.iterdir()] == ["x.npy"]
+
+    @pytest.mark.parametrize("flag", ["--reference", "--b-file"])
+    @pytest.mark.parametrize("kind", ["pickled", "2-D", "complex", "strings", "truncated"])
+    def test_bad_vector_file_exit_code(self, tmp_path, flag, kind, capsys):
+        p = tmp_path / "v.npy"
+        bad = {"pickled": np.array([1.0, 2.0, 3.0], dtype=object), "2-D": np.ones((3, 1)),
+               "complex": np.ones(3, dtype=complex), "strings": np.array(["1", "2", "3"]),
+               "truncated": np.ones(3)}[kind]
+        np.save(p, bad, allow_pickle=True)
+        if kind == "truncated":
+            p.write_bytes(p.read_bytes()[:-8])
+        code = cli.main(["run", "--matrix", "diag:1,2,3", "--function", "power-neg-3-2",
+                         "--m", "2", flag, str(p)])
+        assert code == 1
+        assert str(p) in capsys.readouterr().err
+
     def test_b_file_round_trip(self, tmp_path):
-        bfile = tmp_path / "b.lkv"
-        out = tmp_path / "x.lkv"
+        bfile = tmp_path / "b.npy"
+        out = tmp_path / "x.npy"
         b = np.array([1.0, 0.0, 0.0])
         cli.write_vector(bfile, b)
         code = cli.main(["run", "--matrix", "diag:1,2,3",
@@ -195,7 +227,7 @@ class TestRun:
         assert np.allclose(cli.read_vector(out), b, atol=1e-9)
 
     def test_b_file_of_wrong_length(self, tmp_path):
-        bfile = tmp_path / "b.lkv"
+        bfile = tmp_path / "b.npy"
         cli.write_vector(bfile, np.ones(2))
         with pytest.raises(SystemExit, match="--b-file has length 2, expected 3"):
             cli.main(["run", "--matrix", "diag:1,2,3", "--function", "power-neg-3-2",
@@ -233,7 +265,7 @@ class TestRun:
     def test_non_finite_exit_code(self, tmp_path, capsys):
         # the seed-0 start vector scaled by 1.4e146, so that Gamma(A) b passes
         # the float64 range (see test_restart's test_non_finite_iterate_is_not_converged)
-        mtx, bfile = tmp_path / "cd.mtx", tmp_path / "b.lkv"
+        mtx, bfile = tmp_path / "cd.mtx", tmp_path / "b.npy"
         assert cli.main(["gen", "--kind", "cd2d", "--n", "20", "--eps", "1e-2",
                          "-o", str(mtx)]) == 0
         b = np.random.default_rng(0).standard_normal(400)

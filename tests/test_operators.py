@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -318,3 +323,17 @@ class TestSparseMatrixInvariants:
             assert not mat.symmetric
             assert np.array_equal(mat.toarray(), arr)
         assert SparseMatrix((rounded + rounded.T) / 2).symmetric
+
+
+def test_package_import_leaves_out_the_on_use_modules():
+    # scipy.io and scipy.sparse.csgraph cost resident memory; operators.py
+    # imports them only where a matrix file or a graph needs them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, laplace_krylov, laplace_krylov.cli; "
+            "print(sorted(m for m in ('scipy.io', 'scipy.sparse.csgraph') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -279,6 +279,24 @@ class TestRestartedLaplace:
         assert rep.records[-1].iterate_norm == math.inf
         assert x.shape == (mat.n,)
 
+    def test_later_non_finite_cycle_keeps_the_previous_iterate(self):
+        # scaled by 1e140, cycle 1's iterate has norm 1.6e302 and cycle 2's
+        # update overflows to NaN
+        mat = convection_diffusion_nd(20, 1e-2, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        b *= 1e140 / np.linalg.norm(b)
+        fn = builtin_kernels()["gamma"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x1, rep1 = restarted_laplace(LinearOperator.from_matrix(mat), b, fn,
+                                         RestartConfig(m=8, tol=1e-7, max_cycles=1))
+            x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b, fn,
+                                       RestartConfig(m=8, tol=1e-7))
+        assert math.isfinite(rep1.records[0].iterate_norm)
+        assert not rep.converged and rep.reason == "non_finite"
+        assert rep.cycles == 2 and rep.matvecs == 16
+        assert math.isnan(rep.records[1].update_norm)
+        assert np.array_equal(x, x1)
+
     @pytest.mark.filterwarnings("error")
     def test_norms_do_not_overflow_on_finite_vectors(self):
         # squared entries of 1e160 overflow; a scaled 2-norm does not
