@@ -80,7 +80,7 @@ def test_reference_hermitian_m400(benchmark, lap3d):
 
     def reference():
         counted = LinearOperator(op.apply, op.n, hermitian=True)
-        return reference_apply(counted, None, b, fn, 400), counted.matvec_count
+        return reference_apply(counted, None, b, fn), counted.matvec_count
 
     ref, matvecs = benchmark(reference)
     assert np.all(np.isfinite(ref))
@@ -93,7 +93,7 @@ def test_reference_non_hermitian(benchmark, cd3d):
 
     def reference():
         counted = LinearOperator(op.apply, op.n)
-        return reference_apply(counted, None, b, fn, 400), counted.matvec_count
+        return reference_apply(counted, None, b, fn), counted.matvec_count
 
     ref, matvecs = benchmark(reference)
     assert np.all(np.isfinite(ref))

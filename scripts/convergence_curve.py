@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from laplace_krylov.baselines import reference_apply
+from laplace_krylov.baselines import REF_MAX_STEPS, reference_apply
 from laplace_krylov.operators import LinearOperator, convection_diffusion_nd, laplacian_nd
 from laplace_krylov.restart import RestartConfig, builtin_kernels, restarted_laplace
 
@@ -34,10 +34,10 @@ def main() -> int:
     b /= np.linalg.norm(b)
 
     fn = builtin_kernels()["power-neg-3-2"]
-    cap = min(400, mat.n)
-    how = (f"{cap}-step two-pass Lanczos approximation" if mat.symmetric else
-           f"unrestarted Arnoldi approximation, stopped once F(H_k) e_1 settles (cap {cap} steps)")
-    print(f"reference: {how} ...")
+    cap = min(REF_MAX_STEPS, mat.n)
+    how = ("two-pass Lanczos approximation, stopped once F(T_k) e_1 settles" if mat.symmetric
+           else "unrestarted Arnoldi approximation, stopped once F(H_k) e_1 settles")
+    print(f"reference: {how} (cap {cap} steps) ...")
     ref = reference_apply(LinearOperator.from_matrix(mat), None, b, fn)
 
     op = LinearOperator.from_matrix(mat)

@@ -161,19 +161,18 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     return f, report
 
 
-def cg_solve(op: LinearOperator, b: np.ndarray, rtol: float,
-             max_iter: int | None = None):
+def cg_solve(op: LinearOperator, b: np.ndarray, rtol: float):
     """Conjugate gradients for Hermitian positive definite systems.
 
-    Starts from zero, so the matvec count equals the iteration count.
+    Starts from zero, so the matvec count equals the iteration count; raises
+    after 10 n iterations.
     """
     if not op.hermitian:
         raise ValueError("CG needs a Hermitian operator")
     if not (math.isfinite(rtol) and rtol > 0):
         raise ValueError(f"rtol must be finite and positive, got {rtol}")
     n = op.n
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n
     target = rtol * _checked_norm(b, "b", n)
     x = np.zeros(n)
     r = b.copy()
@@ -247,34 +246,19 @@ def gmres_solve(op: LinearOperator, b: np.ndarray, rtol: float, restart: int):
 # Reference oracles for benchmark error measurement
 # ---------------------------------------------------------------------------
 
-# Checkpoint spacing and settled change of the references: once F(T_k) e_1 has
-# converged, its changes sit at the rounding floor (1e-14 to 8e-14 in the tests).
+# Step cap, checkpoint spacing and settled change of the references: a settled
+# F(T_k) e_1 changes at the rounding floor (1e-14 to 8e-14 in the tests).
+REF_MAX_STEPS = 400
 REF_CHECK_EVERY = 25
 REF_SETTLED_RTOL = 1e-12
 
-
-def _scalar_on_matrix(fn: TransformFunction, H: np.ndarray) -> np.ndarray:
-    """F(H) e_1 for a small dense non-Hermitian H, per builtin function."""
-    m = H.shape[0]
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    if fn.name == "power-neg-3-2":
-        s = la.sqrtm(H)
-        return np.real(la.solve(H @ s, e1))
-    if fn.name in ("sqrt",):
-        return np.real(la.sqrtm(H) @ e1)
-    if fn.name == "inv-sqrt-stieltjes":
-        return np.real(la.solve(la.sqrtm(H), e1))
-    if fn.scalar_form is not None:
-        F, errest = la.funm(H, lambda z: np.asarray(fn.scalar_form(z)), disp=False)
-        scale = max(1.0, float(np.linalg.norm(F, 1)))
-        if not np.isfinite(errest) or errest > 1e-8 * scale:
-            raise ValueError(
-                f"dense evaluation of {fn.name} on a non-normal projection is "
-                f"not accurate enough for a reference (estimate {errest:.2e})"
-            )
-        return np.real(F @ e1)
-    raise ValueError(f"no dense evaluation available for {fn.name}")
+# F(H) e_1 of a small non-Hermitian H in closed form through sqrtm; Schur-Parlett
+# fails on the close eigenvalues of Arnoldi projections (Davies & Higham, SIMAX 2003)
+_DENSE_FORMS = {
+    "power-neg-3-2": lambda H, e1: la.solve(H @ la.sqrtm(H), e1),
+    "sqrt": lambda H, e1: la.sqrtm(H) @ e1,
+    "inv-sqrt-stieltjes": lambda H, e1: la.solve(la.sqrtm(H), e1),
+}
 
 
 class _Settled:
@@ -304,7 +288,7 @@ class _Settled:
 
 
 def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
-                    fn: TransformFunction, steps: int = 400) -> np.ndarray:
+                    fn: TransformFunction) -> np.ndarray:
     """High-accuracy F(A)b used as the benchmark reference.
 
     Hermitian A: dense spectral solve for n <= 1000 (when the dense matrix
@@ -312,16 +296,19 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
     memory and 2 matvecs a step. Without reorthogonalization
     ||b|| V F(T) e_1 stays accurate (Druskin, Greenbaum & Knizhnerman,
     SISC 19, 1998; Musco, Musco & Sidford, SODA 2018).
-    Non-Hermitian A: unrestarted Arnoldi with dense evaluation of F on the
-    projected matrix. Both stop once F(T_k) e_1 has settled (:class:`_Settled`),
-    at a breakdown, or at the cap of ``min(steps, n)`` steps.
+    Non-Hermitian A: unrestarted Arnoldi with F(H_k) e_1 from the dense
+    closed form in ``_DENSE_FORMS``; a function without one is refused
+    before the first matvec. Both stop once F(T_k) e_1 has settled
+    (:class:`_Settled`), at a breakdown, or after min(REF_MAX_STEPS, n) steps.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
     if fn.scalar_form is None:
         raise ValueError("reference evaluation needs a scalar closed form")
+    form = _DENSE_FORMS.get(fn.name)
+    if not op.hermitian and form is None:
+        raise ValueError(f"no dense form of {fn.name} for a non-Hermitian reference "
+                         f"(there are forms of {', '.join(_DENSE_FORMS)})")
     n = op.n
-    cap, settled = min(steps, n), _Settled()
+    cap, settled = min(REF_MAX_STEPS, n), _Settled()
     if op.hermitian and dense is not None and n <= 1000:
         w, q = la.eigh(dense)
         return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
@@ -336,7 +323,7 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
                 return _lanczos_pass2(op, b, bnorm, settled.y)
     for k, H, Q, beta in _arnoldi_steps(op, b, cap):
         if settled(k, k == cap or H[k, k - 1] == 0.0,
-                   lambda: _scalar_on_matrix(fn, np.array(H[:k, :k]))):
+                   lambda: np.real(form(np.array(H[:k, :k]), np.eye(1, k)[0]))):
             return beta * (Q[:k].T @ settled.y)
 
 

@@ -235,14 +235,13 @@ def build_laplace_rule(f, nu: float, eps_q: float,
                           interval_errors=np.array([rec[3] for rec in live]), values=values)
 
 
-def integrate_halfline(f, nu: float = 0.0, eps: float = 1e-12,
-                       weight_kind: str = "exp"):
-    """Adaptive value of int_0^inf f(t) * damp(nu t) dt (no rule frozen).
+def integrate_halfline(f, nu: float = 0.0, eps: float = 1e-12):
+    """Adaptive value of int_0^inf f(t) exp(-nu t) dt (no rule frozen).
 
     ``f`` maps an array t to one value per point, or to one row per point
     for a vector-valued integrand; the result is a scalar or a vector.
     """
-    _, total = _adapt(_pilot_segment(f, nu, weight_kind), eps)
+    _, total = _adapt(_pilot_segment(f, nu, "exp"), eps)
     return total
 
 

@@ -529,8 +529,7 @@ def _gamma_kernel(t):
 def _safe_sqrt(s):
     # matrix-function references evaluate the closed form on computed
     # eigenvalues: real ones sit a few ulps below zero for singular PSD
-    # inputs, complex ones (Schur forms of non-normal matrices) take the
-    # principal root
+    # inputs, complex ones (of non-normal matrices) take the principal root
     s = np.asarray(s)
     return np.sqrt(s if np.iscomplexobj(s) else np.maximum(s, 0.0))
 
@@ -584,16 +583,10 @@ def builtin_kernels(tau: float = 1.0) -> dict[str, TransformFunction]:
 
 
 def transform_value(fn: TransformFunction, s: float, eps: float = 1e-11) -> float:
-    """Scalar F(s) evaluated from the transform representation (for checks)."""
-    if fn.kind == "laplace":
-        return float(integrate_halfline(fn.kernel, nu=s, eps=eps))
-    if fn.kind == "two_sided":
-        pos = integrate_halfline(fn.kernel, nu=s, eps=eps)
-        neg = integrate_halfline(lambda t: fn.kernel(-np.asarray(t)), nu=-s, eps=eps)
-        return float(pos + neg)
-    if fn.kind == "bernstein":
-        integral = integrate_halfline(fn.kernel, nu=s, eps=eps, weight_kind="one_minus_exp")
-        return float(fn.c + fn.a * s + integral)
-    if fn.kind == "stieltjes":
-        return float(integrate_halfline(lambda t: fn.kernel(t) / (t + s), nu=0.0, eps=eps))
-    raise ValueError(fn.kind)
+    """Scalar F(s) for checks: one exact cycle (it ends on breakdown) of
+    :func:`restarted_laplace` on the 1 x 1 operator [[s]] at quadrature target
+    ``eps``. An ``s`` outside the convergence region raises
+    :class:`ConvergenceRegionError`."""
+    op = LinearOperator.from_dense(np.array([[s]], dtype=float))
+    x, _ = restarted_laplace(op, np.ones(1), fn, RestartConfig(m=1, tol=1.0, eps_q=eps))
+    return float(x[0])

@@ -224,11 +224,14 @@ class TestCG:
         assert op.matvec_count == 0
 
     def test_iteration_cap(self):
+        # the updated residual falls below 1e-100 in 345 steps, so 1e-300 lies
+        # beyond the 10 n = 500 steps of the cap
         mat = laplacian_nd(50, 1)
         op = LinearOperator.from_matrix(mat)
         b = np.random.default_rng(7).standard_normal(50)
-        with pytest.raises(IterationLimitError):
-            cg_solve(op, b, 1e-12, max_iter=3)
+        with pytest.raises(IterationLimitError, match="within 500 iterations"):
+            cg_solve(op, b, 1e-300)
+        assert op.matvec_count == 10 * op.n
 
 
 class TestGMRES:
@@ -284,7 +287,8 @@ class TestGMRES:
 def arnoldi_reference(mat, b, fn, k):
     """The unrestarted reference of fixed length k: arnoldi, then F(H) e_1."""
     dec = arnoldi(LinearOperator.from_matrix(mat), b, k)
-    return dec.beta * (dec.V @ baselines._scalar_on_matrix(fn, dec.H)), dec.m
+    y = np.real(baselines._DENSE_FORMS[fn.name](dec.H, np.eye(1, dec.m)[0]))
+    return dec.beta * (dec.V @ y), dec.m
 
 
 class TestReference:
@@ -301,7 +305,7 @@ class TestReference:
         op = LinearOperator.from_dense(a)
         assert op.hermitian
         fn = builtin_kernels()["power-neg-3-2"]
-        ref = reference_apply(op, a if dense else None, b, fn, steps=30)
+        ref = reference_apply(op, a if dense else None, b, fn)
         w, q = la.eigh(a)
         oracle = q @ (w**-1.5 * (q.conj().T @ b))
         assert np.linalg.norm(ref - oracle) <= 1e-12 * np.linalg.norm(oracle)
@@ -310,7 +314,7 @@ class TestReference:
         a, _ = complex_hpd()
         b = np.random.default_rng(15).standard_normal(30)
         fn = builtin_kernels()["power-neg-3-2"]
-        ref = reference_apply(LinearOperator.from_dense(a), None, b, fn, steps=30)
+        ref = reference_apply(LinearOperator.from_dense(a), None, b, fn)
         w, q = la.eigh(a)
         oracle = q @ (w**-1.5 * (q.conj().T @ b))
         assert np.linalg.norm(ref - oracle) <= 1e-12 * np.linalg.norm(oracle)
@@ -338,7 +342,7 @@ class TestReference:
         fn = builtin_kernels()["power-neg-3-2"]
         tracemalloc.start()
         try:
-            reference_apply(op, None, b, fn, steps=400)
+            reference_apply(op, None, b, fn)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,7 +382,7 @@ class TestReference:
         b[[3, 11, 20, 34, 47]] = [1.0, -2.0, 0.5, 1.5, -1.0]
         op = LinearOperator.from_dense(np.diag(lam))
         fn = builtin_kernels()["power-neg-3-2"]
-        ref = reference_apply(op, None, b, fn, steps=400)
+        ref = reference_apply(op, None, b, fn)
         exact = lam**-1.5 * b
         assert np.linalg.norm(ref - exact) <= 1e-13 * np.linalg.norm(exact)
         assert op.matvec_count <= 12
@@ -388,7 +392,7 @@ class TestReference:
         b = np.random.default_rng(10).standard_normal(20)
         op = LinearOperator.from_dense(np.diag(lam))
         fn = builtin_kernels()["sqrt"]
-        ref = reference_apply(op, None, b, fn, steps=400)
+        ref = reference_apply(op, None, b, fn)
         assert op.matvec_count <= 2 * 20
         assert np.linalg.norm(ref - np.sqrt(lam) * b) <= 1e-12 * np.linalg.norm(np.sqrt(lam) * b)
 
@@ -398,20 +402,12 @@ class TestReference:
         with pytest.raises(ValueError):
             reference_apply(op, None, np.full(16, fill), builtin_kernels()["sqrt"])
 
-    @pytest.mark.parametrize("mat", [laplacian_nd(4, 2), convection_diffusion_nd(4, 1e-2, 2)],
-                             ids=["hermitian", "non-hermitian"])
-    def test_rejects_steps_below_one(self, mat):
-        op = LinearOperator.from_matrix(mat)
-        with pytest.raises(ValueError, match="steps"):
-            reference_apply(op, None, np.ones(op.n), builtin_kernels()["sqrt"], steps=0)
-        assert op.matvec_count == 0
-
     def test_nonsymmetric_reference(self):
         mat = convection_diffusion_nd(4, 1e-2, 2)
         rng = np.random.default_rng(5)
         b = rng.standard_normal(mat.n)
         fn = builtin_kernels()["power-neg-3-2"]
-        ref = reference_apply(LinearOperator.from_matrix(mat), None, b, fn, steps=16)
+        ref = reference_apply(LinearOperator.from_matrix(mat), None, b, fn)
         dense = mat.toarray()
         s = la.sqrtm(dense)
         oracle = la.solve(dense @ s, b)
@@ -428,12 +424,13 @@ class TestReference:
         assert np.linalg.norm(ref - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
     def test_exp_sqrt_keeps_imaginary_parts_of_complex_eigenvalues(self):
-        # spec = {2 + i, 2 - i}: funm passes complex eigenvalues to the
-        # scalar form, whose square root must not drop their imaginary parts
+        # spec = {2 + i, 2 - i}: the scalar form's square root of a complex
+        # eigenvalue must not drop its imaginary part
         h = np.array([[2.0, -1.0], [1.0, 2.0]])
+        d, x = la.eig(h)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = baselines._scalar_on_matrix(builtin_kernels()["exp-sqrt"], h)
+            y = np.real(x @ (builtin_kernels()["exp-sqrt"].scalar_form(d) * la.solve(x, [1, 0])))
         expected = la.expm(-la.sqrtm(h))[:, 0]
         assert expected == pytest.approx([0.2197, -0.0786], abs=1e-4)
         assert np.linalg.norm(y - expected) <= 1e-13 * np.linalg.norm(expected)
@@ -452,24 +449,34 @@ class TestReference:
         assert np.linalg.norm(ref - full) <= 1e-12 * np.linalg.norm(full)
 
     def test_non_hermitian_unsettled_runs_to_the_end(self):
-        # funm's rounding keeps the checkpoint changes at ~5e-10
-        mat = convection_diffusion_nd(12, 1e-2, 2)
+        # n = 36 < 2 REF_CHECK_EVERY: the one checkpoint before the cap cannot settle
+        mat = convection_diffusion_nd(6, 1e-2, 2)
+        assert mat.n < 2 * baselines.REF_CHECK_EVERY
         b = np.random.default_rng(0).standard_normal(mat.n)
-        fn = builtin_kernels()["gamma"]
+        fn = builtin_kernels()["sqrt"]
         op = LinearOperator.from_matrix(mat)
         ref = reference_apply(op, None, b, fn)
-        # the full run: min(400, n) = 144 steps, cut to 142 by a lucky breakdown
         full, k = arnoldi_reference(mat, b, fn, mat.n)
         assert op.matvec_count == k
         assert np.array_equal(ref, full)
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_non_hermitian_failing_checkpoints_raise_at_the_end(self):
+        # a nilpotent shift from e_n: every H_k is singular, so F(H_k) e_1
+        # fails at step 25 and at the breakdown, step n
+        op = LinearOperator.from_dense(np.diag(np.ones(29), 1))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            reference_apply(op, None, np.eye(30)[-1], builtin_kernels()["power-neg-3-2"])
+        assert op.matvec_count == 30
+
+    @pytest.mark.parametrize("name", ["exp-sqrt", "gamma", "exp-sqrt-shifted"])
+    def test_non_hermitian_without_dense_form_is_refused(self, name):
         mat = convection_diffusion_nd(12, 1e-2, 2)
         b = np.random.default_rng(0).standard_normal(mat.n)
         op = LinearOperator.from_matrix(mat)
-        with pytest.raises(ValueError, match="not accurate enough"):
-            reference_apply(op, None, b, builtin_kernels()["exp-sqrt"])
-        assert op.matvec_count == arnoldi(LinearOperator.from_matrix(mat), b, mat.n).m
+        with pytest.raises(ValueError, match=f"no dense form of {name} "):
+            reference_apply(op, None, b, builtin_kernels()[name])
+        assert op.matvec_count == 0
 
 
 class TestPipeline:

@@ -131,6 +131,10 @@ class TestBuiltinKernels:
         fn = builtin_kernels()["inv-sqrt-stieltjes"]
         assert transform_value(fn, 9.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
+    def test_transform_value_outside_the_convergence_region(self):
+        with pytest.raises(ConvergenceRegionError, match="power-neg-3-2"):
+            transform_value(builtin_kernels()["power-neg-3-2"], -1.0)
+
     def test_oscillating_density_flagged(self):
         fn = builtin_kernels(tau=1.0)["exp-sqrt-shifted"]
         got = transform_value(fn, 1.0, eps=1e-9)
