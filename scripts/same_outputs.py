@@ -28,7 +28,10 @@ thread, since a threaded BLAS may sum in another order. The cases:
   from e_1, where pass 1 breaks down at step 1 (f and the checkpoint
   errors);
 - ``cg_solve`` on laplacian_nd(20, 3) and ``gmres_solve`` (restart 8) on
-  convection_diffusion_nd(15, 1e-3, 2), seed-0 start, rtol 1e-9 (x).
+  convection_diffusion_nd(15, 1e-3, 2), seed-0 start, rtol 1e-9 (x);
+- ``stieltjes_pipeline`` for s^{-3/2} on laplacian_nd(20, 2): CG at rtol
+  1e-9, then the inv-sqrt-stieltjes restart at m = 10 with update-norm
+  stopping (x and the per-cycle update norms; the matvecs of both phases).
 """
 
 import os
@@ -43,7 +46,13 @@ import sys
 import numpy as np
 
 import laplace_krylov
-from laplace_krylov.baselines import cg_solve, gmres_solve, reference_apply, two_pass_lanczos
+from laplace_krylov.baselines import (
+    cg_solve,
+    gmres_solve,
+    reference_apply,
+    stieltjes_pipeline,
+    two_pass_lanczos,
+)
 from laplace_krylov.cli import _random_connected_graph
 from laplace_krylov.operators import (
     LinearOperator,
@@ -153,6 +162,13 @@ def cases():
     yield "cg/lap3d-N20", lambda: linear_solve(cg_solve, laplacian_nd(20, 3))
     yield "gmres/cd2d-N15-m8", lambda: linear_solve(
         gmres_solve, convection_diffusion_nd(15, 1e-3, 2), 8)
+
+    def pipeline():
+        x, rep, first = stieltjes_pipeline(
+            LinearOperator.from_matrix(lap2d), unit_starts(lap2d.n, 1)[0],
+            kernels["inv-sqrt-stieltjes"], -1, RestartConfig(m=10, tol=TOL))
+        return first + rep.matvecs, rep.reason, [x, [r.update_norm for r in rep.records]]
+    yield "stieltjes-pipeline/lap2d-N20-m10", pipeline
 
 
 def line(name: str, thunk) -> str:

@@ -164,8 +164,9 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
 def cg_solve(op: LinearOperator, b: np.ndarray, rtol: float):
     """Conjugate gradients for Hermitian positive definite systems.
 
-    Starts from zero, so the matvec count equals the iteration count; raises
-    after 10 n iterations.
+    Starts from zero. Returns x and the matvec count: the iterations, plus one
+    where a target below CG's attainable accuracy has the true residual
+    checked. Raises after 10 n iterations, or when that check misses.
     """
     if not op.hermitian:
         raise ValueError("CG needs a Hermitian operator")
@@ -173,21 +174,33 @@ def cg_solve(op: LinearOperator, b: np.ndarray, rtol: float):
         raise ValueError(f"rtol must be finite and positive, got {rtol}")
     n = op.n
     max_iter = 10 * n
-    target = rtol * _checked_norm(b, "b", n)
+    bnorm = _checked_norm(b, "b", n)
+    target = rtol * bnorm
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()
     rs = np.vdot(r, r).real
     if math.sqrt(rs) <= target:
         return x, 0
+    anorm = carry = 0.0   # ||A|| >= r_j^H A r_j / r_j^H r_j = 1/alpha_j + beta_{j-1}/alpha_{j-1}
     for it in range(1, max_iter + 1):
         Ap = op.apply(p)
         alpha = rs / np.vdot(p, Ap).real
+        anorm = max(anorm, 1.0 / alpha + carry)
         x = x + alpha * p
         r = r - alpha * Ap
         rs_new = np.vdot(r, r).real
         if math.sqrt(rs_new) <= target:
+            # the updated residual drifts from the true one by up to O(it) u (||b|| +
+            # ||A|| max_j ||x_j||) (Greenbaum, SIMAX 18, 1997); ||x_j|| grows from x_0 = 0
+            floor = it * np.finfo(float).eps * (bnorm + anorm * la.norm(x))
+            if target < floor:   # one matvec checks the true residual
+                res, it = la.norm(b - op.apply(x)) / bnorm, it + 1
+                if res > rtol:
+                    raise IterationLimitError(f"CG cannot reach rtol={rtol}: true residual "
+                                              f"{res:.1e}, attainable accuracy {floor / bnorm:.1e}")
             return x, it
+        carry = rs_new / rs / alpha
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise IterationLimitError(f"CG did not reach rtol={rtol} within {max_iter} iterations")

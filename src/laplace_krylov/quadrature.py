@@ -11,7 +11,6 @@ Kronrod nodes, weights and kernel samples where gk15 evaluates them, and
 the accepted segments are concatenated. The exp(-nu t) factor is *not*
 absorbed into the weights, so the same rule can be applied with
 exp(-t H) for any small matrix H.
-:func:`integrate_halfline` returns the adaptive value itself.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "gk15",
     "build_laplace_rule",
     "apply_rule_matrix",
-    "integrate_halfline",
 ]
 
 # QUADPACK 7-15 pair on [-1, 1]. Odd-indexed nodes are the Gauss-7 subset.
@@ -211,8 +209,9 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     at t = 0. ``t_max`` truncates the domain; chained error kernels pass the
     previous rule's largest node here since their support never grows and
     their interpolation surface is not trustworthy beyond it. Nodes,
-    weights and the samples f(t_i) kept in ``values`` are the ones the
-    adaptive pass formed on its accepted intervals.
+    weights and the samples f(t_i) kept in ``values`` (one row per node for
+    a vector integrand) are the ones the adaptive pass formed on its
+    accepted intervals.
     """
     if eps_q <= 0:
         raise ValueError("eps_q must be positive")
@@ -225,7 +224,7 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     # intervals whose sampled integrand is identically zero contribute
     # nothing for any matrix argument dominated by the anchor decay; keeping
     # them would drag far-out nodes into every later evaluation
-    live = [rec for rec in intervals if not (rec[2] == 0.0 and rec[3] == 0.0)]
+    live = [rec for rec in intervals if not (rec[3] == 0.0 and np.all(rec[2] == 0.0))]
     if not live:
         raise ZeroIntegrandError("integrand vanished on every subinterval")
     t, w, values = (np.concatenate(parts) for parts in zip(*(rec[4] for rec in live)))
@@ -233,16 +232,6 @@ def build_laplace_rule(f, nu: float, eps_q: float,
         raise RuntimeError("frozen nodes are not strictly ascending")
     return QuadratureRule(nodes=t, weights=w, eps_q=eps_q, nu=nu,
                           interval_errors=np.array([rec[3] for rec in live]), values=values)
-
-
-def integrate_halfline(f, nu: float = 0.0, eps: float = 1e-12):
-    """Adaptive value of int_0^inf f(t) exp(-nu t) dt (no rule frozen).
-
-    ``f`` maps an array t to one value per point, or to one row per point
-    for a vector-valued integrand; the result is a scalar or a vector.
-    """
-    _, total = _adapt(_pilot_segment(f, nu, "exp"), eps)
-    return total
 
 
 def apply_rule_matrix(rule: QuadratureRule, values: np.ndarray, E: np.ndarray) -> np.ndarray:

@@ -40,7 +40,6 @@ from .quadrature import (
     ZeroIntegrandError,
     apply_rule_matrix,
     build_laplace_rule,
-    integrate_halfline,
 )
 from .smallmat import SpectralCache, eig_general, eig_hermitian, expm_columns
 from .smallmat import expm_action  # noqa: F401  (unused; perfbench/tracer.py hooks this name)
@@ -348,14 +347,15 @@ class _StieltjesChain:
     """Error chain for Stieltjes functions, kept as stored Ritz values.
 
     The cycle-k update integrates
-    rho(t) * psi(t) * (H^(k) + tI)^{-1} e_1 over the half line by adaptive
-    quadrature, with psi(t) = prod_j e_m^T (H^(j) + tI)^{-1} e_1 over the
+    rho(t) * psi(t) * (H^(k) + tI)^{-1} e_1 over the half line on one frozen
+    rule, with psi(t) = prod_j e_m^T (H^(j) + tI)^{-1} e_1 over the
     earlier cycles. For an unreduced Hessenberg H with Ritz values theta_l,
     e_m^T (H + tI)^{-1} e_1 = (-1)^(m+1) prod_i h_{i+1,i} / prod_l (t + theta_l)
     (Afanasjew, Eiermann, Ernst & Güttel, LAA 429, 2008; Frommer, Güttel &
     Schweitzer, SIMAX 35, 2014), so the chain keeps every earlier Ritz value
     (the eigenvalues of the cycle's shared decomposition) in ``ritz``, the
     summed log h_{i+1,i} in ``log_c`` and the product of the signs in ``sign``.
+    The same decomposition gives the resolvents (H^(k) + tI)^{-1} e_1.
     """
 
     rounds = 0   # no interpolation surface to refine
@@ -380,14 +380,22 @@ class _StieltjesChain:
         if k == 1:
             # spec(A) off (-inf, 0]: the anchor must lie right of 0
             _check_anchor(float(np.min(cache.D.real)), 0.0, False, "a Stieltjes function")
-        eye = np.eye(m, dtype=H.dtype)
+        X, D, eye = cache.X, cache.D, np.eye(m, dtype=H.dtype)
+        coef = None if X is None else X[0].conj() if cache.Xinv is None else cache.Xinv[:, 0]
 
         def integrand(t):
-            r = np.linalg.solve(H + t[:, None, None] * eye, eye[:, :1])[:, :, 0].real
+            if X is None:   # kappa_1(X) > KAPPA_MAX: stacked solves, as in expm_columns
+                r = np.linalg.solve(H + t[:, None, None] * eye, eye[:, :1])[:, :, 0].real
+            else:   # X diag(1/(D + t)) X^{-1} e_1, with X^{-1} = X^H for Hermitian H
+                r = (X @ (coef[:, None] / (D[:, None] + t))).T.real
             return (self.rho(t) * self._psi(t))[:, None] * r
 
-        contribution = self.beta * integrate_halfline(integrand, 0.0, self.cfg.eps_q)
-        self.ritz = np.concatenate([self.ritz, cache.D])
+        try:
+            rule = build_laplace_rule(integrand, 0.0, self.cfg.eps_q)
+            contribution = self.beta * (rule.weights @ rule.values)
+        except ZeroIntegrandError:   # nothing left to resolve
+            contribution = np.zeros(m)
+        self.ritz = np.concatenate([self.ritz, D])
         self.log_c += np.log(np.diag(H, -1)).sum()
         self.sign *= (-1.0) ** (m + 1)
         self.beta = -self.beta * dec.h_next

@@ -233,6 +233,17 @@ class TestCG:
             cg_solve(op, b, 1e-300)
         assert op.matvec_count == 10 * op.n
 
+    def test_target_below_attainable_accuracy_raises(self):
+        # the updated residual meets rtol 1e-20 after 100 iterations, while
+        # the true one stalls at 7.8e-14: one matvec checks it at the stop
+        mat = laplacian_nd(50, 1)
+        op = LinearOperator.from_matrix(mat)
+        b = np.random.default_rng(7).standard_normal(50)
+        with pytest.raises(IterationLimitError,
+                           match=r"rtol=1e-20: true residual \d\.\de-1[34], attainable accuracy"):
+            cg_solve(op, b, 1e-20)
+        assert op.matvec_count == 101
+
 
 class TestGMRES:
     def test_identity(self):

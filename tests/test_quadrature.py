@@ -10,10 +10,10 @@ from laplace_krylov.quadrature import (
     GK15_NODES,
     GK15_WEIGHTS,
     QuadratureDivergenceError,
+    ZeroIntegrandError,
     apply_rule_matrix,
     build_laplace_rule,
     gk15,
-    integrate_halfline,
 )
 from laplace_krylov.smallmat import eig_hermitian, expm_columns
 
@@ -92,7 +92,8 @@ class TestBuildLaplaceRule:
     def test_self_consistency_with_adaptive(self):
         kern = lambda t: np.exp(-np.exp(-t))
         rule = build_laplace_rule(kern, 1.0, 1e-10)
-        adaptive = integrate_halfline(kern, nu=1.0, eps=1e-13)
+        fine = build_laplace_rule(kern, 1.0, 1e-13)
+        adaptive = scalar_apply(fine, fine.values)
         assert scalar_apply(rule, kern(rule.nodes)) == pytest.approx(adaptive, abs=1e-10)
 
     def test_divergence_reported(self):
@@ -186,14 +187,24 @@ class TestAnchoredRuleReuse:
         assert got == pytest.approx(1.0 / s, abs=5e-8)
 
 
+def vector_apply(rule):
+    """A rule built at nu = 0 applied to its own vector samples."""
+    return rule.weights @ rule.values
+
+
 class TestVectorHalfline:
     def test_vector_integral(self):
         # componentwise exponentials with known transforms
         def f(t):
             return np.column_stack([np.exp(-t), np.exp(-2.0 * t)])
 
-        out = integrate_halfline(f, 0.0, 1e-11)
-        assert out == pytest.approx([1.0, 0.5], abs=1e-10)
+        rule = build_laplace_rule(f, 0.0, 1e-11)
+        assert rule.values.shape == (rule.count, 2)
+        assert vector_apply(rule) == pytest.approx([1.0, 0.5], abs=1e-10)
+
+    def test_vanishing_vector_integrand(self):
+        with pytest.raises(ZeroIntegrandError):
+            build_laplace_rule(lambda t: np.zeros((t.size, 3)), 0.0, 1e-10)
 
     def test_resolvent_style_integrand(self):
         # int rho(t) (H + tI)^{-1} e_1 dt with rho = 1/(pi sqrt(t)) equals
@@ -207,7 +218,7 @@ class TestVectorHalfline:
             rho = 1.0 / (math.pi * np.sqrt(t))
             return np.array([r * la.solve(h + ti * np.eye(3), e1) for r, ti in zip(rho, t)])
 
-        out = integrate_halfline(f, 0.0, 1e-10)
+        out = vector_apply(build_laplace_rule(f, 0.0, 1e-10))
         w, q = la.eigh(h)
         oracle = q @ (w**-0.5 * q.T[:, 0])
         assert np.linalg.norm(out - oracle) <= 1e-9

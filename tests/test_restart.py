@@ -8,7 +8,7 @@ import scipy.linalg as la
 import scipy.special
 
 from laplace_krylov.krylov import arnoldi
-from laplace_krylov import cli, restart
+from laplace_krylov import cli, restart, smallmat
 from laplace_krylov.operators import (
     LinearOperator,
     SparseMatrix,
@@ -1092,6 +1092,47 @@ class TestStieltjes:
         y_sti, rep2 = restarted_laplace(op4, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg2)
         assert rep1.converged and rep2.converged
         assert np.linalg.norm(y_lap - y_sti) <= 2 * cfg2.tol * np.linalg.norm(exact)
+
+
+class TestStieltjesResolvents:
+    """The chain's resolvents come from the cycle's decomposition; the stacked
+    solve serves only a cache without an eigenvector basis."""
+
+    CD = convection_diffusion_nd(15, 1e-3, 2)
+
+    def run(self, mat, monkeypatch, m=8):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        op = LinearOperator.from_matrix(mat)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        x, rep = restarted_laplace(op, b / np.linalg.norm(b),
+                                   builtin_kernels()["inv-sqrt-stieltjes"], RestartConfig(m=m))
+        return x, rep, len(calls)
+
+    @pytest.mark.parametrize("mat", [laplacian_nd(12, 2), CD], ids=["hermitian", "general"])
+    def test_closed_form_makes_no_solve(self, mat, monkeypatch):
+        _, rep, solves = self.run(mat, monkeypatch)
+        assert rep.converged and rep.cycles > 2
+        assert solves == 0
+
+    def test_solve_fallback_matches_closed_form(self, monkeypatch):
+        x, rep, _ = self.run(self.CD, monkeypatch)
+        monkeypatch.setattr(smallmat, "KAPPA_MAX", 0.0)   # every cycle drops X
+        y, rep_solve, solves = self.run(self.CD, monkeypatch)
+        assert solves > 0
+        assert (rep.matvecs, rep.reason) == (64, "update_norm")
+        assert (rep_solve.matvecs, rep_solve.reason) == (rep.matvecs, rep.reason)
+        assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_vanishing_integrand_contributes_zeros(self):
+        zero = TransformFunction(name="zero", kind="stieltjes", kernel=np.zeros_like)
+        op = LinearOperator.from_matrix(laplacian_nd(6, 2))
+        b = np.random.default_rng(0).standard_normal(op.n)
+        x, rep = restarted_laplace(op, b, zero, RestartConfig(m=4))
+        # 0 <= tol * 0 ends the run at cycle 2
+        assert [r.update_norm for r in rep.records] == [0.0, 0.0]
+        assert np.all(x == 0.0) and rep.reason == "update_norm"
 
 
 class TestTwoSided:
