@@ -25,8 +25,9 @@ thread, since a threaded BLAS may sum in another order. The cases:
 - two quadrature rules (nodes, weights, values and interval errors);
 - two-pass Lanczos for s^{-3/2} on laplacian_nd(20, 2), on a complex
   Hermitian positive definite matrix from a real b, and on diag(1, 4, 9)
-  from e_1, where pass 1 breaks down at step 1 (f and the checkpoint
-  errors);
+  from e_1, where pass 1 breaks down at step 1, and on laplacian_nd(20, 2)
+  stopped by its true error against the dense ``reference_apply`` (f and
+  the checkpoint errors);
 - ``cg_solve`` on laplacian_nd(20, 3) and ``gmres_solve`` (restart 8) on
   convection_diffusion_nd(15, 1e-3, 2), seed-0 start, rtol 1e-9 (x);
 - ``stieltjes_pipeline`` for s^{-3/2} on laplacian_nd(20, 2): CG at rtol
@@ -98,9 +99,9 @@ def solve(mat, m: int, fn, b, reference=None):
     return rep.matvecs, rep.reason, [x, tail]
 
 
-def two_pass(op, b, fn, m: int):
+def two_pass(op, b, fn, m: int, reference=None):
     """two_pass_lanczos at tol TOL, checked every m steps: (matvecs, reason, arrays)."""
-    f, rep = two_pass_lanczos(op, b, fn, TOL, m)
+    f, rep = two_pass_lanczos(op, b, fn, TOL, m, reference=reference)
     reason = "converged" if rep.converged else "unconverged"
     return rep.matvecs, reason, [f, [rel for _, rel in rep.checkpoints]]
 
@@ -144,7 +145,7 @@ def cases():
     for name, kernel in kernels.items():
         for s in (0.5, 1.0, 4.0):
             yield f"transform/{name}/s={s}", lambda k=kernel, s=s: ("-", "-", [transform_value(k, s)])
-    truncated = {"t_max": 5.0, "weight_kind": "one_minus_exp"}
+    truncated = {"t_max": 5.0, "one_minus": True}
     for label, kwargs in (("rule/sqrt", {}), ("rule/sqrt-tmax5-one_minus_exp", truncated)):
         def rule_case(kwargs=kwargs):
             rule = build_laplace_rule(np.sqrt, 0.7, 1e-10, **kwargs)
@@ -154,6 +155,11 @@ def cases():
     lap2d = laplacian_nd(20, 2)
     yield "two-pass/lap2d-N20-m10", lambda: two_pass(
         LinearOperator.from_matrix(lap2d), unit_starts(lap2d.n, 1)[0], fn, 10)
+
+    def two_pass_reference(b=unit_starts(lap2d.n, 1)[0]):
+        ref = reference_apply(LinearOperator.from_matrix(lap2d), lap2d.toarray(), b, fn)
+        return two_pass(LinearOperator.from_matrix(lap2d), b, fn, 10, reference=ref)
+    yield "two-pass-reference/lap2d-N20-m10", two_pass_reference
     hpd, real_b = complex_hpd()
     yield "two-pass/complex-hpd-real-b", lambda: two_pass(
         LinearOperator.from_dense(hpd), real_b, fn, 5)

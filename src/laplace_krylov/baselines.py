@@ -54,22 +54,20 @@ def _f_of_tridiag(alphas, betas, scalar_form):
     return q @ (np.asarray(scalar_form(d)) * q[0, :])
 
 
-def _change_norm(y: np.ndarray, y_prev: np.ndarray) -> float:
-    """||y - y_prev|| for coefficient vectors, y_prev zero-padded to y's length."""
-    return float(np.linalg.norm(y - np.pad(y_prev, (0, y.size - y_prev.size))))
-
-
 def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
     """Plain Lanczos three-term recurrence from the unit vector v.
 
     Yields (v_j, alpha_j, beta_j, broke) for j = 1..steps at one matvec each,
     without storing the basis; ``broke`` flags the breakdown step, the last.
+    A non-finite matvec raises at its step.
     """
     v_prev = np.zeros_like(v)
     beta_prev = 0.0
-    for _ in range(steps):
+    for j in range(1, steps + 1):
         w = op.apply(v) - beta_prev * v_prev
         scale = float(la.norm(w, check_finite=False))
+        if not math.isfinite(scale):
+            raise ValueError(f"operator returned non-finite values at Lanczos step {j}")
         alpha = np.vdot(v, w).real
         w = w - alpha * v
         beta = float(la.norm(w, check_finite=False))
@@ -81,9 +79,63 @@ def _lanczos(op: LinearOperator, v: np.ndarray, steps: int):
         beta_prev = beta
 
 
-def _lanczos_pass2(op: LinearOperator, b: np.ndarray, bnorm: float, coeff: np.ndarray):
-    """Pass 2: ||b|| V_j coeff, regenerating the j = coeff.size Lanczos vectors."""
-    return bnorm * sum(c * u for c, (u, *_) in zip(coeff, _lanczos(op, b / bnorm, len(coeff))))
+class _Settled:
+    """The checkpoint rule of every Krylov stop here. Called after step k with
+    ``evaluate()`` giving y_k = F(T_k) e_1, it measures y_k at every
+    ``every``-th step and the last: by ``error(y_k)`` when given, else by
+    its relative change from the previous checkpoint's y (Saad, SINUM 29,
+    1992; none at the first). It is true at the last step and once ``need``
+    successive checkpoints measure at most ``rtol``; ``y`` is then y_k and
+    ``checkpoints`` holds the (k, measure) pairs. A checkpoint whose
+    evaluation raises ``ValueError`` counts as unsettled; the last one raises.
+    """
+
+    def __init__(self, rtol: float, every: int, need: int, error=None):
+        self.rtol, self.every, self.need = rtol, every, need
+        self.error = error or self._change
+        self.y, self.count, self.checkpoints = None, 0, []
+
+    def _change(self, y: np.ndarray) -> float | None:
+        if self.y is not None:   # self.y zero-padded to y's length
+            return float(np.linalg.norm(y - np.pad(self.y, (0, y.size - self.y.size)))
+                         / np.linalg.norm(y))
+
+    def __call__(self, k: int, last: bool, evaluate) -> bool:
+        if not last and k % self.every != 0:
+            return False
+        try:
+            y = evaluate()
+        except ValueError:
+            if last:
+                raise
+            self.y, self.count = None, 0
+            return False
+        rel = self.error(y)
+        if rel is not None:
+            self.checkpoints.append((k, rel))
+        self.y, self.count = y, self.count + 1 if rel is not None and rel <= self.rtol else 0
+        return last or self.count == self.need
+
+
+def _two_pass(op: LinearOperator, b: np.ndarray, bnorm: float, scalar_form,
+              cap: int, settled: _Settled, track=None):
+    """Two-pass Lanczos: pass 1 hands each vector to ``track`` and runs until a
+    breakdown or until ``settled`` stops it; pass 2 regenerates the k vectors
+    and sums ||b|| V_k F(T_k) e_1. Returns (f, k, whether pass 1 broke down)."""
+    alphas: list[float] = []
+    betas: list[float] = []     # betas[:-1] are the off-diagonals of the tridiagonal
+    for k, (v, alpha, beta, broke) in enumerate(_lanczos(op, b / bnorm, cap), start=1):
+        alphas.append(alpha)
+        betas.append(beta)
+        if track is not None:
+            track(v)
+        # a breakdown makes the approximation exact: no checkpoint needed
+        if broke or settled(k, k == cap, lambda: _f_of_tridiag(alphas, betas[:-1], scalar_form)):
+            break
+    # a run that ended on a checkpoint already holds the coefficients
+    y = (settled.y if settled.y is not None and settled.y.size == k
+         else _f_of_tridiag(alphas, betas[:-1], scalar_form))
+    return bnorm * sum(c * u for c, (u, *_) in zip(y, _lanczos(op, b / bnorm, k))), k, broke
 
 
 def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
@@ -112,50 +164,21 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     bnorm = _checked_norm(b, "b", n)
-    ref_norm = _checked_norm(reference, "reference", n) if reference is not None else 0.0
+    track = projected_error = None
+    if reference is not None:
+        ref_norm, dots = _checked_norm(reference, "reference", n), []
 
-    report = TwoPassReport(steps=0, matvecs=0, converged=False)
-    alphas: list[float] = []
-    betas: list[float] = []     # betas[:-1] are the off-diagonals of the tridiagonal
-    u_dots: list[complex] = []
-    y = y_prev = None
-    for j, (v, alpha, beta, broke) in enumerate(_lanczos(op, b / bnorm, max_steps), start=1):
-        alphas.append(alpha)
-        betas.append(beta)
-        if reference is not None:
-            u_dots.append(np.vdot(v, reference))
-        if broke:
-            # invariant subspace found: the approximation is exact
-            report.converged = True
-            break
-        if j % check_every_m != 0 and j != max_steps:
-            continue
-        y = _f_of_tridiag(alphas, betas[:-1], fn.scalar_form)
-        if reference is not None:
+        def track(v):
+            dots.append(np.vdot(v, reference))
+
+        def projected_error(y):
             # ||f_j - ref||^2 expanded through the tracked projections; the
             # cancellation floor ~1e-8 relative is fine for stopping at 1e-7
-            u = np.asarray(u_dots)
-            err2 = ref_norm**2 - 2.0 * bnorm * float((y @ u).real) + bnorm**2 * float(y @ y)
-            rel = math.sqrt(max(err2, 0.0)) / ref_norm
-            report.checkpoints.append((j, rel))
-            if rel <= tol:
-                report.converged = True
-                break
-        else:
-            if y_prev is not None:
-                rel = _change_norm(y, y_prev) / float(np.linalg.norm(y))
-                report.checkpoints.append((j, rel))
-                if rel <= tol:
-                    report.converged = True
-                    break
-            y_prev = y
-    report.steps = len(alphas)
-
-    # a run that ended on a checkpoint already holds the coefficients
-    coeff = (y if y is not None and y.size == len(alphas)
-             else _f_of_tridiag(alphas, betas[:-1], fn.scalar_form))
-    f = _lanczos_pass2(op, b, bnorm, coeff)
-    report.matvecs = 2 * report.steps
+            err2 = ref_norm**2 - 2.0 * bnorm * float((y @ np.asarray(dots)).real)
+            return math.sqrt(max(err2 + bnorm**2 * float(y @ y), 0.0)) / ref_norm
+    settled = _Settled(tol, check_every_m, 1, projected_error)
+    f, steps, broke = _two_pass(op, b, bnorm, fn.scalar_form, max_steps, settled, track)
+    report = TwoPassReport(steps, 2 * steps, broke or settled.count == 1, settled.checkpoints)
     if reference is not None:
         report.final_error = float(np.linalg.norm(f - reference) / ref_norm)
     return f, report
@@ -274,32 +297,6 @@ _DENSE_FORMS = {
 }
 
 
-class _Settled:
-    """The references' stop. Called after step k with ``evaluate()`` giving
-    y_k = F(T_k) e_1, it is true at the last step and after two successive
-    checkpoints, REF_CHECK_EVERY steps apart, that each change y_k by at most
-    REF_SETTLED_RTOL ||y_k|| (Saad, SINUM 29, 1992); ``y`` is then y_k. A
-    checkpoint whose evaluation raises is not settled; the last one may raise.
-    """
-
-    y, count = None, 0
-
-    def __call__(self, k: int, last: bool, evaluate) -> bool:
-        if not last and k % REF_CHECK_EVERY != 0:
-            return False
-        try:
-            y = evaluate()
-        except ValueError:
-            if last:
-                raise
-            self.y, self.count = None, 0
-            return False
-        small = self.y is not None and (
-            _change_norm(y, self.y) <= REF_SETTLED_RTOL * np.linalg.norm(y))
-        self.y, self.count = y, self.count + 1 if small else 0
-        return last or self.count == 2
-
-
 def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
                     fn: TransformFunction) -> np.ndarray:
     """High-accuracy F(A)b used as the benchmark reference.
@@ -321,19 +318,12 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
         raise ValueError(f"no dense form of {fn.name} for a non-Hermitian reference "
                          f"(there are forms of {', '.join(_DENSE_FORMS)})")
     n = op.n
-    cap, settled = min(REF_MAX_STEPS, n), _Settled()
+    cap, settled = min(REF_MAX_STEPS, n), _Settled(REF_SETTLED_RTOL, REF_CHECK_EVERY, 2)
     if op.hermitian and dense is not None and n <= 1000:
         w, q = la.eigh(dense)
         return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
     if op.hermitian:
-        bnorm = _checked_norm(b, "b", n)
-        alphas, betas = [], []
-        for k, (_, alpha, beta, broke) in enumerate(_lanczos(op, b / bnorm, cap), start=1):
-            alphas.append(alpha)
-            betas.append(beta)
-            if settled(k, k == cap or broke,
-                       lambda: _f_of_tridiag(alphas, betas[:-1], fn.scalar_form)):
-                return _lanczos_pass2(op, b, bnorm, settled.y)
+        return _two_pass(op, b, _checked_norm(b, "b", n), fn.scalar_form, cap, settled)[0]
     for k, H, Q, beta in _arnoldi_steps(op, b, cap):
         if settled(k, k == cap or H[k, k - 1] == 0.0,
                    lambda: np.real(form(np.array(H[:k, :k]), np.eye(1, k)[0]))):

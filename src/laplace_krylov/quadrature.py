@@ -126,14 +126,6 @@ class QuadratureRule:
         return self.nodes.size
 
 
-def _damp(kind: str, s: float, t: np.ndarray) -> np.ndarray:
-    if kind == "exp":
-        return np.exp(-s * t)
-    if kind == "one_minus_exp":
-        return -np.expm1(-s * t)
-    raise ValueError(f"unknown weight kind {kind!r}")
-
-
 def _adapt(segment_eval, eps: float, x_hi: float = 1.0):
     """Adaptive bisection of [0, x_hi), ten equal intervals to start with.
 
@@ -174,7 +166,7 @@ KERNEL_FLOOR = 1e-280
 TERM_FLOOR = 1e-13
 
 
-def _pilot_segment(f, nu: float, weight_kind: str):
+def _pilot_segment(f, nu: float, one_minus: bool):
     """Segment evaluator for :func:`_adapt`: gk15 of the substituted, damped
     integrand, and the segment's share of a rule where gk15 evaluated it:
     the 15 nodes t, their weights 0.5 (b - a) w_j J(x_j) without the
@@ -189,9 +181,10 @@ def _pilot_segment(f, nu: float, weight_kind: str):
                 jac = 2.0 * x / (1.0 - x) ** 3   # dt/dx
                 piece[:] = t, 0.5 * (b - a) * GK15_WEIGHTS * jac, np.asarray(f(t))
                 fv = np.asarray(piece[2], dtype=float)
+                damp = -np.expm1(-nu * t) if one_minus else np.exp(-nu * t)
                 # transposed, the damping and the Jacobian scale each row
                 # of a vector integrand
-                y = ((fv.T * _damp(weight_kind, nu, t)) * jac).T
+                y = ((fv.T * damp) * jac).T
             # kernels that have decayed to the subnormal range kill the
             # product even where the damping factor overflows
             return np.where(np.abs(fv) < KERNEL_FLOOR, 0.0, y)
@@ -199,19 +192,18 @@ def _pilot_segment(f, nu: float, weight_kind: str):
     return segment
 
 
-def build_laplace_rule(f, nu: float, eps_q: float,
-                       weight_kind: str = "exp",
+def build_laplace_rule(f, nu: float, eps_q: float, one_minus: bool = False,
                        t_max: float | None = None) -> QuadratureRule:
     """Adaptive rule for int_0^inf f(t) * damp(nu t) dt, frozen for reuse.
 
-    The damping factor is exp(-nu t) for plain Laplace transforms or
-    (1 - exp(-nu t)) for Bernstein-style integrands whose kernel is singular
-    at t = 0. ``t_max`` truncates the domain; chained error kernels pass the
-    previous rule's largest node here since their support never grows and
-    their interpolation surface is not trustworthy beyond it. Nodes,
-    weights and the samples f(t_i) kept in ``values`` (one row per node for
-    a vector integrand) are the ones the adaptive pass formed on its
-    accepted intervals.
+    The damping factor is exp(-nu t) for plain Laplace transforms or, with
+    ``one_minus``, (1 - exp(-nu t)) for Bernstein-style integrands whose
+    kernel is singular at t = 0. ``t_max`` truncates the domain; chained
+    error kernels pass the previous rule's largest node here since their
+    support never grows and their interpolation surface is not trustworthy
+    beyond it. Nodes, weights and the samples f(t_i) kept in ``values`` (one
+    row per node for a vector integrand) are the ones the adaptive pass
+    formed on its accepted intervals.
     """
     if eps_q <= 0:
         raise ValueError("eps_q must be positive")
@@ -219,7 +211,7 @@ def build_laplace_rule(f, nu: float, eps_q: float,
     if t_max is not None:
         r = math.sqrt(t_max)
         x_hi = min(1.0, r / (1.0 + r))
-    intervals, _ = _adapt(_pilot_segment(f, nu, weight_kind), eps_q, x_hi=x_hi)
+    intervals, _ = _adapt(_pilot_segment(f, nu, one_minus), eps_q, x_hi=x_hi)
 
     # intervals whose sampled integrand is identically zero contribute
     # nothing for any matrix argument dominated by the anchor decay; keeping

@@ -286,8 +286,7 @@ class _LaplaceChain:
             model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
             f, t_max = partial(error_function_values, model), float(self.eval_rule.nodes.max())
         try:
-            rule = build_laplace_rule(f, self.nu - self.shift, self.cfg.eps_q, t_max=t_max,
-                                      weight_kind="one_minus_exp" if one_minus else "exp")
+            rule = build_laplace_rule(f, self.nu - self.shift, self.cfg.eps_q, one_minus, t_max)
         except ZeroIntegrandError:
             if k == 1:
                 raise
@@ -479,13 +478,12 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             refine_rounds=max(chain.rounds for chain in chains),
         ))
 
-        if report.reason:
-            return fm, report
         if not (math.isfinite(upd) and math.isfinite(itn)):
             # an overflowed iterate fails the run (inf <= tol * inf would
-            # otherwise pass the update-norm test); a later cycle keeps cycle
+            # otherwise pass the update-norm test), as does a quadrature
+            # divergence, whose update is NaN; a later cycle keeps cycle
             # k - 1's iterate, and its record the norms it overflowed to
-            report.reason = "non_finite"
+            report.reason = report.reason or "non_finite"
             return (fm if k == 1 else kept), report
         done = (rel <= cfg.tol if cfg.stopping == "reference_error"
                 else k >= 2 and upd <= cfg.tol * itn)

@@ -55,6 +55,13 @@ def complex_hpd():
     return a, b
 
 
+def nan_diagonal_operator():
+    """laplacian_nd(10, 2) with one NaN diagonal entry, as a Hermitian operator."""
+    a = laplacian_nd(10, 2).toarray()
+    a[37, 37] = np.nan
+    return LinearOperator.from_dense(a, hermitian=True)
+
+
 class TestTwoPass:
     def test_equals_full_storage(self):
         mat = np.diag([1.0, 2.0, 3.0])
@@ -132,6 +139,13 @@ class TestTwoPass:
         with pytest.raises(ValueError, match=arg):
             two_pass_lanczos(op, np.ones(op.n), builtin_kernels()["sqrt"], 1e-6, **kwargs)
         assert op.matvec_count == 0
+
+    def test_non_finite_matvec_raises_at_its_step(self):
+        op = nan_diagonal_operator()
+        with pytest.raises(ValueError, match="non-finite values at Lanczos step 1$"):
+            two_pass_lanczos(op, np.full(op.n, 0.1), builtin_kernels()["power-neg-3-2"],
+                             1e-7, 10)
+        assert op.matvec_count == 1
 
     def test_huge_operator_matches_scaled_result(self):
         # an overflowing step norm used to stop pass 1 at step 1 as a breakdown
@@ -412,6 +426,12 @@ class TestReference:
         op = LinearOperator.from_matrix(laplacian_nd(4, 2))
         with pytest.raises(ValueError):
             reference_apply(op, None, np.full(16, fill), builtin_kernels()["sqrt"])
+
+    def test_lanczos_non_finite_matvec_raises_at_its_step(self):
+        op = nan_diagonal_operator()
+        with pytest.raises(ValueError, match="non-finite values at Lanczos step 1$"):
+            reference_apply(op, None, np.full(op.n, 0.1), builtin_kernels()["power-neg-3-2"])
+        assert op.matvec_count == 1
 
     def test_nonsymmetric_reference(self):
         mat = convection_diffusion_nd(4, 1e-2, 2)

@@ -290,10 +290,10 @@ class TestAdaptOnOneList:
         def f(t):
             return np.column_stack([np.exp(-t), np.sqrt(t)])
 
-        self.assert_same_pass(quadrature._pilot_segment(f, 1.0, "exp"), 1e-11)
+        self.assert_same_pass(quadrature._pilot_segment(f, 1.0, False), 1e-11)
 
     def test_truncated_rule(self):
         # the kinks of |sin 3t| on [0, 5] make the pass split
         r = math.sqrt(5.0)
-        segment = quadrature._pilot_segment(lambda t: np.abs(np.sin(3.0 * t)), 0.7, "exp")
+        segment = quadrature._pilot_segment(lambda t: np.abs(np.sin(3.0 * t)), 0.7, False)
         self.assert_same_pass(segment, 1e-10, x_hi=r / (1.0 + r))

@@ -53,9 +53,10 @@ def test_same_outputs_script_cases(load_path, monkeypatch):
     so = load_path("scripts/same_outputs.py")
     cases = dict(so.cases())
     # ten chain problems, six reference runs, one graph reference, 6 x 3
-    # transform values, two rules, three two-pass runs, one CG and one GMRES
-    # solve, and one CG + Stieltjes pipeline
-    assert len(cases) == 43
+    # transform values, two rules, three two-pass runs without a reference
+    # and one against it, one CG and one GMRES solve, and one CG + Stieltjes
+    # pipeline
+    assert len(cases) == 44
     name, matvecs, reason, *digests = so.line("rule/sqrt", cases["rule/sqrt"]).split()
     assert (name, matvecs, reason) == ("rule/sqrt", "-", "-")
     assert len(digests) == 4 and all(len(d) == 64 for d in digests)
