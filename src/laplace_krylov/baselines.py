@@ -84,16 +84,19 @@ class _Settled:
     ``evaluate()`` giving y_k = F(T_k) e_1, it measures y_k at every
     ``every``-th step and the last: by ``error(y_k)`` when given, else by
     its relative change from the previous checkpoint's y (Saad, SINUM 29,
-    1992; none at the first). It is true at the last step and once ``need``
+    1992; none at the first). A callable ``every`` gives the gap from
+    checkpoint k to the next, ``every(k)`` (the first at ``every(0)``), and
+    the change is then measured per step of its gap, so that short and long
+    gaps are held to one rate. It is true at the last step and once ``need``
     successive checkpoints measure at most ``rtol``; ``y`` is then y_k and
     ``checkpoints`` holds the (k, measure) pairs. A checkpoint whose
     evaluation raises ``ValueError`` counts as unsettled; the last one raises.
     """
 
-    def __init__(self, rtol: float, every: int, need: int, error=None):
-        self.rtol, self.every, self.need = rtol, every, need
-        self.error = error or self._change
-        self.y, self.count, self.checkpoints = None, 0, []
+    def __init__(self, rtol: float, every, need: int, error=None):
+        self.rtol, self.need, self.error = rtol, need, error or self._change
+        self.per_step, self.gap = callable(every), every if callable(every) else lambda k: every
+        self.y, self.count, self.checkpoints, self.k, self.next = None, 0, [], 0, self.gap(0)
 
     def _change(self, y: np.ndarray) -> float | None:
         if self.y is not None:   # self.y zero-padded to y's length
@@ -101,8 +104,9 @@ class _Settled:
                          / np.linalg.norm(y))
 
     def __call__(self, k: int, last: bool, evaluate) -> bool:
-        if not last and k % self.every != 0:
+        if not last and k < self.next:
             return False
+        self.next = k + self.gap(k)
         try:
             y = evaluate()
         except ValueError:
@@ -112,8 +116,10 @@ class _Settled:
             return False
         rel = self.error(y)
         if rel is not None:
+            rel /= k - self.k if self.per_step else 1
             self.checkpoints.append((k, rel))
-        self.y, self.count = y, self.count + 1 if rel is not None and rel <= self.rtol else 0
+        self.y, self.k = y, k
+        self.count = self.count + 1 if rel is not None and rel <= self.rtol else 0
         return last or self.count == self.need
 
 
@@ -310,6 +316,8 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
     closed form in ``_DENSE_FORMS``; a function without one is refused
     before the first matvec. Both stop once F(T_k) e_1 has settled
     (:class:`_Settled`), at a breakdown, or after min(REF_MAX_STEPS, n) steps.
+    Lanczos checks every REF_CHECK_EVERY steps. Arnoldi, whose step k reads k
+    rows, checks after gaps of max(5, k // 8) steps at the same change per step.
     """
     if fn.scalar_form is None:
         raise ValueError("reference evaluation needs a scalar closed form")
@@ -317,13 +325,14 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
     if not op.hermitian and form is None:
         raise ValueError(f"no dense form of {fn.name} for a non-Hermitian reference "
                          f"(there are forms of {', '.join(_DENSE_FORMS)})")
-    n = op.n
-    cap, settled = min(REF_MAX_STEPS, n), _Settled(REF_SETTLED_RTOL, REF_CHECK_EVERY, 2)
+    n, cap = op.n, min(REF_MAX_STEPS, op.n)
     if op.hermitian and dense is not None and n <= 1000:
         w, q = la.eigh(dense)
         return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
     if op.hermitian:
+        settled = _Settled(REF_SETTLED_RTOL, REF_CHECK_EVERY, 2)
         return _two_pass(op, b, _checked_norm(b, "b", n), fn.scalar_form, cap, settled)[0]
+    settled = _Settled(REF_SETTLED_RTOL / REF_CHECK_EVERY, lambda k: max(5, k // 8), 2)
     for k, H, Q, beta in _arnoldi_steps(op, b, cap):
         if settled(k, k == cap or H[k, k - 1] == 0.0,
                    lambda: np.real(form(np.array(H[:k, :k]), np.eye(1, k)[0]))):

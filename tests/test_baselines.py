@@ -81,6 +81,17 @@ class TestTwoPass:
         assert rep.matvecs == 2 * rep.steps
         assert op.matvec_count == rep.matvecs
 
+    @pytest.mark.parametrize("with_reference", [True, False], ids=["error", "change"])
+    def test_checks_at_multiples_of_check_every_m(self, with_reference):
+        # a zero tol runs to max_steps; the change is first measured at the second checkpoint
+        mat = laplacian_nd(20, 2)
+        b = unit_start(mat.n)
+        fn = builtin_kernels()["sqrt"]
+        ref = dirichlet_closed_form(20, 2, b, fn.scalar_form) if with_reference else None
+        _, rep = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 0.0, 7,
+                                  reference=ref, max_steps=30)
+        assert [k for k, _ in rep.checkpoints] == [*range(7 if with_reference else 14, 30, 7), 30]
+
     def test_reference_stopping(self):
         mat = laplacian_nd(8, 2)
         rng = np.random.default_rng(1)
@@ -444,16 +455,6 @@ class TestReference:
         oracle = la.solve(dense @ s, b)
         assert np.linalg.norm(ref - np.real(oracle)) <= 1e-8 * np.linalg.norm(oracle)
 
-    @pytest.mark.parametrize("name", ["sqrt", "inv-sqrt-stieltjes"])
-    def test_nonsymmetric_square_root_references(self, name):
-        # the dense branches of the two square-root transforms (~7e-15 off sqrtm)
-        mat = convection_diffusion_nd(10, 1e-2, 2)
-        b = unit_start(mat.n)
-        ref = reference_apply(LinearOperator.from_matrix(mat), None, b, builtin_kernels()[name])
-        s = la.sqrtm(mat.toarray())
-        oracle = np.real(s @ b if name == "sqrt" else la.solve(s, b))
-        assert np.linalg.norm(ref - oracle) <= 1e-13 * np.linalg.norm(oracle)
-
     def test_exp_sqrt_keeps_imaginary_parts_of_complex_eigenvalues(self):
         # spec = {2 + i, 2 - i}: the scalar form's square root of a complex
         # eigenvalue must not drop its imaginary part
@@ -467,23 +468,26 @@ class TestReference:
         assert np.linalg.norm(y - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_non_hermitian_stops_once_settled(self):
-        # checkpoint changes 3.5e-4, 8.4e-14, 2.4e-14 at steps 100, 125, 150
+        # checkpoint changes per step 2.0e-9, 8.8e-14, 3.0e-15, 8.6e-16 at
+        # steps 97, 109, 122, 137, against a settled rate of 4e-14
         mat = convection_diffusion_nd(40, 1e-2, 2)
         b = np.random.default_rng(0).standard_normal(mat.n)
         fn = builtin_kernels()["power-neg-3-2"]
         op = LinearOperator.from_matrix(mat)
         ref = reference_apply(op, None, b, fn)
         k = op.matvec_count
-        assert k == 150
+        assert k == 137
         assert np.array_equal(ref, arnoldi_reference(mat, b, fn, k)[0])
         full, _ = arnoldi_reference(mat, b, fn, 400)
         assert np.linalg.norm(ref - full) <= 1e-12 * np.linalg.norm(full)
 
     def test_non_hermitian_unsettled_runs_to_the_end(self):
-        # n = 36 < 2 REF_CHECK_EVERY: the one checkpoint before the cap cannot settle
-        mat = convection_diffusion_nd(6, 1e-2, 2)
-        assert mat.n < 2 * baselines.REF_CHECK_EVERY
-        b = np.random.default_rng(0).standard_normal(mat.n)
+        # n = 14: checkpoints at steps 5, 10 and 14 measure one change before
+        # the cap, and a second could first be measured at step 15
+        rng = np.random.default_rng(0)
+        a = np.diag(np.linspace(1.0, 4.0, 14)) + np.triu(rng.standard_normal((14, 14)), 1)
+        mat = SparseMatrix(a)
+        b = rng.standard_normal(mat.n)
         fn = builtin_kernels()["sqrt"]
         op = LinearOperator.from_matrix(mat)
         ref = reference_apply(op, None, b, fn)
@@ -491,10 +495,39 @@ class TestReference:
         assert op.matvec_count == k
         assert np.array_equal(ref, full)
 
+    def test_non_hermitian_checkpoint_gaps_grow_with_k(self, monkeypatch):
+        # with a zero settled change no run settles, so F(H_k) e_1 is evaluated
+        # at every checkpoint: after gaps of max(5, k // 8) steps, and at the cap
+        steps, form = [], baselines._DENSE_FORMS["sqrt"]
+        monkeypatch.setitem(baselines._DENSE_FORMS, "sqrt",
+                            lambda H, e1: steps.append(e1.size) or form(H, e1))
+        monkeypatch.setattr(baselines, "REF_SETTLED_RTOL", 0.0)
+        monkeypatch.setattr(baselines, "REF_MAX_STEPS", 150)
+        mat = convection_diffusion_nd(20, 1e-2, 2)
+        op = LinearOperator.from_matrix(mat)
+        reference_apply(op, None, unit_start(mat.n), builtin_kernels()["sqrt"])
+        assert steps == [*range(5, 51, 5), 56, 63, 70, 78, 87, 97, 109, 122, 137, 150]
+        assert op.matvec_count == 150
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    @pytest.mark.parametrize("grid", [10, 20])
+    def test_non_hermitian_references_match_dense_forms(self, grid, eps):
+        # every function with a dense form (4.7e-15 to 1.3e-14 off), against one dense sqrtm of A
+        mat = convection_diffusion_nd(grid, eps, 2)
+        a, b = mat.toarray(), unit_start(mat.n)
+        s = la.sqrtm(a)
+        oracles = {"power-neg-3-2": la.solve(a @ s, b), "sqrt": s @ b,
+                   "inv-sqrt-stieltjes": la.solve(s, b)}
+        assert set(oracles) == set(baselines._DENSE_FORMS)
+        for name, oracle in oracles.items():
+            ref = reference_apply(LinearOperator.from_matrix(mat), None, b, builtin_kernels()[name])
+            oracle = np.real(oracle)
+            assert np.linalg.norm(ref - oracle) <= 1e-13 * np.linalg.norm(oracle), name
+
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_non_hermitian_failing_checkpoints_raise_at_the_end(self):
         # a nilpotent shift from e_n: every H_k is singular, so F(H_k) e_1
-        # fails at step 25 and at the breakdown, step n
+        # fails at every checkpoint, the last at the breakdown, step n
         op = LinearOperator.from_dense(np.diag(np.ones(29), 1))
         with pytest.raises(ValueError, match="infs or NaNs"):
             reference_apply(op, None, np.eye(30)[-1], builtin_kernels()["power-neg-3-2"])
