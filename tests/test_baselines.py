@@ -455,6 +455,16 @@ class TestReference:
         oracle = la.solve(dense @ s, b)
         assert np.linalg.norm(ref - np.real(oracle)) <= 1e-8 * np.linalg.norm(oracle)
 
+    @pytest.mark.parametrize("name", ["sqrt", "inv-sqrt-stieltjes"])
+    def test_nonsymmetric_square_root_references(self, name):
+        # the dense branches of the two square-root transforms (~7e-15 off sqrtm)
+        mat = convection_diffusion_nd(10, 1e-2, 2)
+        b = unit_start(mat.n)
+        ref = reference_apply(LinearOperator.from_matrix(mat), None, b, builtin_kernels()[name])
+        s = la.sqrtm(mat.toarray())
+        oracle = np.real(s @ b if name == "sqrt" else la.solve(s, b))
+        assert np.linalg.norm(ref - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
     def test_exp_sqrt_keeps_imaginary_parts_of_complex_eigenvalues(self):
         # spec = {2 + i, 2 - i}: the scalar form's square root of a complex
         # eigenvalue must not drop its imaginary part
