@@ -7,8 +7,9 @@ problems at N = 20 (n = 8000): the convection-diffusion operator with m = 20
 (non-Hermitian H; the propagator is timed in closed form from the general
 eigendecomposition and on the stacked scipy expm it falls back to) and the
 3D Laplacian with m = 50 (Hermitian H, closed form from the unitary
-eigendecomposition), where Arnoldi is timed both orthonormal and
-semi-orthogonal (restart cycles).
+eigendecomposition), where Arnoldi is timed both buffer-less, which runs
+CGS2 as for any operator, and as a restart cycle, the Lanczos mode kept
+semi-orthogonal by partial reorthogonalization.
 Each rule is frozen once at eps_q = 1e-10, the default for tol = 1e-7.
 The error kernel of a later cycle is timed on that rule, with a spline
 surface on its nodes, as cycle 3 evaluates it.

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 
-from .krylov import BREAKDOWN_RTOL, _arnoldi_steps, arnoldi
+from .krylov import BREAKDOWN_RTOL, _arnoldi_steps, _checked_norm, arnoldi
 from .operators import LinearOperator
-from .restart import RestartConfig, TransformFunction, _checked_norm, restarted_laplace
+from .restart import RestartConfig, TransformFunction, restarted_laplace
 
 __all__ = [
     "TwoPassReport",
@@ -154,8 +154,9 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     and checks convergence every ``check_every_m`` steps; pass 2 regenerates
     the same vectors and accumulates the approximation. With a reference
     vector the stopping test is the true relative error (the benchmark
-    protocol); without one it is the relative change of the projected
-    coefficient vector between checkpoints.
+    protocol), and ``converged`` also needs the final error to meet ``tol``;
+    without one it is the relative change of the projected coefficient
+    vector between checkpoints.
 
     Requires a scalar closed form on ``fn`` to evaluate F on the Ritz values.
     """
@@ -163,6 +164,8 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         raise ValueError("two-pass Lanczos needs a Hermitian operator")
     if fn.scalar_form is None:
         raise ValueError("two-pass Lanczos needs a scalar closed form for F")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     n = op.n
     if max_steps is None:
         max_steps = min(n, 1000)
@@ -178,8 +181,8 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             dots.append(np.vdot(v, reference))
 
         def projected_error(y):
-            # ||f_j - ref||^2 expanded through the tracked projections; the
-            # cancellation floor ~1e-8 relative is fine for stopping at 1e-7
+            # ||f_j - ref||^2 expanded through the tracked projections; below its
+            # cancellation floor (~1e-8 relative) it reads 0, hence the final check
             err2 = ref_norm**2 - 2.0 * bnorm * float((y @ np.asarray(dots)).real)
             return math.sqrt(max(err2 + bnorm**2 * float(y @ y), 0.0)) / ref_norm
     settled = _Settled(tol, check_every_m, 1, projected_error)
@@ -187,6 +190,7 @@ def two_pass_lanczos(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     report = TwoPassReport(steps, 2 * steps, broke or settled.count == 1, settled.checkpoints)
     if reference is not None:
         report.final_error = float(np.linalg.norm(f - reference) / ref_norm)
+        report.converged &= report.final_error <= tol
     return f, report
 
 
@@ -245,7 +249,7 @@ def gmres_solve(op: LinearOperator, b: np.ndarray, rtol: float, restart: int):
     if not (math.isfinite(rtol) and rtol > 0):
         raise ValueError(f"rtol must be finite and positive, got {rtol}")
     n = op.n
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _checked_norm(b, "b", n)
     target = rtol * bnorm
     x = np.zeros(n)
     r = b.copy()
@@ -326,12 +330,13 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
         raise ValueError(f"no dense form of {fn.name} for a non-Hermitian reference "
                          f"(there are forms of {', '.join(_DENSE_FORMS)})")
     n, cap = op.n, min(REF_MAX_STEPS, op.n)
+    bnorm = _checked_norm(b, "b", n)
     if op.hermitian and dense is not None and n <= 1000:
         w, q = la.eigh(dense)
         return q @ (np.asarray(fn.scalar_form(w)) * (q.conj().T @ b))
     if op.hermitian:
         settled = _Settled(REF_SETTLED_RTOL, REF_CHECK_EVERY, 2)
-        return _two_pass(op, b, _checked_norm(b, "b", n), fn.scalar_form, cap, settled)[0]
+        return _two_pass(op, b, bnorm, fn.scalar_form, cap, settled)[0]
     settled = _Settled(REF_SETTLED_RTOL / REF_CHECK_EVERY, lambda k: max(5, k // 8), 2)
     for k, H, Q, beta in _arnoldi_steps(op, b, cap):
         if settled(k, k == cap or H[k, k - 1] == 0.0,

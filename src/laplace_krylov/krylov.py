@@ -1,10 +1,10 @@
 """Arnoldi (and Hermitian Lanczos) decompositions of fixed cycle length.
 
-One loop: classical Gram-Schmidt applied twice against a row-major basis
-keeps it orthonormal to working precision ("twice is enough", Giraud, Langou
-and Rozloznik, Comput. Math. Appl. 2005). For Hermitian operators the first
-pass is the Lanczos three-term step; restart cycles skip the full second one
-until Simon's estimate of the lost orthogonality asks for it (Math. Comp. 1984).
+One loop, two orthogonalization modes on a row-major basis: classical
+Gram-Schmidt applied twice (CGS2) keeps it orthonormal to working precision
+("twice is enough", Giraud, Langou and Rozloznik, Comput. Math. Appl. 2005);
+a Hermitian restart cycle runs the Lanczos three-term step and adds the full
+pass only once Simon's estimate of the lost orthogonality asks (Math. Comp. 1984).
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
             _basis: np.ndarray | None = None) -> KrylovDecomposition:
     """Build a length-m Arnoldi decomposition from ``start``.
 
-    Each step orthogonalizes A v_j by two classical Gram-Schmidt passes. For
-    Hermitian A the first runs over v_{j-1}, v_j only (H is tridiagonal) and
-    the second spans the whole basis, since in floating point A v_j drifts
-    onto older vectors. ``_basis``, an (m+1) x n buffer for the basis, makes
-    a restart cycle: for Hermitian A it skips the full pass until Simon's
-    recurrence puts the loss of orthogonality above sqrt(eps), then runs it
-    at every step with H kept tridiagonal. The Arnoldi relation then holds to
-    rounding (Paige 1976) except in the first two full-pass columns: O(sqrt(eps) h).
+    Each step orthogonalizes A v_j by two classical Gram-Schmidt passes over
+    the whole basis. ``_basis``, an (m+1) x n buffer for the basis, makes a
+    restart cycle: for Hermitian A the first pass then runs over v_{j-1}, v_j
+    only (H is tridiagonal), and the full pass waits until Simon's recurrence
+    puts the loss of orthogonality above sqrt(eps), then runs at every step
+    with H kept tridiagonal. The Arnoldi relation then holds to rounding
+    (Paige 1976) except in the first two full-pass columns: O(sqrt(eps) h).
 
     On a lucky breakdown at step j < m the decomposition is truncated to
     size j and h_next is 0; a non-finite matvec raises at its step. For
@@ -79,6 +78,20 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
     )
 
 
+def _checked_norm(v: np.ndarray, name: str, n: int) -> float:
+    """nrm2 of an input vector, which must have shape (n,) and be finite and nonzero.
+
+    BLAS nrm2 scales: np.linalg.norm squares the entries and overflows past
+    ~1e154.
+    """
+    if np.shape(v) != (n,):
+        raise ValueError(f"{name} has wrong length: shape {np.shape(v)}, expected ({n},)")
+    norm = float(la.norm(v, check_finite=False))
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"{name} must be finite and nonzero")
+    return norm
+
+
 def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
                    basis: np.ndarray | None = None):
     """The step loop of :func:`arnoldi`. Yields ``(k, H, Q, beta)`` after each
@@ -89,20 +102,17 @@ def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
     """
     start = np.asarray(start, dtype=complex if np.iscomplexobj(start) else float)
     n = op.n
-    if start.shape != (n,):
-        raise ValueError("starting vector has wrong length")
+    beta = _checked_norm(start, "starting vector", n)
     if not (1 <= m <= n):
         raise ValueError("cycle length must satisfy 1 <= m <= n")
-    beta = float(la.norm(start, check_finite=False))
-    if not 0.0 < beta < np.inf:
-        raise ValueError("starting vector must be finite and nonzero")
 
     # basis vectors as rows; start may be a row of basis, and start / beta is a copy
     Q = np.zeros((m + 1, n), start.dtype) if basis is None else np.asarray(basis, start.dtype)
     H = np.zeros((m + 1, m), dtype=start.dtype)
     Q[0] = start / beta
-    # Simon's omega rows j-1, j (om[k] ~ |v_j^H v_k|), advanced by the Lanczos recurrence
-    full, om_prev, om = basis is None or not op.hermitian, np.zeros(m + 1), np.eye(1, m + 1)[0]
+    # Lanczos mode: Simon's omega rows j-1, j (om[k] ~ |v_j^H v_k|), advanced by the recurrence
+    lanczos = basis is not None and op.hermitian
+    full, om_prev, om = not lanczos, np.zeros(m + 1), np.eye(1, m + 1)[0]
     eps1 = np.sqrt(n) * np.finfo(float).eps / 2
 
     for j in range(m):
@@ -115,7 +125,7 @@ def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
         norm_w = float(la.norm(w, check_finite=False))
         if not np.isfinite(norm_w):
             raise ValueError(f"operator returned non-finite values at Arnoldi step {j + 1}")
-        lo = max(j - 1, 0) if op.hermitian else 0
+        lo = max(j - 1, 0) if lanczos else 0
         c = Q[lo: j + 1].conj() @ w
         w -= c @ Q[lo: j + 1]
         H[lo: j + 1, j] += c
@@ -130,11 +140,10 @@ def _arnoldi_steps(op: LinearOperator, start: np.ndarray, m: int,
             om[:j] = (t + np.copysign(eps1 * (be[:j] + hs), t)) / hs
             om[j: j + 2] = eps1 * norm_w / hs, 1.0
             full = np.abs(om[:j + 1]).max() > SEMI_ORTH
-        if full:
-            top = 0 if basis is None else lo
+        if full:   # Lanczos mode keeps H tridiagonal
             c = Q[: j + 1].conj() @ w
             w -= c @ Q[: j + 1]
-            H[top: j + 1, j] += c[top:]
+            H[lo: j + 1, j] += c[lo:]
             h = float(la.norm(w, check_finite=False))
         # with no full pass, h is the first pass's norm
 

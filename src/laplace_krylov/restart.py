@@ -30,7 +30,7 @@ import scipy.linalg as la
 import scipy.special
 from scipy.interpolate import CubicSpline as spline_fit  # not-a-knot, extrapolating
 
-from .krylov import KrylovDecomposition, arnoldi
+from .krylov import KrylovDecomposition, _checked_norm, arnoldi
 from .operators import LinearOperator
 from .quadrature import (
     KERNEL_FLOOR,
@@ -380,13 +380,12 @@ class _StieltjesChain:
             # spec(A) off (-inf, 0]: the anchor must lie right of 0
             _check_anchor(float(np.min(cache.D.real)), 0.0, False, "a Stieltjes function")
         X, D, eye = cache.X, cache.D, np.eye(m, dtype=H.dtype)
-        coef = None if X is None else X[0].conj() if cache.Xinv is None else cache.Xinv[:, 0]
 
         def integrand(t):
             if X is None:   # kappa_1(X) > KAPPA_MAX: stacked solves, as in expm_columns
                 r = np.linalg.solve(H + t[:, None, None] * eye, eye[:, :1])[:, :, 0].real
-            else:   # X diag(1/(D + t)) X^{-1} e_1, with X^{-1} = X^H for Hermitian H
-                r = (X @ (coef[:, None] / (D[:, None] + t))).T.real
+            else:   # X diag(1/(D + t)) X^{-1} e_1
+                r = (X @ (cache.Xinv[:, :1] / (D[:, None] + t))).T.real
             return (self.rho(t) * self._psi(t))[:, None] * r
 
         try:
@@ -408,20 +407,6 @@ def _chains(fn: TransformFunction, cfg: RestartConfig, bnorm: float) -> list:
     # two-sided transforms run a reflected chain on (-H, -h_next) over the same basis
     flips = (False, True) if fn.kind == "two_sided" else (False,)
     return [_LaplaceChain(fn, cfg, bnorm, flip) for flip in flips]
-
-
-def _checked_norm(v: np.ndarray, name: str, n: int) -> float:
-    """nrm2 of an input vector, which must have shape (n,) and be finite and nonzero.
-
-    BLAS nrm2 scales: np.linalg.norm squares the entries and overflows past
-    ~1e154.
-    """
-    if np.shape(v) != (n,):
-        raise ValueError(f"{name} has shape {np.shape(v)}, expected ({n},)")
-    norm = float(la.norm(v, check_finite=False))
-    if not (math.isfinite(norm) and norm > 0):
-        raise ValueError(f"{name} must be finite and nonzero")
-    return norm
 
 
 def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,

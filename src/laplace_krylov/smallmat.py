@@ -41,8 +41,8 @@ HERMITIAN_TOL = 1e-8
 class SpectralCache:
     """Eigendecomposition H = X diag(D) X^{-1} of a small matrix.
 
-    ``Xinv`` is None when X is unitary (Hermitian H), so X^{-1} = X^H. ``X``
-    is None when the eigenvector basis of a general H is too ill conditioned
+    ``Xinv`` is X^{-1}, which is X^H for Hermitian H. ``X`` and ``Xinv`` are
+    None when the eigenvector basis of a general H is too ill conditioned
     for the closed form; D still holds the eigenvalues.
     """
 
@@ -58,7 +58,7 @@ def eig_hermitian(H: np.ndarray) -> SpectralCache:
     if float(np.abs(H - H.conj().T).max()) > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     D, X = la.eigh((H + H.conj().T) / 2.0)
-    return SpectralCache(D=D, X=X)
+    return SpectralCache(D=D, X=X, Xinv=X.conj().T)
 
 
 def eig_general(H: np.ndarray) -> SpectralCache:
@@ -99,7 +99,7 @@ def expm_columns(H: np.ndarray, v: np.ndarray, t, cache: SpectralCache | None = 
         raise ValueError("t must be finite and nonnegative")
     if cache is not None and cache.X is not None:
         dt = np.outer(cache.D, t)
-        coef = cache.X.conj().T @ v if cache.Xinv is None else cache.Xinv @ v
+        coef = cache.Xinv @ v
         # modes of eigenvalues with negative real part overflow at large t;
         # callers mask those columns where their weight is zero
         with np.errstate(over="ignore", invalid="ignore"):

@@ -83,14 +83,41 @@ class TestTwoPass:
 
     @pytest.mark.parametrize("with_reference", [True, False], ids=["error", "change"])
     def test_checks_at_multiples_of_check_every_m(self, with_reference):
-        # a zero tol runs to max_steps; the change is first measured at the second checkpoint
+        # a tol below every measure runs to max_steps; the change is first
+        # measured at the second checkpoint
         mat = laplacian_nd(20, 2)
         b = unit_start(mat.n)
         fn = builtin_kernels()["sqrt"]
         ref = dirichlet_closed_form(20, 2, b, fn.scalar_form) if with_reference else None
-        _, rep = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 0.0, 7,
+        _, rep = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 1e-300, 7,
                                   reference=ref, max_steps=30)
         assert [k for k, _ in rep.checkpoints] == [*range(7 if with_reference else 14, 30, 7), 30]
+
+    def test_reference_error_floor_is_not_converged(self):
+        # the projected error cancels to 0.0 at step 56, while the true error is 1.1e-10
+        mat = laplacian_nd(20, 2)
+        b = unit_start(mat.n)
+        fn = builtin_kernels()["sqrt"]
+        ref = dirichlet_closed_form(20, 2, b, fn.scalar_form)
+        op = LinearOperator.from_matrix(mat)
+        _, rep = two_pass_lanczos(op, b, fn, 1e-10, 7, reference=ref)
+        assert rep.steps == 56 and rep.checkpoints[-1] == (56, 0.0)
+        assert rep.final_error > 1e-10
+        assert rep.converged is False
+        _, rep = two_pass_lanczos(op, b, fn, 1e-7, 7, reference=ref)
+        assert rep.steps == 42 and rep.final_error <= 1e-7
+        assert rep.converged is True
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan], ids=["zero", "nan"])
+    def test_rejects_bad_tol(self, tol):
+        mat = laplacian_nd(20, 2)
+        b = unit_start(mat.n)
+        fn = builtin_kernels()["sqrt"]
+        ref = dirichlet_closed_form(20, 2, b, fn.scalar_form)
+        op = LinearOperator.from_matrix(mat)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            two_pass_lanczos(op, b, fn, tol, 7, reference=ref)
+        assert op.matvec_count == 0
 
     def test_reference_stopping(self):
         mat = laplacian_nd(8, 2)
@@ -312,6 +339,15 @@ class TestGMRES:
             gmres_solve(op, unit_start(op.n), rtol, restart=5)
         assert op.matvec_count == 0
 
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+    def test_rejects_bad_b(self, fill):
+        op = LinearOperator.from_matrix(convection_diffusion_nd(6, 1e-2, 2))
+        b = np.zeros(op.n)
+        b[3] = fill
+        with pytest.raises(ValueError, match="b must be finite and nonzero"):
+            gmres_solve(op, b, 1e-8, restart=5)
+        assert op.matvec_count == 0
+
     def test_stagnation_detected(self):
         # GMRES(1) on a rotation makes no progress
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -395,7 +431,7 @@ class TestReference:
         assert op.matvec_count == 350
         exact = dirichlet_closed_form(20, 3, b, fn.scalar_form)
         assert np.linalg.norm(ref - exact) <= 1e-12 * np.linalg.norm(exact)
-        full, _ = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 0.0, mat.n + 1,
+        full, _ = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 1e-300, mat.n + 1,
                                    max_steps=400)
         assert np.linalg.norm(ref - full) <= 1e-12 * np.linalg.norm(full)
 
@@ -408,7 +444,7 @@ class TestReference:
         op = LinearOperator.from_matrix(mat)
         ref = reference_apply(op, None, b, fn)
         assert op.matvec_count == 2 * min(400, mat.n)
-        full, _ = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 0.0, mat.n + 1,
+        full, _ = two_pass_lanczos(LinearOperator.from_matrix(mat), b, fn, 1e-300, mat.n + 1,
                                    max_steps=400)
         assert np.array_equal(ref, full)
 
@@ -437,6 +473,17 @@ class TestReference:
         op = LinearOperator.from_matrix(laplacian_nd(4, 2))
         with pytest.raises(ValueError):
             reference_apply(op, None, np.full(16, fill), builtin_kernels()["sqrt"])
+
+    @pytest.mark.parametrize("bad", ["zero", "nan", "short"])
+    def test_dense_rejects_bad_b(self, bad):
+        # the same rule as the Lanczos branch, before the dense eigh
+        mat = laplacian_nd(6, 2)
+        b = np.zeros(35 if bad == "short" else mat.n)
+        b[3] = {"zero": 0.0, "nan": np.nan, "short": 1.0}[bad]
+        op = LinearOperator.from_matrix(mat)
+        with pytest.raises(ValueError, match="^b (must be finite and nonzero|has wrong length)"):
+            reference_apply(op, mat.toarray(), b, builtin_kernels()["sqrt"])
+        assert op.matvec_count == 0
 
     def test_lanczos_non_finite_matvec_raises_at_its_step(self):
         op = nan_diagonal_operator()

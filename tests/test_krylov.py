@@ -85,7 +85,8 @@ class TestArnoldiBasics:
         assert dec.h_next == pytest.approx(h_next, rel=1e-12)
 
     def test_invariants_symmetric_random_50(self):
-        # the Hermitian path (three-term first pass) against full MGS
+        # a buffer-less cycle on a Hermitian operator (CGS2, as for any
+        # operator) against full MGS
         rng = np.random.default_rng(11)
         a = rng.standard_normal((50, 50))
         a = a + a.T
@@ -95,6 +96,19 @@ class TestArnoldiBasics:
         assert np.abs(dec.V - V).max() <= 1e-12
         assert np.abs(dec.H - H).max() <= 1e-12 * np.linalg.norm(a)
         assert dec.h_next == pytest.approx(h_next, rel=1e-12)
+
+    def test_hermitian_flag_without_buffer_changes_no_basis(self):
+        # without a basis buffer every operator takes CGS2; the flag only
+        # symmetrizes the returned H
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((50, 50))
+        a = a + a.T
+        b = rng.standard_normal(50)
+        herm = arnoldi(op_from_dense(a, hermitian=True), b, 20)
+        plain = arnoldi(op_from_dense(a, hermitian=False), b, 20)
+        assert np.array_equal(herm.V, plain.V)
+        assert np.array_equal(herm.v_next, plain.v_next)
+        assert herm.h_next == plain.h_next
 
     def test_operator_returning_its_argument(self):
         # orthogonalizing the matvec result in place would zero V[:, 0]
@@ -327,8 +341,8 @@ class TestSemiOrthogonal:
         assert np.all(np.tril(dec.H, -2) == 0.0)
 
     def test_clustered_spectrum_reorthogonalizes_like_the_default(self):
-        # the estimate fires at the first step, and every step then runs the
-        # default's one full pass
+        # the estimate fires at the first step, and every step then runs a
+        # full pass after the three-term one
         d = np.concatenate([np.ones(150), 1.0 + 1e-9 * np.arange(1, 151)])
         op = LinearOperator(lambda x: d * x, 300, hermitian=True)
         b = np.random.default_rng(13).standard_normal(300)
