@@ -339,29 +339,28 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
         return _two_pass(op, b, bnorm, fn.scalar_form, cap, settled)[0]
     settled = _Settled(REF_SETTLED_RTOL / REF_CHECK_EVERY, lambda k: max(5, k // 8), 2)
     for k, H, Q, beta in _arnoldi_steps(op, b, cap):
+        part = np.real if np.isrealobj(H) else np.asarray   # F(H) e_1 of a real H is real
         if settled(k, k == cap or H[k, k - 1] == 0.0,
-                   lambda: np.real(form(np.array(H[:k, :k]), np.eye(1, k)[0]))):
+                   lambda: part(form(np.array(H[:k, :k]), np.eye(1, k)[0]))):
             return beta * (Q[:k].T @ settled.y)
 
 
 def stieltjes_pipeline(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
-                       power: int, cfg: RestartConfig, rtol: float = 1e-9,
-                       reference: np.ndarray | None = None):
+                       power: int, cfg: RestartConfig, reference: np.ndarray | None = None):
     """F(A) b evaluated as G(A) (A^power b) with a Stieltjes G.
 
-    power = -1 solves A c = b first (CG when Hermitian, restarted GMRES
-    otherwise); power = +1 multiplies once. Returns the approximation, the
-    restart report of the second phase and the first-phase matvec count.
+    power = -1 solves A c = b first to a relative residual of 1e-9 (CG when
+    Hermitian, restarted GMRES otherwise); power = +1 multiplies once.
+    ``reference`` is F(A) b. Returns the approximation, the restart report of
+    the second phase and the first-phase matvec count.
     """
     if power not in (-1, 1):
         raise ValueError("power must be -1 or +1")
-    if power == -1:
-        if op.hermitian:
-            c, first = cg_solve(op, b, rtol)
-        else:
-            c, first = gmres_solve(op, b, rtol, restart=cfg.m)
+    if power == 1:
+        c, first = op.apply(b), 1
+    elif op.hermitian:
+        c, first = cg_solve(op, b, 1e-9)
     else:
-        c = op.apply(b)
-        first = 1
+        c, first = gmres_solve(op, b, 1e-9, restart=cfg.m)
     x, report = restarted_laplace(op, c, fn, cfg, reference=reference)
     return x, report, first

@@ -52,8 +52,8 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
 
     On a lucky breakdown at step j < m the decomposition is truncated to
     size j and h_next is 0; a non-finite matvec raises at its step. For
-    Hermitian operators H is symmetrized before it is returned so downstream
-    eigendecompositions see an exactly symmetric matrix. ``V`` and
+    Hermitian operators H is symmetrized before it is returned, so that
+    :func:`~.smallmat.eig_hermitian` sees an exactly Hermitian matrix. ``V`` and
     ``v_next`` are views of one basis array.
     """
     for size, H, Q, beta in _arnoldi_steps(op, start, m, _basis):

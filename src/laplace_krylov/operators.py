@@ -1,14 +1,14 @@
 """Sparse operators, benchmark matrix generators and graph ingestion.
 
 The central objects are :class:`SparseMatrix` (one canonical
-``scipy.sparse.csr_matrix`` plus its symmetry flag; scipy's kernel does the
-matvec) and :class:`LinearOperator`, a thin counted wrapper that is the only
-thing the Krylov machinery ever sees. The grid operators are Kronecker sums
-built by ``scipy.sparse.kronsum``. A graph is its symmetric 0/1 adjacency
-``csr_matrix`` (see :func:`adjacency`); its Laplacian and connected
-components come from ``scipy.sparse.csgraph``, which ``scipy.sparse`` loads
-on first use: imported here it would add ~1.2 MB of resident memory to
-every program, also those that build no graph.
+``scipy.sparse.csr_matrix`` plus its Hermitian flag, read off the entries;
+scipy's kernel does the matvec) and :class:`LinearOperator`, a thin counted
+wrapper that is the only thing the Krylov machinery ever sees. The grid
+operators are Kronecker sums built by ``scipy.sparse.kronsum``. A graph is
+its symmetric 0/1 adjacency ``csr_matrix`` (see :func:`adjacency`); its
+Laplacian and connected components come from ``scipy.sparse.csgraph``,
+which ``scipy.sparse`` loads on first use: imported here it would add
+~1.2 MB of resident memory to every program, also those that build no graph.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ class SparseMatrix:
     ``mat`` is a scipy sparse or dense matrix. It is validated with scipy's
     full format check and stored in canonical form (duplicates summed,
     column indices sorted); non-square input raises ``ValueError``.
-    ``symmetric=None`` detects exact symmetry, a passed ``True`` is verified
-    and ``False`` is taken as given.
+    ``symmetric`` is exact Hermitian symmetry of the entries (A equal to its
+    conjugate transpose), so a complex symmetric matrix is not symmetric here.
     """
 
-    def __init__(self, mat, symmetric: bool | None = None):
+    def __init__(self, mat):
         csr = sp.csr_matrix(mat)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
@@ -54,12 +54,7 @@ class SparseMatrix:
         csr.sum_duplicates()  # also sorts the column indices
         self._csr = csr
         self.n = csr.shape[0]
-        if symmetric is None or symmetric:
-            exact = (csr != csr.T).nnz == 0
-            if symmetric and not exact:
-                raise ValueError("symmetric flag set but matrix is not symmetric")
-            symmetric = exact
-        self.symmetric = bool(symmetric)
+        self.symmetric = (csr != csr.conj().T).nnz == 0
 
     @property
     def nnz(self) -> int:
@@ -141,7 +136,7 @@ def laplacian_nd(n: int, d: int = 3) -> SparseMatrix:
     if n < 1:
         raise ValueError("grid size must be >= 1")
     a1 = _tridiag(n, -1.0, 2.0, -1.0)
-    return SparseMatrix(reduce(_kron_sum, [a1] * d), symmetric=True)
+    return SparseMatrix(reduce(_kron_sum, [a1] * d))
 
 
 def convection_diffusion_nd(n: int, eps: float, d: int = 3) -> SparseMatrix:
@@ -161,7 +156,7 @@ def convection_diffusion_nd(n: int, eps: float, d: int = 3) -> SparseMatrix:
     c_fwd = (eps / h**2) * a1 + (1.0 / h) * a2
     c_bwd = (eps / h**2) * a1 + (1.0 / h) * a2.T
     factors = [c_fwd, c_bwd] if d == 2 else [c_fwd, c_bwd, c_fwd]
-    return SparseMatrix(reduce(_kron_sum, factors), symmetric=False)
+    return SparseMatrix(reduce(_kron_sum, factors))
 
 
 def adjacency(num_nodes: int, edges) -> sp.csr_matrix:
@@ -183,7 +178,7 @@ def graph_laplacian(adj: sp.csr_matrix) -> SparseMatrix:
     """L = D - A for a graph's adjacency; symmetric PSD with zero row sums."""
     lap = sp.csgraph.laplacian(adj)
     lap.eliminate_zeros()  # an isolated node stores no zero degree
-    return SparseMatrix(lap, symmetric=True)
+    return SparseMatrix(lap)
 
 
 def largest_connected_component(adj: sp.csr_matrix) -> sp.csr_matrix:
@@ -211,7 +206,8 @@ def largest_connected_component(adj: sp.csr_matrix) -> sp.csr_matrix:
 def read_matrix_market(path) -> SparseMatrix:
     """Parse a Matrix Market coordinate file into a SparseMatrix.
 
-    Symmetric storage is expanded and pattern entries get unit values.
+    Symmetric storage is expanded and pattern entries get unit values. The
+    symmetry flag comes from the entries, not from the header.
     """
     import scipy.io
 
@@ -232,7 +228,7 @@ def read_matrix_market(path) -> SparseMatrix:
         coo = scipy.io.mmread(path)
     except ValueError as exc:
         raise MatrixMarketError(str(exc)) from exc
-    return SparseMatrix(coo.astype(np.float64), symmetric=symmetry == "symmetric")
+    return SparseMatrix(coo.astype(np.float64))
 
 
 def write_matrix_market(mat: SparseMatrix, path) -> None:

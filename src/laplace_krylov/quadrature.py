@@ -93,7 +93,7 @@ class ZeroIntegrandError(ValueError):
 def gk15(f, a: float, b: float):
     """15-point Kronrod value of int_a^b f with embedded Gauss-7 error estimate.
 
-    ``f`` must accept an ndarray of evaluation points. It returns one value
+    ``f`` takes an ndarray of points and returns real or complex values, one
     per point, or one row per point for a vector-valued integrand; the error
     estimate is the Euclidean norm of the Kronrod/Gauss difference.
     """
@@ -101,13 +101,13 @@ def gk15(f, a: float, b: float):
         raise ValueError("need a < b")
     half = 0.5 * (b - a)
     x = a + half * (GK15_NODES + 1.0)
-    y = np.asarray(f(x), dtype=float)
+    y = np.asarray(f(x))
     if not np.all(np.isfinite(y)):
         raise ValueError("integrand returned non-finite values")
     k = half * (GK15_WEIGHTS @ y)
     g = half * (G7_WEIGHTS @ y[_GAUSS_IDX])
-    # hypot scales (no overflow) and is abs() for a scalar
-    return k, math.hypot(*np.ravel(k - g))
+    # hypot of the moduli scales (no overflow) and is abs() for a scalar
+    return k, math.hypot(*np.abs(np.ravel(k - g)))
 
 
 @dataclass
@@ -146,7 +146,7 @@ def _adapt(segment_eval, eps: float, x_hi: float = 1.0):
             err_sum += err
             if err > records[worst][3]:
                 worst = i
-        target = max(eps, eps * math.hypot(*np.ravel(acc)))
+        target = max(eps, eps * math.hypot(*np.abs(np.ravel(acc))))
         if err_sum <= target:
             return sorted(records, key=lambda r: r[0]), acc
         if len(records) >= MAX_INTERVALS:
@@ -180,7 +180,7 @@ def _pilot_segment(f, nu: float, one_minus: bool):
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
                 jac = 2.0 * x / (1.0 - x) ** 3   # dt/dx
                 piece[:] = t, 0.5 * (b - a) * GK15_WEIGHTS * jac, np.asarray(f(t))
-                fv = np.asarray(piece[2], dtype=float)
+                fv = piece[2]
                 damp = -np.expm1(-nu * t) if one_minus else np.exp(-nu * t)
                 # transposed, the damping and the Jacobian scale each row
                 # of a vector integrand

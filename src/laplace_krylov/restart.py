@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -146,13 +145,14 @@ class RestartReport:
 
 @dataclass
 class ErrorModel:
-    """State required to evaluate the cycle-k error kernel f^(k).
+    """The cycle-k error kernel f^(k), which calling the model evaluates.
 
-    ``surface`` approximates f^(k-1) (the raw kernel in cycle 2, a spline
-    later), ``rule`` and ``g_values`` come from cycle k-1. ``nodes`` and
-    ``wg`` are the rule nodes and products w_i g_i of the terms the sum
-    keeps: those with |w_i g_i| at least TERM_FLOOR of the largest, and
-    every non-finite one.
+    ``rule`` (with f^(k-1) at its nodes in ``values``) and ``g_values`` come
+    from cycle k-1. ``surface`` evaluates f^(k-1): the raw kernel in cycle 2,
+    later cycle k-1's model until cycle k fits a spline to those values.
+    ``nodes`` and ``wg`` are the rule nodes and products w_i g_i of the terms
+    the sum keeps: those with |w_i g_i| at least TERM_FLOOR of the largest,
+    and every non-finite one.
     """
 
     rule: QuadratureRule
@@ -165,6 +165,9 @@ class ErrorModel:
         wg = self.rule.weights * self.g_values
         keep = ~(np.abs(wg) < TERM_FLOOR * np.abs(wg).max())
         self.nodes, self.wg = self.rule.nodes[keep], wg[keep]
+
+    def __call__(self, t) -> np.ndarray:
+        return error_function_values(self, t)
 
 
 def error_function_values(model: ErrorModel, nodes) -> np.ndarray:
@@ -218,10 +221,10 @@ class _LaplaceChain:
     Cycle k adds beta_k sum_i w_i f^(k)(t_i) exp(-t_i H) e_1 to the update.
     :meth:`cycle` runs the one recursion for every k: f^(1) is the kernel
     (with the grouped (1 - exp(-t H)) integrand for Bernstein functions),
-    and f^(k) is built from f^(k-1) by :func:`error_function_values` on the
-    raw kernel in cycle 2 and on a refined spline surface afterwards. Each
-    cycle builds one rule for f^(k) at the anchor nu - shift and takes the
-    samples f^(k)(t_i) from it (``rule.values``).
+    and f^(k) is the :class:`ErrorModel` that cycle k-1 leaves in ``model``,
+    on the raw kernel in cycle 2 and on a refined spline surface afterwards.
+    Each cycle builds one rule for f^(k) at the anchor nu - shift and takes
+    the samples f^(k)(t_i) from it (``rule.values``).
 
     The anchor nu, min Re spec(H) (of -H on the flip chain) in cycle 1, and
     every cycle's propagator columns come from the eigendecomposition of H
@@ -244,10 +247,7 @@ class _LaplaceChain:
         self.nu: float | None = None
         self.shift = 0.0
         self.dead = False
-        self.model: ErrorModel | None = None      # evaluates f^(k-1) in cycle k >= 3
-        self.node_values: np.ndarray | None = None
-        self.eval_rule: QuadratureRule | None = None
-        self.eval_g: np.ndarray | None = None
+        self.model: ErrorModel | None = None      # f^(k) in cycle k >= 2, from cycle k-1
         self.rounds = 0   # refinement rounds of the last cycle
 
     def cycle(self, dec: KrylovDecomposition, cache: SpectralCache, k: int,
@@ -278,13 +278,12 @@ class _LaplaceChain:
             if cache.X is None:
                 H = sign * H - self.shift * np.eye(dec.m, dtype=H.dtype)
 
-        kernel = _shifted_kernel(self.kernel, self.shift)
-        f, model, t_max = kernel, None, None
+        f, t_max = _shifted_kernel(self.kernel, self.shift), None
         if k > 1:
-            # cycle 2 uses the exact kernel as its surface
-            surface = kernel if k == 2 else spline_fit(self.eval_rule.nodes, self.node_values)
-            model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
-            f, t_max = partial(error_function_values, model), float(self.eval_rule.nodes.max())
+            f, prev, last = self.model, self.model.surface, self.model.rule
+            t_max = float(last.nodes.max())
+            if k > 2:   # cycle 2 keeps the exact kernel as its surface
+                f.surface = spline_fit(last.nodes, last.values)
         try:
             rule = build_laplace_rule(f, self.nu - self.shift, self.cfg.eps_q, one_minus, t_max)
         except ZeroIntegrandError:
@@ -306,39 +305,39 @@ class _LaplaceChain:
         if k >= 3:
             # midpoint refinement of the interpolation surface until the
             # update stabilizes; if three midpoint rounds keep missing, one
-            # last round takes the pairwise-sum knots. self.model (f^(k-1))
-            # is fixed, so old knots keep their values (node_values at the
+            # last round takes the pairwise-sum knots. prev (f^(k-1)) is
+            # fixed, so old knots keep their values (last.values at the
             # first round's). A diverging run grows its rules, so refinement
             # stops before a surface evaluation would pass MAX_SURFACE_GRID
-            knots, knot_values = self.eval_rule.nodes, self.node_values
+            knots, knot_values = last.nodes, last.values
             target = self.cfg.eps_q * max(prev_iterate_norm, 1e-300)
             while self.rounds < MAX_REFINE_ROUNDS:
                 # the next round's knot count (pairwise sums: before np.unique)
-                count = ((rule.nodes.size + 1) * self.eval_rule.nodes.size if self.rounds >= 3
+                count = ((rule.nodes.size + 1) * last.nodes.size if self.rounds >= 3
                          else 2 * knots.size - 1)
-                if count * self.model.rule.nodes.size > MAX_SURFACE_GRID:
+                if count * prev.rule.nodes.size > MAX_SURFACE_GRID:
                     break
                 self.rounds += 1
                 if self.rounds > 3:
-                    sums = (rule.nodes[:, None] + self.eval_rule.nodes[None, :]).ravel()
-                    knots = np.unique(np.concatenate([self.eval_rule.nodes, sums]))
-                    knot_values = error_function_values(self.model, knots)
+                    sums = (rule.nodes[:, None] + last.nodes[None, :]).ravel()
+                    knots = np.unique(np.concatenate([last.nodes, sums]))
+                    knot_values = error_function_values(prev, knots)
                 else:
                     mids = 0.5 * (knots[:-1] + knots[1:])
                     slots = np.arange(1, knots.size)   # each midpoint between its knots
                     knot_values = np.insert(knot_values, slots,
-                                            error_function_values(self.model, mids))
+                                            error_function_values(prev, mids))
                     knots = np.insert(knots, slots, mids)
-                surface = spline_fit(knots, knot_values)
-                model = ErrorModel(rule=self.eval_rule, g_values=self.eval_g, surface=surface)
-                vals = error_function_values(model, rule.nodes)
+                f.surface = spline_fit(knots, knot_values)
+                vals = error_function_values(f, rule.nodes)
                 y_new = apply_rule_matrix(rule, vals, E)
                 delta = abs(beta) * float(la.norm(y_new - y, check_finite=False))
                 y = y_new
                 if delta <= target:
                     break
-        # E[-1] holds the next cycle's g(t_i) = e_m^T exp(-t_i H) e_1
-        self.model, self.eval_rule, self.eval_g, self.node_values = model, rule, E[-1], vals
+        # the next cycle's f^(k+1), from this rule with its last samples of f^(k)
+        # and g(t_i) = e_m^T exp(-t_i H) e_1 in E[-1]; its surface is f^(k) itself
+        self.model = ErrorModel(rule=replace(rule, values=vals), g_values=E[-1], surface=f)
         return beta * y
 
 
@@ -370,7 +369,7 @@ class _StieltjesChain:
     def _psi(self, t: np.ndarray) -> np.ndarray:
         """psi at the points t, in log form so that prod h never overflows."""
         log_det = np.log(t[:, None] + self.ritz).sum(axis=1)
-        return self.sign * np.exp(self.log_c - log_det).real
+        return self.sign * np.exp(self.log_c - log_det)
 
     def cycle(self, dec: KrylovDecomposition, cache: SpectralCache, k: int,
               prev_iterate_norm: float) -> np.ndarray:
@@ -380,13 +379,15 @@ class _StieltjesChain:
             # spec(A) off (-inf, 0]: the anchor must lie right of 0
             _check_anchor(float(np.min(cache.D.real)), 0.0, False, "a Stieltjes function")
         X, D, eye = cache.X, cache.D, np.eye(m, dtype=H.dtype)
+        # psi and the resolvents of a real H are real but for rounding
+        part = np.real if np.isrealobj(H) else np.asarray
 
         def integrand(t):
             if X is None:   # kappa_1(X) > KAPPA_MAX: stacked solves, as in expm_columns
-                r = np.linalg.solve(H + t[:, None, None] * eye, eye[:, :1])[:, :, 0].real
+                r = np.linalg.solve(H + t[:, None, None] * eye, eye[:, :1])[:, :, 0]
             else:   # X diag(1/(D + t)) X^{-1} e_1
-                r = (X @ (cache.Xinv[:, :1] / (D[:, None] + t))).T.real
-            return (self.rho(t) * self._psi(t))[:, None] * r
+                r = (X @ (cache.Xinv[:, :1] / (D[:, None] + t))).T
+            return (self.rho(t) * part(self._psi(t)))[:, None] * part(r)
 
         try:
             rule = build_laplace_rule(integrand, 0.0, self.cfg.eps_q)

@@ -31,6 +31,27 @@ def load_perfbench():
     return lambda name: _load_path(f"perfbench/{name}.py")
 
 
+def complex_non_hermitian(kind):
+    """n = 200 complex matrix over D = diag(linspace(1, 4, n)) and a seed-1 unit b.
+
+    ``symmetric``: D + 0.01i (S + S^T), equal to its transpose but not to its
+    conjugate transpose; ``triangular``: D + 0.05i triu(S, 1). S is the seed-0
+    standard normal matrix.
+    """
+    n = 200
+    s = np.random.default_rng(0).standard_normal((n, n))
+    d = np.diag(np.linspace(1.0, 4.0, n))
+    a = d + (0.01j * (s + s.T) if kind == "symmetric" else 0.05j * np.triu(s, 1))
+    b = np.random.default_rng(1).standard_normal(n)
+    return a, b / np.linalg.norm(b)
+
+
+def eig_apply(a, b, scalar):
+    """F(A) b through the dense eigendecomposition of a diagonalizable A."""
+    lam, x = la.eig(a)
+    return x @ (scalar(lam) * la.solve(x, b))
+
+
 def full_storage_lanczos(a, b, steps, scalar):
     """Plain three-term Lanczos with stored basis; the algebraic twin of the
     two-pass method. ``a`` is anything that multiplies a vector with ``@``."""

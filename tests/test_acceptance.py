@@ -19,8 +19,8 @@ import scipy.linalg as la
 from conftest import full_storage_lanczos
 
 from laplace_krylov.baselines import (
-    cg_solve,
     reference_apply,
+    stieltjes_pipeline,
     two_pass_lanczos,
 )
 from laplace_krylov.krylov import arnoldi
@@ -117,14 +117,13 @@ class TestCriterion2:
 
 
 class TestCriterion3:
-    def test_stieltjes_pipeline_fraction(self, al3d):
-        b = seeded_unit(al3d.n)
-        op = LinearOperator.from_matrix(al3d)
-        c, first = cg_solve(op, b, 1e-9)
-        g = builtin_kernels()["inv-sqrt-stieltjes"]
-        ref2 = reference_apply(LinearOperator.from_matrix(al3d), None, c, g)
+    def test_stieltjes_pipeline_fraction(self, al3d, criterion1):
+        # CG, then the inv-sqrt-stieltjes restart, measured against criterion 1's F(A)b
         cfg = RestartConfig(m=50, tol=TOL, stopping="reference_error")
-        _, rep = restarted_laplace(op, c, g, cfg, reference=ref2)
+        _, rep, first = stieltjes_pipeline(LinearOperator.from_matrix(al3d), criterion1["b"],
+                                           builtin_kernels()["inv-sqrt-stieltjes"], -1, cfg,
+                                           reference=criterion1["ref"])
+        assert rep.converged
         total = first + rep.matvecs
         fraction = first / total
         assert abs(total - 185) <= 15

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg as la
-from conftest import full_storage_lanczos
+from conftest import complex_non_hermitian, eig_apply, full_storage_lanczos
 
 from laplace_krylov import baselines, cli
 from laplace_krylov.baselines import (
@@ -580,6 +580,15 @@ class TestReference:
             ref = reference_apply(LinearOperator.from_matrix(mat), None, b, builtin_kernels()[name])
             oracle = np.real(oracle)
             assert np.linalg.norm(ref - oracle) <= 1e-13 * np.linalg.norm(oracle), name
+
+    @pytest.mark.parametrize("name", ["power-neg-3-2", "sqrt", "inv-sqrt-stieltjes"])
+    def test_complex_non_hermitian_keeps_imaginary_parts(self, name):
+        # the dense forms of a complex H are complex; their real parts are 1e-2 off
+        a, b = complex_non_hermitian("triangular")
+        fn = builtin_kernels()[name]
+        ref = reference_apply(LinearOperator.from_dense(a), None, b, fn)
+        oracle = eig_apply(a, b, fn.scalar_form)
+        assert np.linalg.norm(ref - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_non_hermitian_failing_checkpoints_raise_at_the_end(self):

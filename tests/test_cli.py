@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from laplace_krylov import cli, restart
+from laplace_krylov import baselines, cli, restart
 from laplace_krylov.operators import LinearOperator, read_matrix_market
 from laplace_krylov.quadrature import QuadratureDivergenceError
 
@@ -361,6 +361,28 @@ class TestBench:
         # monotone decay
         assert all(x > y for x, y in zip(errors, errors[1:]))
         assert errors[-1] < 0.5 * errors[0]
+
+    def test_s32_rows_share_one_reference_per_size(self, tmp_path, monkeypatch):
+        # the stieltjes row, G(A) c after CG, is measured against F(A)b like the laplace row
+        refs, runs = [], []
+        real_reference, real_restart = baselines.reference_apply, restart.restarted_laplace
+
+        def recording_reference(*args):
+            refs.append(real_reference(*args))
+            return refs[-1]
+
+        def recording_restart(op, b, fn, cfg, reference=None):
+            runs.append((fn.name, reference))
+            return real_restart(op, b, fn, cfg, reference=reference)
+
+        monkeypatch.setattr(baselines, "reference_apply", recording_reference)
+        for module in (restart, baselines):
+            monkeypatch.setattr(module, "restarted_laplace", recording_restart)
+        assert cli.main(["bench", "--experiment", "s32", "--sizes", "4,5", "--m", "8",
+                         "--seed", "0", "-o", str(tmp_path / "b.csv")]) == 0
+        assert len(refs) == 2
+        assert [name for name, _ in runs] == ["power-neg-3-2", "inv-sqrt-stieltjes"] * 2
+        assert all(ref is refs[i // 2] for i, (_, ref) in enumerate(runs))
 
     @pytest.mark.parametrize("experiment, sizes", [
         ("s32", "4,5"), ("gamma", "6,8"), ("sqrt", "4,5"), ("fracdiff", "30,40"),

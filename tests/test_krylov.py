@@ -375,6 +375,18 @@ class TestSemiOrthogonal:
         assert np.linalg.norm(res) <= 1e-8
         assert np.sort(res)[-3] <= 1e-13
 
+    @pytest.mark.parametrize("complex_a", [False, True], ids=["real", "complex"])
+    def test_hermitian_cycle_h_is_exactly_hermitian(self, complex_a):
+        # eig_hermitian takes la.eigh of H as it comes, which reads one triangle
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((300, 300)) + (1j * rng.standard_normal((300, 300))
+                                               if complex_a else 0.0)
+        a = (x * np.logspace(-8, 0, 300)) @ x.conj().T
+        op = LinearOperator.from_dense((a + a.conj().T) / 2)
+        assert op.hermitian
+        dec = semi(op, rng.standard_normal(300), 120)
+        assert np.array_equal(dec.H, dec.H.conj().T)
+
     def test_non_hermitian_buffer_changes_nothing(self):
         op = LinearOperator.from_matrix(convection_diffusion_nd(10, 1e-2, 2))
         b = np.random.default_rng(3).standard_normal(op.n)

@@ -184,11 +184,18 @@ class TestMatrixMarket:
         rng = np.random.default_rng(5)
         a = np.round(rng.standard_normal((4, 4)), 6)
         a[np.abs(a) < 0.7] = 0.0
-        mat = SparseMatrix(a, symmetric=False)
+        mat = SparseMatrix(a)
         p = tmp_path / "rt.mtx"
         write_matrix_market(mat, p)
         back = read_matrix_market(p)
         assert np.allclose(back.toarray(), a)
+
+    def test_general_file_with_symmetric_entries_is_symmetric(self, tmp_path):
+        # the flag comes from the entries, not from the header
+        p = tmp_path / "sym.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 3\n1 1 2.0\n1 2 -1.0\n2 1 -1.0\n")
+        assert read_matrix_market(p).symmetric
 
     def test_one_based_indices(self, tmp_path):
         p = tmp_path / "one.mtx"
@@ -270,10 +277,6 @@ class TestLinearOperator:
         x = np.linspace(0, 1, mat.n)
         assert np.array_equal(op.apply(x), op.apply(x))
 
-    def test_symmetric_flag_validation(self):
-        with pytest.raises(ValueError):
-            SparseMatrix([[1.0, 2.0], [0.0, 1.0]], symmetric=True)
-
     @pytest.mark.parametrize("hermitian", [None, False])
     @pytest.mark.parametrize("shape", [(5, 6), (4,)])
     def test_from_dense_rejects_non_square(self, shape, hermitian):
@@ -323,6 +326,13 @@ class TestSparseMatrixInvariants:
             assert not mat.symmetric
             assert np.array_equal(mat.toarray(), arr)
         assert SparseMatrix((rounded + rounded.T) / 2).symmetric
+
+    def test_symmetric_means_hermitian(self):
+        c = np.array([[2.0, 1.0 + 1.0j], [1.0 + 1.0j, 3.0]])
+        assert not SparseMatrix([[1.0, 2.0], [0.0, 1.0]]).symmetric
+        assert not SparseMatrix(c).symmetric   # equal to its transpose only
+        assert SparseMatrix(np.triu(c) + np.triu(c, 1).conj().T).symmetric
+        assert not LinearOperator.from_matrix(SparseMatrix(c)).hermitian
 
 
 def test_package_import_leaves_out_the_on_use_modules():

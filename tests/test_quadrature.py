@@ -49,6 +49,13 @@ class TestGK15:
             val = 0.5 * float(GK15_WEIGHTS @ x**deg)
             assert val == pytest.approx(1.0 / (deg + 1), abs=1e-13)
 
+    def test_complex_integrand(self):
+        # the error estimate is the modulus of the Kronrod/Gauss difference
+        val, err = gk15(lambda x: np.exp(1j * x), 0.0, 1.0)
+        assert abs(val - (np.exp(1j) - 1.0) / 1j) <= 1e-15
+        g = 0.5 * G7_WEIGHTS @ np.exp(0.5j * (GK15_NODES[1::2] + 1.0))
+        assert err == abs(val - g)
+
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             gk15(np.sin, 1.0, 0.0)
@@ -102,6 +109,14 @@ class TestBuildLaplaceRule:
         with pytest.raises(QuadratureDivergenceError,
                            match=f"{quadrature.MAX_INTERVALS} subintervals"):
             build_laplace_rule(lambda t: np.sign(np.sin(1e3 * t)), 1.0, 1e-10)
+
+
+class TestComplexKernel:
+    def test_rule_keeps_the_imaginary_part(self):
+        # int_0^inf exp(i t) exp(-t) dt = 1 / (1 - i)
+        rule = build_laplace_rule(lambda t: np.exp(1j * t), 1.0, 1e-12)
+        assert np.iscomplexobj(rule.values)
+        assert abs(scalar_apply(rule, rule.values) - 1.0 / (1.0 - 1j)) <= 1e-12
 
 
 class TestRuleSamples:

@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg as la
 import scipy.special
+from conftest import complex_non_hermitian, eig_apply
 
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov import cli, restart, smallmat
@@ -694,7 +695,8 @@ class TestRefinementRounds:
         real_values = restart.error_function_values
 
         def recording_cycle(chain, dec, cache, k, prev_iterate_norm):
-            cycles.append({"model": chain.model, "evals": [], "fits": []})
+            # cycle k's model holds cycle k-1's model, which evaluates f^(k-1), as its surface
+            cycles.append({"model": chain.model and chain.model.surface, "evals": [], "fits": []})
             return real_cycle(chain, dec, cache, k, prev_iterate_norm)
 
         def recording_values(model, nodes):
@@ -1028,7 +1030,7 @@ class TestStieltjes:
     def test_subdiagonal_product_beyond_overflow(self):
         mat = laplacian_nd(12, 3)
         scaled = LinearOperator.from_matrix(
-            SparseMatrix(1e8 * mat.to_scipy(), symmetric=True))
+            SparseMatrix(1e8 * mat.to_scipy()))
         b = np.random.default_rng(15).standard_normal(mat.n)
         dec = arnoldi(scaled, b, 60)
         assert np.log10(np.diag(dec.H, -1)).sum() > 400
@@ -1133,6 +1135,39 @@ class TestStieltjesResolvents:
         # 0 <= tol * 0 ends the run at cycle 2
         assert [r.update_norm for r in rep.records] == [0.0, 0.0]
         assert np.all(x == 0.0) and rep.reason == "update_norm"
+
+
+class TestComplexNonHermitian:
+    """A complex operator that is not Hermitian keeps the imaginary parts of
+    every chain: each run lands within 1e-10 of the dense eigendecomposition."""
+
+    NAMES = ["power-neg-3-2", "sqrt", "inv-sqrt-stieltjes"]
+
+    @staticmethod
+    def assert_matches_eig(op, a, b, name):
+        fn = builtin_kernels()[name]
+        x, rep = restarted_laplace(op, b, fn, RestartConfig(m=10, tol=1e-8))
+        assert rep.converged
+        oracle = eig_apply(a, b, fn.scalar_form)
+        assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_complex_symmetric_takes_the_general_path(self, name):
+        # A = A^T but A != A^H: the Hermitian path is 1e-2 to 5e-2 off
+        a, b = complex_non_hermitian("symmetric")
+        op = LinearOperator.from_matrix(SparseMatrix(a))
+        assert not op.hermitian
+        self.assert_matches_eig(op, a, b, name)
+
+    @pytest.mark.parametrize("kappa_max", [smallmat.KAPPA_MAX, 0.0],
+                             ids=["closed-form", "fallback"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_triangular(self, name, kappa_max, monkeypatch):
+        # the Stieltjes chain's psi and resolvents are complex here, in the
+        # closed form and in the stacked solves without an eigenvector basis
+        monkeypatch.setattr(smallmat, "KAPPA_MAX", kappa_max)
+        a, b = complex_non_hermitian("triangular")
+        self.assert_matches_eig(LinearOperator.from_dense(a), a, b, name)
 
 
 class TestTwoSided:
