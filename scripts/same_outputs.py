@@ -11,7 +11,10 @@ against the library sources of both trees and comparing the output:
 Each line holds a case name, the matvec count, the stop reason (or the
 repr of the exception the case raised) and the sha256 digests of the
 case's arrays, so equal lines mean bit-identical outputs. BLAS runs on one
-thread, since a threaded BLAS may sum in another order. The cases:
+thread, since a threaded BLAS may sum in another order. A dense matrix
+enters as ``LinearOperator.from_matrix(SparseMatrix(a))``, the form that
+trees whose ``from_matrix`` takes only a ``SparseMatrix`` accept too. The
+cases:
 
 - the ten one-cycle-chain problems: five transforms on laplacian_nd(20, 2)
   at m = 10 and on convection_diffusion_nd(15, 1e-3, 2) at m = 8, update-norm
@@ -57,6 +60,7 @@ from laplace_krylov.baselines import (
 from laplace_krylov.cli import _random_connected_graph
 from laplace_krylov.operators import (
     LinearOperator,
+    SparseMatrix,
     convection_diffusion_nd,
     graph_laplacian,
     laplacian_nd,
@@ -110,7 +114,8 @@ def complex_hpd():
     """30 x 30 complex Hermitian positive definite matrix and a real b."""
     rng = np.random.default_rng(14)
     x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    return x @ x.conj().T / 30 + np.eye(30), rng.standard_normal(30)
+    a = x @ x.conj().T / 30 + np.eye(30)
+    return (a + a.conj().T) / 2, rng.standard_normal(30)   # exactly Hermitian
 
 
 def linear_solve(solver, mat, *args):
@@ -162,9 +167,9 @@ def cases():
     yield "two-pass-reference/lap2d-N20-m10", two_pass_reference
     hpd, real_b = complex_hpd()
     yield "two-pass/complex-hpd-real-b", lambda: two_pass(
-        LinearOperator.from_dense(hpd), real_b, fn, 5)
+        LinearOperator.from_matrix(SparseMatrix(hpd)), real_b, fn, 5)
     yield "two-pass/diag-1-4-9-e1", lambda: two_pass(
-        LinearOperator.from_dense(np.diag([1.0, 4.0, 9.0])), np.eye(3)[0], fn, 1)
+        LinearOperator.from_matrix(SparseMatrix(np.diag([1.0, 4.0, 9.0]))), np.eye(3)[0], fn, 1)
     yield "cg/lap3d-N20", lambda: linear_solve(cg_solve, laplacian_nd(20, 3))
     yield "gmres/cd2d-N15-m8", lambda: linear_solve(
         gmres_solve, convection_diffusion_nd(15, 1e-3, 2), 8)

@@ -52,9 +52,9 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
 
     On a lucky breakdown at step j < m the decomposition is truncated to
     size j and h_next is 0; a non-finite matvec raises at its step. For
-    Hermitian operators H is symmetrized before it is returned, so that
-    :func:`~.smallmat.eig_hermitian` sees an exactly Hermitian matrix. ``V`` and
-    ``v_next`` are views of one basis array.
+    Hermitian operators H is returned symmetrized and real, which it is in
+    exact arithmetic, so :func:`~.smallmat.eig_hermitian` gets a real
+    symmetric matrix. ``V`` and ``v_next`` are views of one basis array.
     """
     for size, H, Q, beta in _arnoldi_steps(op, start, m, _basis):
         pass
@@ -64,9 +64,7 @@ def arnoldi(op: LinearOperator, start: np.ndarray, m: int, *,
     v_next = Q[size] if not broke else np.zeros(op.n, dtype=Q.dtype)
 
     if op.hermitian:
-        Hs = (Hs + Hs.conj().T) / 2.0
-        if np.iscomplexobj(Hs) and np.max(np.abs(Hs.imag)) < 1e-13 * max(1.0, np.abs(Hs).max()):
-            Hs = Hs.real
+        Hs = ((Hs + Hs.conj().T) / 2.0).real
 
     return KrylovDecomposition(
         V=Q[:size].T,

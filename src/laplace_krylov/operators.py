@@ -2,11 +2,11 @@
 
 The central objects are :class:`SparseMatrix` (one canonical
 ``scipy.sparse.csr_matrix`` plus its Hermitian flag, read off the entries;
-scipy's kernel does the matvec) and :class:`LinearOperator`, a thin counted
-wrapper that is the only thing the Krylov machinery ever sees. The grid
-operators are Kronecker sums built by ``scipy.sparse.kronsum``. A graph is
-its symmetric 0/1 adjacency ``csr_matrix`` (see :func:`adjacency`); its
-Laplacian and connected components come from ``scipy.sparse.csgraph``,
+scipy's kernel does the matvec) and :class:`LinearOperator`, the counted
+wrapper the Krylov machinery sees; ``from_matrix`` builds it from any matrix
+through SparseMatrix. Grid operators are Kronecker sums (``scipy.sparse.kronsum``).
+A graph is its symmetric 0/1 adjacency ``csr_matrix`` (see :func:`adjacency`);
+its Laplacian and connected components come from ``scipy.sparse.csgraph``,
 which ``scipy.sparse`` loads on first use: imported here it would add
 ~1.2 MB of resident memory to every program, also those that build no graph.
 """
@@ -41,12 +41,14 @@ class SparseMatrix:
 
     ``mat`` is a scipy sparse or dense matrix. It is validated with scipy's
     full format check and stored in canonical form (duplicates summed,
-    column indices sorted); non-square input raises ``ValueError``.
+    column indices sorted); input that is not 2-D and square raises ``ValueError``.
     ``symmetric`` is exact Hermitian symmetry of the entries (A equal to its
     conjugate transpose), so a complex symmetric matrix is not symmetric here.
     """
 
     def __init__(self, mat):
+        if np.ndim(mat) != 2:
+            raise ValueError(f"matrix must be 2-D, got shape {np.shape(mat)}")
         csr = sp.csr_matrix(mat)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {csr.shape}")
@@ -86,20 +88,9 @@ class LinearOperator:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_matrix(cls, mat: SparseMatrix) -> "LinearOperator":
+    def from_matrix(cls, mat) -> "LinearOperator":
+        mat = mat if isinstance(mat, SparseMatrix) else SparseMatrix(mat)
         return cls(mat.matvec, mat.n, hermitian=mat.symmetric)
-
-    @classmethod
-    def from_dense(cls, arr, hermitian: bool | None = None) -> "LinearOperator":
-        arr = np.asarray(arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        if hermitian is None:
-            # to rounding only: a looser test sends slightly nonsymmetric
-            # matrices down the Hermitian Arnoldi path
-            scale = max(1.0, float(np.abs(arr).max()))
-            hermitian = float(np.abs(arr - arr.conj().T).max()) <= 1e-12 * scale
-        return cls(lambda x: arr @ x, arr.shape[0], hermitian=hermitian)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         y = self._matvec(x)
@@ -232,9 +223,12 @@ def read_matrix_market(path) -> SparseMatrix:
 
 
 def write_matrix_market(mat: SparseMatrix, path) -> None:
-    """Write in coordinate real format; a symmetric matrix keeps only i >= j."""
+    """Write in coordinate real format; a symmetric matrix keeps only i >= j.
+    A complex matrix, which the reader refuses too, raises before the file opens."""
     import scipy.io
 
+    if np.iscomplexobj(mat.to_scipy()):
+        raise MatrixMarketError("complex matrices are not supported")
     # an open file, because scipy appends ".mtx" to a path without it
     with open(path, "wb") as fh:
         scipy.io.mmwrite(fh, mat.to_scipy(), field="real", precision=17,

@@ -156,6 +156,8 @@ def _adapt(segment_eval, eps: float, x_hi: float = 1.0):
             )
         a, b, *_ = records.pop(worst)
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            raise QuadratureDivergenceError(f"cannot split [{a}, {b}]")
         records += [(lo, hi, *segment_eval(lo, hi)) for lo, hi in ((a, mid), (mid, b))]
 
 

@@ -579,6 +579,6 @@ def transform_value(fn: TransformFunction, s: float, eps: float = 1e-11) -> floa
     :func:`restarted_laplace` on the 1 x 1 operator [[s]] at quadrature target
     ``eps``. An ``s`` outside the convergence region raises
     :class:`ConvergenceRegionError`."""
-    op = LinearOperator.from_dense(np.array([[s]], dtype=float))
+    op = LinearOperator.from_matrix(np.array([[s]], dtype=float))
     x, _ = restarted_laplace(op, np.ones(1), fn, RestartConfig(m=1, tol=1.0, eps_q=eps))
     return float(x[0])

@@ -219,7 +219,7 @@ class TestCriterion7Properties:
         scalar = lambda w: (SQRT_PI / 2.0) * w**-1.5
         w_a, q_a = la.eigh(a)
         exact = q_a @ (scalar(w_a) * (q_a.T @ b))
-        dec = arnoldi(LinearOperator.from_dense(a), b, m)
+        dec = arnoldi(LinearOperator.from_matrix(a), b, m)
         wh, qh = la.eigh(dec.H)
         fm = dec.beta * (dec.V @ (qh @ (scalar(wh) * qh.T[:, 0])))
         lhs = exact - fm
@@ -258,8 +258,8 @@ class TestCriterion7Properties:
             name="inv-sqrt-laplace", kind="laplace",
             kernel=lambda t: 1.0 / np.sqrt(math.pi * np.asarray(t, dtype=float)),
             abscissa=0.0)
-        x_lap, _ = restarted_laplace(LinearOperator.from_dense(a), b, lap, cfg)
-        x_sti, _ = restarted_laplace(LinearOperator.from_dense(a), b,
+        x_lap, _ = restarted_laplace(LinearOperator.from_matrix(a), b, lap, cfg)
+        x_sti, _ = restarted_laplace(LinearOperator.from_matrix(a), b,
                                      builtin_kernels()["inv-sqrt-stieltjes"], cfg)
         w, q = la.eigh(a)
         scale = np.linalg.norm(q @ (w**-0.5 * (q.T @ b)))
@@ -301,7 +301,7 @@ class TestCriterion7Properties:
     def test_arnoldi_invariants(self):
         rng = np.random.default_rng(24)
         a = rng.standard_normal((50, 50))
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         dec = arnoldi(op, rng.standard_normal(50), 20)
         orth = np.linalg.norm(dec.V.T @ dec.V - np.eye(20))
         assert orth <= 1e-10

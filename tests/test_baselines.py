@@ -51,6 +51,7 @@ def complex_hpd():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
     a = x @ x.conj().T / 30 + np.eye(30)
+    a = (a + a.conj().T) / 2   # exactly Hermitian, as SparseMatrix flags it
     b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     return a, b
 
@@ -59,14 +60,14 @@ def nan_diagonal_operator():
     """laplacian_nd(10, 2) with one NaN diagonal entry, as a Hermitian operator."""
     a = laplacian_nd(10, 2).toarray()
     a[37, 37] = np.nan
-    return LinearOperator.from_dense(a, hermitian=True)
+    return LinearOperator(lambda x: a @ x, a.shape[0], hermitian=True)
 
 
 class TestTwoPass:
     def test_equals_full_storage(self):
         mat = np.diag([1.0, 2.0, 3.0])
         b = np.array([0.3, 0.5, 0.8])
-        op = LinearOperator.from_dense(mat)
+        op = LinearOperator.from_matrix(mat)
         fn = builtin_kernels()["power-neg-3-2"]
         f, rep = two_pass_lanczos(op, b, fn, tol=1e-12, check_every_m=1)
         ref = full_storage_lanczos(mat, b, rep.steps, fn.scalar_form)
@@ -136,7 +137,7 @@ class TestTwoPass:
         a, b = complex_hpd()
         w, q = la.eigh(a)
         oracle = q @ (w**-1.5 * (q.conj().T @ b))
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         fn = builtin_kernels()["power-neg-3-2"]
         tol = 1e-7
         f, rep = two_pass_lanczos(op, b, fn, tol=tol, check_every_m=5,
@@ -145,7 +146,7 @@ class TestTwoPass:
         assert np.linalg.norm(f - oracle) <= tol * np.linalg.norm(oracle)
 
     def test_rejects_non_hermitian(self):
-        op = LinearOperator.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        op = LinearOperator.from_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             two_pass_lanczos(op, np.ones(2), builtin_kernels()["power-neg-3-2"],
                              1e-6, 2)
@@ -190,8 +191,8 @@ class TestTwoPass:
         a = laplacian_nd(6, 2).toarray()
         b = np.random.default_rng(0).standard_normal(a.shape[0])
         fn = builtin_kernels()["inv-sqrt-stieltjes"]
-        f, rep = two_pass_lanczos(LinearOperator.from_dense(a), b, fn, 1e-10, 5)
-        g, rep_huge = two_pass_lanczos(LinearOperator.from_dense(1e160 * a), b, fn, 1e-10, 5)
+        f, rep = two_pass_lanczos(LinearOperator.from_matrix(a), b, fn, 1e-10, 5)
+        g, rep_huge = two_pass_lanczos(LinearOperator.from_matrix(1e160 * a), b, fn, 1e-10, 5)
         assert rep_huge.steps == rep.steps > 1
         assert np.linalg.norm(g - 1e-80 * f) <= 1e-12 * np.linalg.norm(1e-80 * f)
 
@@ -212,7 +213,7 @@ class TestTwoPass:
 
 class TestCG:
     def test_identity_one_iteration(self):
-        op = LinearOperator.from_dense(np.eye(4))
+        op = LinearOperator.from_matrix(np.eye(4))
         b = np.arange(1.0, 5.0)
         x, iters = cg_solve(op, b, 1e-12)
         assert iters == 1
@@ -221,7 +222,7 @@ class TestCG:
     def test_residual_contract_small_diag(self):
         rng = np.random.default_rng(2)
         a = np.diag(np.arange(1.0, 11.0))
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         b = rng.standard_normal(10)
         x, _ = cg_solve(op, b, 1e-10)
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b) * 1.01
@@ -237,7 +238,7 @@ class TestCG:
 
     def test_complex_hermitian(self):
         a, b = complex_hpd()
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         assert op.hermitian
         x, iters = cg_solve(op, b, 1e-12)
         exact = la.solve(a, b)
@@ -248,14 +249,14 @@ class TestCG:
         # CG promotes its real iterates to complex at the first matvec
         a, _ = complex_hpd()
         b = np.random.default_rng(15).standard_normal(30)
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         x, iters = cg_solve(op, b, 1e-10)
         assert np.iscomplexobj(x) and np.abs(x.imag).max() > 0
         assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b) * 1.01
         assert iters >= 1 and op.matvec_count == iters
 
     def test_rejects_non_hermitian(self):
-        op = LinearOperator.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        op = LinearOperator.from_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             cg_solve(op, np.ones(2), 1e-8)
 
@@ -299,14 +300,14 @@ class TestCG:
 
 class TestGMRES:
     def test_identity(self):
-        op = LinearOperator.from_dense(np.eye(3))
+        op = LinearOperator.from_matrix(np.eye(3))
         b = np.ones(3)
         x, iters = gmres_solve(op, b, 1e-12, restart=2)
         assert np.allclose(x, b)
 
     def test_small_diag(self):
         a = np.diag([1.0, 2.0, 5.0, 9.0])
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         b = np.array([1.0, -2.0, 0.5, 3.0])
         x, _ = gmres_solve(op, b, 1e-10, restart=2)
         assert np.linalg.norm(b - a @ x) <= 1e-9 * np.linalg.norm(b)
@@ -328,7 +329,7 @@ class TestGMRES:
         x = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
         a = (x if complex_a else x.real) + 12.0 * np.eye(30)
         b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        sol, _ = gmres_solve(LinearOperator.from_dense(a), b, 1e-10, restart=10)
+        sol, _ = gmres_solve(LinearOperator.from_matrix(a), b, 1e-10, restart=10)
         exact = la.solve(a, b)
         assert np.linalg.norm(sol - exact) <= 1e-9 * np.linalg.norm(exact)
 
@@ -351,7 +352,7 @@ class TestGMRES:
     def test_stagnation_detected(self):
         # GMRES(1) on a rotation makes no progress
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         with pytest.raises(StagnationError):
             gmres_solve(op, np.array([1.0, 0.0]), 1e-10, restart=1)
 
@@ -374,7 +375,7 @@ class TestReference:
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "krylov"])
     def test_complex_hermitian(self, dense):
         a, b = complex_hpd()
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         assert op.hermitian
         fn = builtin_kernels()["power-neg-3-2"]
         ref = reference_apply(op, a if dense else None, b, fn)
@@ -386,7 +387,9 @@ class TestReference:
         a, _ = complex_hpd()
         b = np.random.default_rng(15).standard_normal(30)
         fn = builtin_kernels()["power-neg-3-2"]
-        ref = reference_apply(LinearOperator.from_dense(a), None, b, fn)
+        op = LinearOperator.from_matrix(a)
+        assert op.hermitian
+        ref = reference_apply(op, None, b, fn)
         w, q = la.eigh(a)
         oracle = q @ (w**-1.5 * (q.conj().T @ b))
         assert np.linalg.norm(ref - oracle) <= 1e-12 * np.linalg.norm(oracle)
@@ -452,7 +455,7 @@ class TestReference:
         lam = np.linspace(1.0, 50.0, 50)
         b = np.zeros(50)
         b[[3, 11, 20, 34, 47]] = [1.0, -2.0, 0.5, 1.5, -1.0]
-        op = LinearOperator.from_dense(np.diag(lam))
+        op = LinearOperator.from_matrix(np.diag(lam))
         fn = builtin_kernels()["power-neg-3-2"]
         ref = reference_apply(op, None, b, fn)
         exact = lam**-1.5 * b
@@ -462,7 +465,7 @@ class TestReference:
     def test_lanczos_steps_capped_at_n(self):
         lam = np.linspace(1.0, 4.0, 20)
         b = np.random.default_rng(10).standard_normal(20)
-        op = LinearOperator.from_dense(np.diag(lam))
+        op = LinearOperator.from_matrix(np.diag(lam))
         fn = builtin_kernels()["sqrt"]
         ref = reference_apply(op, None, b, fn)
         assert op.matvec_count <= 2 * 20
@@ -586,7 +589,7 @@ class TestReference:
         # the dense forms of a complex H are complex; their real parts are 1e-2 off
         a, b = complex_non_hermitian("triangular")
         fn = builtin_kernels()[name]
-        ref = reference_apply(LinearOperator.from_dense(a), None, b, fn)
+        ref = reference_apply(LinearOperator.from_matrix(a), None, b, fn)
         oracle = eig_apply(a, b, fn.scalar_form)
         assert np.linalg.norm(ref - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -594,7 +597,7 @@ class TestReference:
     def test_non_hermitian_failing_checkpoints_raise_at_the_end(self):
         # a nilpotent shift from e_n: every H_k is singular, so F(H_k) e_1
         # fails at every checkpoint, the last at the breakdown, step n
-        op = LinearOperator.from_dense(np.diag(np.ones(29), 1))
+        op = LinearOperator.from_matrix(np.diag(np.ones(29), 1))
         with pytest.raises(ValueError, match="infs or NaNs"):
             reference_apply(op, None, np.eye(30)[-1], builtin_kernels()["power-neg-3-2"])
         assert op.matvec_count == 30

@@ -192,7 +192,7 @@ class TestRun:
         out = tmp_path / "x.npy"
         assert cli.main(["run", "--matrix", "diag:1,2,3,5,8", "--function", "gamma",
                          "--m", "2", "--seed", "3", "-o", str(out)]) == 0
-        op = LinearOperator.from_dense(np.diag([1.0, 2.0, 3.0, 5.0, 8.0]))
+        op = LinearOperator.from_matrix(np.diag([1.0, 2.0, 3.0, 5.0, 8.0]))
         x, _ = restart.restarted_laplace(op, cli._starting_vector(5, 3),
                                          restart.builtin_kernels()["gamma"],
                                          restart.RestartConfig(m=2))

@@ -236,6 +236,13 @@ class TestMatrixMarket:
             with pytest.raises(MatrixMarketError):
                 read_matrix_market(p)
 
+    def test_complex_write_raises_and_leaves_no_file(self, tmp_path):
+        mat = SparseMatrix(np.array([[2.0, 1.0j], [-1.0j, 2.0]]))
+        p = tmp_path / "c.mtx"
+        with pytest.raises(MatrixMarketError, match="complex"):
+            write_matrix_market(mat, p)
+        assert not p.exists()
+
     def test_symmetric_round_trip(self, tmp_path):
         mat = laplacian_nd(3, 2)
         p = tmp_path / "sym.mtx"
@@ -277,22 +284,29 @@ class TestLinearOperator:
         x = np.linspace(0, 1, mat.n)
         assert np.array_equal(op.apply(x), op.apply(x))
 
-    @pytest.mark.parametrize("hermitian", [None, False])
-    @pytest.mark.parametrize("shape", [(5, 6), (4,)])
-    def test_from_dense_rejects_non_square(self, shape, hermitian):
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 3)])
+    def test_from_matrix_rejects_non_square(self, shape):
         with pytest.raises(ValueError, match="square"):
-            LinearOperator.from_dense(np.ones(shape), hermitian=hermitian)
+            LinearOperator.from_matrix(np.ones(shape))
 
-    def test_from_dense_hermitian_only_to_rounding(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((60, 60))
-        spd = a @ a.T / 60 + np.eye(60)
-        # 1e-6 relative asymmetry passes np.allclose but is not rounding
-        near = spd * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, (60, 60)))
-        assert LinearOperator.from_dense(spd).hermitian
-        assert not LinearOperator.from_dense(near).hermitian
-        c = a + 1j * rng.standard_normal((60, 60))
-        assert LinearOperator.from_dense(c @ c.conj().T).hermitian
+    @pytest.mark.parametrize("make", [SparseMatrix, LinearOperator.from_matrix],
+                             ids=["SparseMatrix", "from_matrix"])
+    @pytest.mark.parametrize("shape", [(), (1,), (4,)], ids=str)
+    def test_rejects_input_that_is_not_2d(self, shape, make):
+        with pytest.raises(ValueError, match="2-D"):
+            make(np.ones(shape))
+
+    @pytest.mark.parametrize("a", [
+        laplacian_nd(4, 2).toarray(),
+        np.random.default_rng(2).standard_normal((9, 9))
+        + 1j * np.random.default_rng(3).standard_normal((9, 9)),
+    ], ids=["symmetric", "complex-general"])
+    def test_from_matrix_of_an_array_is_from_matrix_of_its_sparse_matrix(self, a):
+        dense_op = LinearOperator.from_matrix(a)
+        sparse_op = LinearOperator.from_matrix(SparseMatrix(a))
+        assert dense_op.hermitian == sparse_op.hermitian
+        x = np.random.default_rng(4).standard_normal(a.shape[0])
+        assert np.array_equal(dense_op.apply(x), sparse_op.apply(x))
 
 
 class TestSparseMatrixInvariants:
@@ -317,7 +331,7 @@ class TestSparseMatrixInvariants:
         with pytest.raises(ValueError, match="square"):
             SparseMatrix(arr)
 
-    def test_from_dense_flags_exact_symmetry_only(self):
+    def test_flags_exact_symmetry_only(self):
         q, _ = la.qr(np.random.default_rng(0).standard_normal((5, 5)))
         rounded = q @ np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) @ q.T
         assert np.abs(rounded - rounded.T).max() > 0

@@ -48,7 +48,7 @@ def test_restart_matches_dense_function(seed, n, m, hermitian, kind):
     a = random_matrix(rng, n, hermitian)
     b = rng.standard_normal(n)
     b /= np.linalg.norm(b)
-    op = LinearOperator.from_dense(a, hermitian=hermitian)
+    op = LinearOperator(lambda x: a @ x, n, hermitian=hermitian)
     x, rep = restarted_laplace(op, b, builtin_kernels()[kind], RestartConfig(m=m, tol=TOL))
     exact = dense_apply(a, b, SCALAR[kind], hermitian)
     assert rep.converged, rep.reason

@@ -162,7 +162,7 @@ class TestRestartedLaplace:
     def test_full_space_single_cycle_exact(self):
         a = spd_matrix(6, seed=0)
         b = np.random.default_rng(1).standard_normal(6)
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         cfg = RestartConfig(m=6, tol=1e-7)
         fn = sqrt_kernel()
         x, rep = restarted_laplace(op, b, fn, cfg)
@@ -413,7 +413,7 @@ class TestRestartedLaplace:
         w, v = la.eig(mat)
         exact = (v @ (w**-1.5 * la.solve(v, b))).real
         fn = builtin_kernels()["power-neg-3-2"]
-        x, rep = restarted_laplace(LinearOperator.from_dense(mat), b, fn,
+        x, rep = restarted_laplace(LinearOperator.from_matrix(mat), b, fn,
                                    RestartConfig(m=10, tol=1e-10))
         assert rep.converged
         assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
@@ -504,7 +504,7 @@ class TestAnchor:
 
     @staticmethod
     def anchor(a, kind="power-neg-3-2"):
-        op = LinearOperator.from_dense(np.asarray(a, dtype=float))
+        op = LinearOperator.from_matrix(np.asarray(a, dtype=float))
         dec = arnoldi(op, np.ones(op.n) / math.sqrt(op.n), op.n)
         chain = restart._LaplaceChain(builtin_kernels()[kind], RestartConfig(m=op.n), 1.0)
         chain.cycle(dec, spectral_cache(op, dec), 1, 0.0)
@@ -598,7 +598,7 @@ class TestAnchor:
 
     def test_reflected_chain_anchors_on_minus_h(self):
         fn = builtin_kernels()["gamma"]
-        op = LinearOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
+        op = LinearOperator.from_matrix(np.diag([1.0, 2.0, 3.0]))
         dec = arnoldi(op, np.ones(3) / math.sqrt(3.0), 3)
         chains = restart._chains(fn, RestartConfig(m=3), 1.0)
         for chain in chains:
@@ -829,6 +829,18 @@ class TestQuadratureDivergence:
             restarted_laplace(op, np.ones(op.n), builtin_kernels()["power-neg-3-2"],
                               RestartConfig(m=5, tol=1e-7))
 
+    def test_interval_too_small_to_split_raises(self):
+        # the s^{-1/4} density's first rule bisects towards x = 1 until its
+        # worst interval is two adjacent floats, which have no midpoint
+        fn = TransformFunction(
+            name="inv-quarter-stieltjes", kind="stieltjes",
+            kernel=lambda t: math.sin(math.pi / 4) / math.pi * np.asarray(t, dtype=float) ** -0.25)
+        op = LinearOperator.from_matrix(laplacian_nd(30, 2))
+        b = np.random.default_rng(0).standard_normal(op.n)
+        with pytest.raises(QuadratureDivergenceError, match="cannot split"):
+            restarted_laplace(op, b / np.linalg.norm(b), fn, RestartConfig(m=10))
+        assert op.matvec_count == 10
+
 
 class TestErrorRepresentation:
     def test_error_function_constant_kernel_m1(self):
@@ -844,7 +856,7 @@ class TestErrorRepresentation:
         # f^(2)(t) = int f(t+tau) g(tau) dtau on a random SPD 4x4
         a = spd_matrix(4, seed=4)
         b = np.random.default_rng(5).standard_normal(4)
-        dec = arnoldi(LinearOperator.from_dense(a), b, 2)
+        dec = arnoldi(LinearOperator.from_matrix(a), b, 2)
         w, q = la.eigh(dec.H)
         coeff = q[-1, :] * q[0, :]
 
@@ -908,7 +920,7 @@ class TestErrorRepresentation:
     def test_error_function_constant_sign(self, m):
         a = spd_matrix(6, seed=6)
         b = np.random.default_rng(7).standard_normal(6)
-        dec = arnoldi(LinearOperator.from_dense(a), b, m)
+        dec = arnoldi(LinearOperator.from_matrix(a), b, m)
         w, q = la.eigh(dec.H)
         coeff = q[-1, :] * q[0, :]
         nu = w[0]
@@ -928,7 +940,7 @@ class TestErrorRepresentation:
         m = 3
         fn = sqrt_kernel()
         exact = spectral_apply(a, b, fn.scalar_form)
-        dec = arnoldi(LinearOperator.from_dense(a), b, m)
+        dec = arnoldi(LinearOperator.from_matrix(a), b, m)
         wh, qh = la.eigh(dec.H)
         fm = dec.beta * (dec.V @ (qh @ (fn.scalar_form(wh) * qh.T[:, 0])))
         lhs = exact - fm
@@ -986,7 +998,7 @@ def ritz_case(name):
     if name == "laplace-of-g":
         # psi = L{g} with g(tau) = e_m^T exp(-tau H) e_1; the oracle is
         # adaptive quadrature of the eigendecomposition closed form
-        dec, cache = cycle(LinearOperator.from_dense(spd_matrix(5, seed=9)), np.eye(5)[0], 5)
+        dec, cache = cycle(LinearOperator.from_matrix(spd_matrix(5, seed=9)), np.eye(5)[0], 5)
         w, q = la.eigh(dec.H)
         coeff = q[-1, :] * q[0, :]
         oracle, _ = scipy.integrate.quad(lambda tau: float(coeff @ np.exp(-tau * w)) * np.exp(-tau),
@@ -994,9 +1006,9 @@ def ritz_case(name):
         return [(dec, cache)], [(1.0, oracle, 1e-8)]
     if name == "large-shift":
         h = np.triu(rng.standard_normal((4, 4)), -1) + 4.0 * np.eye(4)
-        return [cycle(LinearOperator.from_dense(h), np.eye(4)[0], 4)], [(1e9, 0.0, 1e-15)]
+        return [cycle(LinearOperator.from_matrix(h), np.eye(4)[0], 4)], [(1e9, 0.0, 1e-15)]
     # Hermitian and non-Hermitian cycles of even and odd length, one of them m=1
-    spd = LinearOperator.from_dense(spd_matrix(8, seed=3))
+    spd = LinearOperator.from_matrix(spd_matrix(8, seed=3))
     cd = LinearOperator.from_matrix(convection_diffusion_nd(4, 1e-2, 2))
     return [cycle(spd, rng.standard_normal(8), 4), cycle(cd, rng.standard_normal(16), 5),
             cycle(spd, rng.standard_normal(8), 1), cycle(cd, rng.standard_normal(16), 6)], []
@@ -1053,12 +1065,12 @@ class TestStieltjes:
     def test_single_cycle_equals_plain_arnoldi(self):
         a = spd_matrix(7, seed=10)
         b = np.random.default_rng(11).standard_normal(7)
-        op = LinearOperator.from_dense(a)
+        op = LinearOperator.from_matrix(a)
         fn = builtin_kernels()["inv-sqrt-stieltjes"]
         cfg = RestartConfig(m=4, tol=1e-7, eps_q=1e-12, max_cycles=1)
         cfg.tol = 1e-30
         x, _ = restarted_laplace(op, b, fn, cfg)
-        dec = arnoldi(LinearOperator.from_dense(a), b, 4)
+        dec = arnoldi(LinearOperator.from_matrix(a), b, 4)
         w, q = la.eigh(dec.H)
         direct = dec.beta * (dec.V @ (q @ (w**-0.5 * q.T[:, 0])))
         assert np.linalg.norm(x - direct) <= 1e-9 * np.linalg.norm(direct)
@@ -1080,17 +1092,17 @@ class TestStieltjes:
         cfg = RestartConfig(m=3, tol=1e-6, eps_q=eps_q, max_cycles=2,
                             stopping="update_norm")
         cfg.tol = 1e-30  # force exactly two cycles
-        op1 = LinearOperator.from_dense(a)
+        op1 = LinearOperator.from_matrix(a)
         x_lap, _ = restarted_laplace(op1, b, inv_sqrt_laplace(), cfg)
-        op2 = LinearOperator.from_dense(a)
+        op2 = LinearOperator.from_matrix(a)
         x_sti, _ = restarted_laplace(op2, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg)
         exact = spectral_apply(a, b, lambda w: w**-0.5)
         assert np.linalg.norm(x_lap - x_sti) <= 10 * eps_q * np.linalg.norm(exact)
         # cross-method agreement within 2 tol of each other's converged runs
         cfg2 = RestartConfig(m=3, tol=1e-8)
-        op3 = LinearOperator.from_dense(a)
+        op3 = LinearOperator.from_matrix(a)
         y_lap, rep1 = restarted_laplace(op3, b, inv_sqrt_laplace(), cfg2)
-        op4 = LinearOperator.from_dense(a)
+        op4 = LinearOperator.from_matrix(a)
         y_sti, rep2 = restarted_laplace(op4, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg2)
         assert rep1.converged and rep2.converged
         assert np.linalg.norm(y_lap - y_sti) <= 2 * cfg2.tol * np.linalg.norm(exact)
@@ -1167,7 +1179,7 @@ class TestComplexNonHermitian:
         # closed form and in the stacked solves without an eigenvector basis
         monkeypatch.setattr(smallmat, "KAPPA_MAX", kappa_max)
         a, b = complex_non_hermitian("triangular")
-        self.assert_matches_eig(LinearOperator.from_dense(a), a, b, name)
+        self.assert_matches_eig(LinearOperator.from_matrix(a), a, b, name)
 
 
 class TestTwoSided:
@@ -1203,7 +1215,7 @@ class TestTwoSided:
         monkeypatch.setattr(restart, "eig_general", lambda H: caches.append(real_eig(H)) or caches[-1])
         lam, N = 1.5, np.diag([1.0, 1.0], 1)
         b = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
-        x, rep = restarted_laplace(LinearOperator.from_dense(lam * np.eye(3) + N), b,
+        x, rep = restarted_laplace(LinearOperator.from_matrix(lam * np.eye(3) + N), b,
                                    builtin_kernels()["gamma"], RestartConfig(m=3))
         psi, dpsi = scipy.special.digamma(lam), scipy.special.polygamma(1, lam)
         exact = scipy.special.gamma(lam) * (b + psi * (N @ b) + 0.5 * (psi**2 + dpsi) * (N @ N @ b))
