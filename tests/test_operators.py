@@ -284,10 +284,12 @@ class TestLinearOperator:
         x = np.linspace(0, 1, mat.n)
         assert np.array_equal(op.apply(x), op.apply(x))
 
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix],
+                             ids=["ndarray", "csr"])
     @pytest.mark.parametrize("shape", [(5, 6), (2, 3)])
-    def test_from_matrix_rejects_non_square(self, shape):
+    def test_from_matrix_rejects_non_square(self, shape, form):
         with pytest.raises(ValueError, match="square"):
-            LinearOperator.from_matrix(np.ones(shape))
+            LinearOperator.from_matrix(form(np.ones(shape)))
 
     @pytest.mark.parametrize("make", [SparseMatrix, LinearOperator.from_matrix],
                              ids=["SparseMatrix", "from_matrix"])
