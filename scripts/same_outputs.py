@@ -36,6 +36,7 @@ cases:
 - ``stieltjes_pipeline`` for s^{-3/2} on laplacian_nd(20, 2): CG at rtol
   1e-9, then the inv-sqrt-stieltjes restart at m = 10 with update-norm
   stopping (x and the per-cycle update norms; the matvecs of both phases).
+  The call passes ``power=-1`` only to a tree whose pipeline still takes it.
 """
 
 import os
@@ -45,6 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib
+import inspect
 import sys
 
 import numpy as np
@@ -175,9 +177,10 @@ def cases():
         gmres_solve, convection_diffusion_nd(15, 1e-3, 2), 8)
 
     def pipeline():
+        power = {"power": -1} if "power" in inspect.signature(stieltjes_pipeline).parameters else {}
         x, rep, first = stieltjes_pipeline(
             LinearOperator.from_matrix(lap2d), unit_starts(lap2d.n, 1)[0],
-            kernels["inv-sqrt-stieltjes"], -1, RestartConfig(m=10, tol=TOL))
+            kernels["inv-sqrt-stieltjes"], cfg=RestartConfig(m=10, tol=TOL), **power)
         return first + rep.matvecs, rep.reason, [x, [r.update_norm for r in rep.records]]
     yield "stieltjes-pipeline/lap2d-N20-m10", pipeline
 

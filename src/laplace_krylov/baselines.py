@@ -346,19 +346,15 @@ def reference_apply(op: LinearOperator, dense: np.ndarray | None, b: np.ndarray,
 
 
 def stieltjes_pipeline(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
-                       power: int, cfg: RestartConfig, reference: np.ndarray | None = None):
-    """F(A) b evaluated as G(A) (A^power b) with a Stieltjes G.
+                       cfg: RestartConfig, reference: np.ndarray | None = None):
+    """F(A) b evaluated as G(A) (A^{-1} b) with a Stieltjes G.
 
-    power = -1 solves A c = b first to a relative residual of 1e-9 (CG when
-    Hermitian, restarted GMRES otherwise); power = +1 multiplies once.
+    The first phase solves A c = b to a relative residual of 1e-9 (CG when
+    Hermitian, restarted GMRES otherwise); the second restarts on c.
     ``reference`` is F(A) b. Returns the approximation, the restart report of
     the second phase and the first-phase matvec count.
     """
-    if power not in (-1, 1):
-        raise ValueError("power must be -1 or +1")
-    if power == 1:
-        c, first = op.apply(b), 1
-    elif op.hermitian:
+    if op.hermitian:
         c, first = cg_solve(op, b, 1e-9)
     else:
         c, first = gmres_solve(op, b, 1e-9, restart=cfg.m)

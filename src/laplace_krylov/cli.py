@@ -195,7 +195,7 @@ def _bench_point(experiment: str, n_size: int, m: int, tol: float, seed):
     if experiment == "s32":
         t0 = time.perf_counter()   # the row's wall time includes CG
         _, rep, first = baselines.stieltjes_pipeline(
-            operator(), b, kernels["inv-sqrt-stieltjes"], -1, cfg, reference=ref)
+            operator(), b, kernels["inv-sqrt-stieltjes"], cfg, reference=ref)
         add_row("stieltjes", first + rep.matvecs, rep.records[-1].rel_error, t0, first)
         t0 = time.perf_counter()
         _, rep = baselines.two_pass_lanczos(operator(), b, fn, tol, m, reference=ref)

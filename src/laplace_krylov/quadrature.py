@@ -177,9 +177,9 @@ def _pilot_segment(f, nu: float, one_minus: bool):
         piece = []
 
         def integrand(x):
-            r = x / (1.0 - x)
-            t = r * r
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+                r = x / (1.0 - x)
+                t = r * r
                 jac = 2.0 * x / (1.0 - x) ** 3   # dt/dx
                 piece[:] = t, 0.5 * (b - a) * GK15_WEIGHTS * jac, np.asarray(f(t))
                 fv = piece[2]

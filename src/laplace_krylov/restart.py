@@ -10,11 +10,11 @@ itself, so one cycle method serves every cycle of a chain.
 
 :func:`restarted_laplace` is the one entry point for every transform kind.
 Two-sided transforms run two kernel chains (for A and -A) over a shared
-Krylov basis; complete Bernstein functions run the standard chain after a
-sign flip, with the linear part applied directly; Stieltjes functions, a
-special case of Laplace transforms, run a chain that integrates shifted
-resolvents against the density times a product over the earlier cycles'
-Ritz values. Every chain reads the cycle's one eigendecomposition of H.
+Krylov basis; Bernstein functions int_0^inf (1 - exp(-s t)) f(t) dt run the
+standard chain on that grouped integrand; Stieltjes functions, a special
+case of Laplace transforms, run a chain that integrates shifted resolvents
+against the density times a product over the earlier cycles' Ritz values.
+Every chain reads the cycle's one eigendecomposition of H.
 """
 
 from __future__ import annotations
@@ -79,15 +79,11 @@ class TransformFunction:
     abscissa: float = 0.0
     boundary_closed: bool = False
     abscissa_neg: float = -math.inf
-    c: float = 0.0
-    a: float = 0.0
     scalar_form: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in ("laplace", "two_sided", "bernstein", "stieltjes"):
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "bernstein" and (self.c < 0 or self.a < 0):
-            raise ValueError("Bernstein representation requires c, a >= 0")
 
 
 @dataclass
@@ -414,25 +410,18 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
                       cfg: RestartConfig, reference: np.ndarray | None = None):
     """Approximate F(A) b by the restarted Arnoldi method.
 
-    The method follows ``fn.kind``: one Laplace chain, two chains over a
-    shared basis for two-sided transforms, the affine part (c I + a A) b
-    applied directly plus one Laplace chain for Bernstein functions, or
-    resolvent-based updates for Stieltjes functions.
+    :func:`_chains` picks the chains from ``fn.kind``: one Laplace chain
+    (on the grouped integrand for Bernstein functions), two chains over a
+    shared basis for two-sided transforms, or resolvent-based updates for
+    Stieltjes functions. The report counts the operator's matvecs of the run.
     """
     bnorm = _checked_norm(b, "b", op.n)
     if cfg.stopping == "reference_error" and reference is None:
         raise ValueError("reference_error stopping needs a reference vector")
     ref_norm = _checked_norm(reference, "reference", op.n) if reference is not None else 0.0
     chains = _chains(fn, cfg, bnorm)
-    fm = np.zeros(op.n)
-    if fn.kind == "bernstein":
-        fm = fn.c * b
-        if fn.a != 0.0:
-            fm = fm + fn.a * op.apply(b)
-    # the loop's norms by nrm2 too; check_finite=False lets inf and NaN reach
-    # the non_finite stop
-    itn = float(la.norm(fm, check_finite=False))
-    base_count = op.matvec_count  # the report leaves out the affine matvec
+    fm, itn = np.zeros(op.n), 0.0
+    base_count = op.matvec_count
     report = RestartReport()
     start = b
     basis = np.empty((min(cfg.m, op.n) + 1, op.n), dtype=complex if np.iscomplexobj(b) else float)
@@ -452,6 +441,7 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         kept, fm = fm, fm if d is None else fm + d
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
+        # norms by nrm2; check_finite=False lets inf and NaN reach the non_finite stop
         prev_upd, upd = upd, math.nan if d is None else float(la.norm(d, check_finite=False))
         grew = grew or upd > UPDATE_GROWTH_LIMIT * prev_upd
         itn = float(la.norm(fm, check_finite=False))
@@ -553,7 +543,7 @@ def builtin_kernels(tau: float = 1.0) -> dict[str, TransformFunction]:
         "sqrt": TransformFunction(
             name="sqrt", kind="bernstein",
             kernel=_inv_power_kernel,
-            abscissa=0.0, boundary_closed=False, c=0.0, a=0.0,
+            abscissa=0.0, boundary_closed=False,
             scalar_form=_safe_sqrt,
         ),
         "inv-sqrt-stieltjes": TransformFunction(

@@ -121,7 +121,7 @@ class TestCriterion3:
         # CG, then the inv-sqrt-stieltjes restart, measured against criterion 1's F(A)b
         cfg = RestartConfig(m=50, tol=TOL, stopping="reference_error")
         _, rep, first = stieltjes_pipeline(LinearOperator.from_matrix(al3d), criterion1["b"],
-                                           builtin_kernels()["inv-sqrt-stieltjes"], -1, cfg,
+                                           builtin_kernels()["inv-sqrt-stieltjes"], cfg,
                                            reference=criterion1["ref"])
         assert rep.converged
         total = first + rep.matvecs

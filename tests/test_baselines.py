@@ -621,7 +621,7 @@ class TestPipeline:
         fn = builtin_kernels()["inv-sqrt-stieltjes"]
         op = LinearOperator.from_matrix(mat)
         cfg = RestartConfig(m=20, tol=1e-7)
-        x, report, first = stieltjes_pipeline(op, b, fn, power=-1, cfg=cfg)
+        x, report, first = stieltjes_pipeline(op, b, fn, cfg=cfg)
         assert first > 0
         assert op.matvec_count == first + report.matvecs
         # pipeline target is A^{-3/2} b
@@ -629,26 +629,13 @@ class TestPipeline:
         oracle = q @ (w**-1.5 * (q.T @ b))
         assert np.linalg.norm(x - oracle) <= 1e-5 * np.linalg.norm(oracle)
 
-    def test_power_plus_one_multiplies_first(self):
-        # G(A) (A b) with G(s) = s^{-1/2} is A^{1/2} b (9.1e-11 off at tol 1e-8)
-        mat = laplacian_nd(10, 2)
-        b = unit_start(mat.n)
-        op = LinearOperator.from_matrix(mat)
-        x, report, first = stieltjes_pipeline(op, b, builtin_kernels()["inv-sqrt-stieltjes"],
-                                              power=1, cfg=RestartConfig(m=10, tol=1e-8))
-        assert first == 1
-        assert op.matvec_count == first + report.matvecs
-        w, q = la.eigh(mat.toarray())
-        oracle = q @ (np.sqrt(w) * (q.T @ b))
-        assert np.linalg.norm(x - oracle) <= 1e-9 * np.linalg.norm(oracle)
-
     def test_non_hermitian_first_phase_is_gmres(self):
         # A^{-3/2} b through restarted GMRES (60 matvecs), 8.4e-10 off at tol 1e-8
         mat = convection_diffusion_nd(10, 1e-2, 2)
         b = unit_start(mat.n)
         op = LinearOperator.from_matrix(mat)
         x, report, first = stieltjes_pipeline(op, b, builtin_kernels()["inv-sqrt-stieltjes"],
-                                              power=-1, cfg=RestartConfig(m=10, tol=1e-8))
+                                              cfg=RestartConfig(m=10, tol=1e-8))
         assert first == 60
         assert op.matvec_count == first + report.matvecs
         a = mat.toarray()

@@ -52,4 +52,5 @@ def test_restart_matches_dense_function(seed, n, m, hermitian, kind):
     x, rep = restarted_laplace(op, b, builtin_kernels()[kind], RestartConfig(m=m, tol=TOL))
     exact = dense_apply(a, b, SCALAR[kind], hermitian)
     assert rep.converged, rep.reason
+    assert op.matvec_count == rep.matvecs
     assert np.linalg.norm(x - exact) <= 1e-6 * np.linalg.norm(exact)

@@ -99,8 +99,6 @@ class TestConfigAndTypes:
     def test_transform_kind_validation(self):
         with pytest.raises(ValueError):
             TransformFunction(name="x", kind="fourier", kernel=np.sqrt)
-        with pytest.raises(ValueError):
-            TransformFunction(name="x", kind="bernstein", kernel=np.sqrt, c=-1.0)
 
 
 class TestBuiltinKernels:
@@ -1247,17 +1245,3 @@ class TestBernstein:
         op = diag_op([-0.5, 1.0])
         with pytest.raises(ConvergenceRegionError, match="positive anchor"):
             restarted_laplace(op, np.ones(2) / math.sqrt(2.0), fn, RestartConfig(m=2))
-
-    def test_affine_part_costs_one_matvec(self):
-        fn = builtin_kernels()["sqrt"]
-        affine = TransformFunction(name="sqrt-affine", kind="bernstein",
-                                   kernel=fn.kernel, abscissa=0.0,
-                                   c=2.0, a=0.5, scalar_form=None)
-        op = diag_op([1.0, 4.0, 9.0])
-        b = np.ones(3) / math.sqrt(3.0)
-        cfg = RestartConfig(m=2, tol=1e-7)
-        x, rep = restarted_laplace(op, b, affine, cfg)
-        assert op.matvec_count == rep.matvecs + 1
-        exact = (2.0 + 0.5 * np.array([1.0, 4.0, 9.0])
-                 + np.array([1.0, 2.0, 3.0])) * b
-        assert np.abs(x - exact).max() <= 1e-6 * np.abs(exact).max()
