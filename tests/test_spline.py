@@ -2,8 +2,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from laplace_krylov.restart import spline_fit
+
+
+def _ends(s):
+    """Value, slope and curvature of each piece at its right end and at its left end."""
+    c, h = s.c, np.diff(s.x)
+    right = (((c[0] * h + c[1]) * h + c[2]) * h + c[3],
+             (3 * c[0] * h + 2 * c[1]) * h + c[2],
+             6 * c[0] * h + 2 * c[1])
+    left = (c[3], c[2], 2 * c[1])
+    return right, left
+
+
+class TestSameAsScipy:
+    @pytest.mark.parametrize("q", [4, 5, 6, 7, 10, 15, 31, 100, 257, 600])
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_bitwise_equal_to_cubic_spline(self, q, complex_values):
+        rng = np.random.default_rng(q)
+        x = np.cumsum(rng.uniform(0.01, 1.0, q))
+        y = rng.standard_normal(q)
+        if complex_values:
+            y = y + 1j * rng.standard_normal(q)
+        # the knots, the midpoints and points beyond both ends, as a 2-D grid
+        points = np.concatenate([x, 0.5 * (x[:-1] + x[1:]),
+                                 x[0] - [3.0, 1e-9], x[-1] + [1e-9, 5.0]])
+        g = rng.permutation(points)[None, :] + np.array([[0.0], [0.0], [0.25]])
+        s, ref = spline_fit(x, y), CubicSpline(x, y)
+        assert np.array_equal(s.c, ref.c)
+        got, want = s(g), ref(g)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_bitwise_equal_over_several_evaluation_blocks(self):
+        rng = np.random.default_rng(5)
+        x = np.sort(rng.uniform(0.0, 10.0, 40))
+        y = np.exp(-x) * rng.standard_normal(40)
+        g = rng.uniform(-1.0, 11.0, (3, spline_fit.BLOCK + 7))
+        assert np.array_equal(spline_fit(x, y)(g), CubicSpline(x, y)(g))
 
 
 class TestFit:
@@ -32,21 +69,19 @@ class TestFit:
         x = np.linspace(0, 3, 8)
         y = np.exp(-x) + 0.1 * rng.standard_normal(8)
         s = spline_fit(x, y)
-        d2 = s.derivative(2)
-        for xi in x[1:-1]:
-            left = d2(xi - 1e-12)
-            right = d2(xi + 1e-12)
-            assert right == pytest.approx(left, rel=1e-6, abs=1e-9)
+        assert s.c.shape == (4, 7)
+        # value, slope and curvature where each piece ends match the next piece's start
+        for right, left in zip(*_ends(s)):
+            assert np.allclose(right[:-1], left[1:], rtol=1e-9, atol=1e-9)
 
     def test_not_a_knot_third_derivative(self):
-        # p_1 == p_2 and p_{q-2} == p_{q-1}: no third-derivative jump at
+        # p_1 == p_2 and p_{q-2} == p_{q-1}: the cubic term does not jump at
         # the second and second-to-last knots
         x = np.linspace(0, 4, 9)
         y = np.sin(x)
         s = spline_fit(x, y)
-        d3 = s.derivative(3)
-        for xi in (x[1], x[-2]):
-            assert d3(xi - 1e-9) == pytest.approx(d3(xi + 1e-9), rel=1e-5, abs=1e-7)
+        assert s.c[0, 0] == pytest.approx(s.c[0, 1], rel=1e-9, abs=1e-12)
+        assert s.c[0, -2] == pytest.approx(s.c[0, -1], rel=1e-9, abs=1e-12)
 
     def test_error_scale_fourth_order(self):
         # |f - s| = O(dx^4) for smooth f
@@ -62,29 +97,31 @@ class TestFit:
         x = np.linspace(0, 2, 6)
         y = np.cos(x)
         s = spline_fit(x, y)
-        # the extrapolated values continue the last cubic smoothly
-        d2 = s.derivative(2)
-        assert d2(2.0 - 1e-10) == pytest.approx(d2(2.0 + 1e-10), rel=1e-6)
-        d1 = s.derivative(1)
-        assert d1(0.0 - 1e-10) == pytest.approx(d1(0.0 + 1e-10), rel=1e-6)
+        # beyond either end the first and the last cubic continue
+        below, above = np.array([-0.5, -1e-10]), np.array([2.0 + 1e-10, 3.0])
+        assert np.allclose(s(below), np.polyval(s.c[:, 0], below - x[0]), rtol=1e-12)
+        assert np.allclose(s(above), np.polyval(s.c[:, -1], above - x[-2]), rtol=1e-12)
 
-    def test_quadratic_fallback(self):
-        x = np.array([0.0, 1.0, 3.0])
-        f = lambda t: 2 * t**2 - t + 1
-        s = spline_fit(x, f(x))
-        probe = np.linspace(-1, 4, 21)
-        assert np.allclose(s(probe), f(probe), atol=1e-10)
-
-    def test_linear_fallback(self):
-        s = spline_fit([0.0, 2.0], [1.0, 5.0])
-        assert s(np.array([1.0]))[0] == pytest.approx(3.0)
-        assert s(np.array([3.0]))[0] == pytest.approx(7.0)
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_refuses_fewer_than_four_knots(self, q):
+        # the engine fits at least one gk15 segment's 15 nodes; scipy's
+        # 2- and 3-knot fallbacks (a line, a parabola) are not kept
+        x = np.arange(float(q))
+        with pytest.raises(ValueError, match="at least 4 knots"):
+            spline_fit(x, x ** 2)
 
     def test_rejects_duplicates_and_short_input(self):
         with pytest.raises(ValueError):
             spline_fit([0.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             spline_fit([0.0], [1.0])
+
+    def test_rejects_non_finite_and_decreasing_input(self):
+        x = np.arange(5.0)
+        for bad_x, bad_y in ((np.r_[x[:4], np.nan], x), (x, np.r_[x[:4], np.inf]),
+                             (x[::-1], x)):
+            with pytest.raises(ValueError):
+                spline_fit(bad_x, bad_y)
 
     @given(st.integers(min_value=4, max_value=12), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)

@@ -17,6 +17,9 @@ from laplace_krylov.operators import convection_diffusion_nd, laplacian_nd
 from laplace_krylov.restart import builtin_kernels
 
 ROOT = Path(__file__).resolve().parent.parent
+# a child process imports the library from this checkout
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def test_microbench_layers_run_on_small_problems(load_path):
@@ -37,12 +40,10 @@ def test_microbench_layers_run_on_small_problems(load_path):
 
 @pytest.mark.parametrize("matrix", ["laplacian3d", "cd3d"])
 def test_convergence_curve_script(matrix):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "convergence_curve.py"),
          "--matrix", matrix, "--n", "6", "--m", "10"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "terminated: reference_error" in out.stdout
 
@@ -66,3 +67,14 @@ def test_same_outputs_script_cases(load_path, monkeypatch):
                                               builtin_kernels()["power-neg-3-2"], b)).split()
     assert fields[2] == "update_norm" and len(fields) == 5   # x and the update norms
     assert so.line("raises", lambda: 1 / 0) == "raises - ZeroDivisionError('division by zero')"
+
+
+def test_package_import_leaves_out_scipy_interpolate():
+    # scipy.interpolate loads ~200 modules of scipy.optimize and
+    # scipy.spatial (~17 MB resident) that no program here needs
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, laplace_krylov, laplace_krylov.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"],
+        capture_output=True, text=True, env=SRC_ENV, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
