@@ -14,7 +14,9 @@ Krylov basis; Bernstein functions int_0^inf (1 - exp(-s t)) f(t) dt run the
 standard chain on that grouped integrand; Stieltjes functions, a special
 case of Laplace transforms, run a chain that integrates shifted resolvents
 against the density times a product over the earlier cycles' Ritz values.
-Every chain reads the cycle's one eigendecomposition of H.
+Every chain reads the cycle's one eigendecomposition of H and the driver's
+beta_k = ||b|| prod_{j<k} (-h_{j+1,j}), applies only its own sign to it and
+returns its update with its spline refinement rounds.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class CycleRecord:
     rel_error: float        # nan when no reference is available
     wall_ms: float
     h_next: float
-    beta: float
+    beta: float             # beta_k for every kind, before any chain's sign
     refine_rounds: int      # spline refinement rounds, the most of any chain
 
 
@@ -283,13 +285,16 @@ class _LaplaceChain:
     """One error-function chain of ``fn``; two-sided runs add a ``flip`` chain
     on -H with the reflected kernel f(-t) and abscissa.
 
-    Cycle k adds beta_k sum_i w_i f^(k)(t_i) exp(-t_i H) e_1 to the update.
-    :meth:`cycle` runs the one recursion for every k: f^(1) is the kernel
-    (with the grouped (1 - exp(-t H)) integrand for Bernstein functions),
-    and f^(k) is the :class:`ErrorModel` that cycle k-1 leaves in ``model``,
-    on the raw kernel in cycle 2 and on a refined spline surface afterwards.
-    Each cycle builds one rule for f^(k) at the anchor nu - shift and takes
-    the samples f^(k)(t_i) from it (``rule.values``).
+    Cycle k adds s_k beta_k sum_i w_i f^(k)(t_i) exp(-t_i H) e_1 to the
+    update: the driver's beta_k with the chain's sign s_k, (-1)^(k-1) on the
+    flip chain and -1 from cycle 2 on for Bernstein functions. :meth:`cycle`
+    returns the update with its refinement rounds and runs the one recursion
+    for every k: f^(1) is the kernel (with the grouped (1 - exp(-t H))
+    integrand for Bernstein functions), and f^(k) is the :class:`ErrorModel`
+    that cycle k-1 leaves in ``model``, on the raw kernel in cycle 2 and on
+    a refined spline surface afterwards. Each cycle builds one rule for
+    f^(k) at the anchor nu - shift and takes the samples f^(k)(t_i) from it
+    (``rule.values``).
 
     The anchor nu, min Re spec(H) (of -H on the flip chain) in cycle 1, and
     every cycle's propagator columns come from the eigendecomposition of H
@@ -301,24 +306,20 @@ class _LaplaceChain:
     map D to sign D - shift; only the expm fallback forms sign H - shift I.
     """
 
-    def __init__(self, fn: TransformFunction, cfg: RestartConfig, beta1: float,
-                 flip: bool = False):
+    def __init__(self, fn: TransformFunction, cfg: RestartConfig, flip: bool = False):
         self.fn = fn
         self.kernel = (lambda t: fn.kernel(-np.asarray(t))) if flip else fn.kernel
         self.cfg = cfg
-        self.beta = beta1
         self.flip = flip
-        self.bernstein = fn.kind == "bernstein"
         self.nu: float | None = None
         self.shift = 0.0
         self.dead = False
         self.model: ErrorModel | None = None      # f^(k) in cycle k >= 2, from cycle k-1
-        self.rounds = 0   # refinement rounds of the last cycle
 
-    def cycle(self, dec: KrylovDecomposition, cache: SpectralCache, k: int,
-              prev_iterate_norm: float) -> np.ndarray:
+    def cycle(self, dec: KrylovDecomposition, cache: SpectralCache, k: int, beta: float,
+              prev_iterate_norm: float) -> tuple[np.ndarray, int]:
         sign = -1.0 if self.flip else 1.0
-        self.rounds = 0
+        bernstein, rounds = self.fn.kind == "bernstein", 0
         if k == 1:
             self.nu = float(np.min(sign * cache.D.real))
             fn = self.fn
@@ -326,17 +327,17 @@ class _LaplaceChain:
             _check_anchor(self.nu, fn.abscissa_neg if self.flip else fn.abscissa,
                           fn.boundary_closed, label if fn.kind == "two_sided" else fn.name)
             self.shift = min(0.0, self.nu)
-            if self.bernstein and self.shift != 0.0:
+            if bernstein and self.shift != 0.0:
                 raise ConvergenceRegionError(
                     f"Bernstein evaluation needs a positive anchor (nu={self.nu:.6g})"
                 )
-        beta = self.beta
-        # the grouped Bernstein integrand of cycle 1, f(t) (I - exp(-t H)) e_1,
-        # flips the error's sign
-        one_minus = self.bernstein and k == 1
-        self.beta = (beta if one_minus else -beta) * sign * dec.h_next
+        # the flip chain runs on (-H, -h_next), and the grouped Bernstein
+        # integrand of cycle 1, f(t) (I - exp(-t H)) e_1, flips the error's sign
+        one_minus = bernstein and k == 1
+        if self.flip and k % 2 == 0 or bernstein and k > 1:
+            beta = -beta
         if self.dead:
-            return np.zeros(dec.m)
+            return np.zeros(dec.m), 0
         H = dec.H   # with X, expm_columns takes only H's dtype and finiteness
         if self.flip or self.shift != 0.0:
             cache = replace(cache, D=sign * cache.D - self.shift)
@@ -357,7 +358,7 @@ class _LaplaceChain:
             # the error kernel decayed below resolution: this chain is
             # exhausted and contributes nothing from here on
             self.dead = True
-            return np.zeros(dec.m)
+            return np.zeros(dec.m), 0
         vals = rule.values   # f^(k) at the nodes, sampled by the rule build
         # one propagator per cycle: the apply, every refinement round and
         # the next cycle's g values share these columns
@@ -376,14 +377,14 @@ class _LaplaceChain:
             # stops before a surface evaluation would pass MAX_SURFACE_GRID
             knots, knot_values = last.nodes, last.values
             target = self.cfg.eps_q * max(prev_iterate_norm, 1e-300)
-            while self.rounds < MAX_REFINE_ROUNDS:
+            while rounds < MAX_REFINE_ROUNDS:
                 # the next round's knot count (pairwise sums: before np.unique)
-                count = ((rule.nodes.size + 1) * last.nodes.size if self.rounds >= 3
+                count = ((rule.nodes.size + 1) * last.nodes.size if rounds >= 3
                          else 2 * knots.size - 1)
                 if count * prev.rule.nodes.size > MAX_SURFACE_GRID:
                     break
-                self.rounds += 1
-                if self.rounds > 3:
+                rounds += 1
+                if rounds > 3:
                     sums = (rule.nodes[:, None] + last.nodes[None, :]).ravel()
                     knots = np.unique(np.concatenate([last.nodes, sums]))
                     knot_values = error_function_values(prev, knots)
@@ -403,7 +404,7 @@ class _LaplaceChain:
         # the next cycle's f^(k+1), from this rule with its last samples of f^(k)
         # and g(t_i) = e_m^T exp(-t_i H) e_1 in E[-1]; its surface is f^(k) itself
         self.model = ErrorModel(rule=replace(rule, values=vals), g_values=E[-1], surface=f)
-        return beta * y
+        return beta * y, rounds
 
 
 class _StieltjesChain:
@@ -419,14 +420,12 @@ class _StieltjesChain:
     (the eigenvalues of the cycle's shared decomposition) in ``ritz``, the
     summed log h_{i+1,i} in ``log_c`` and the product of the signs in ``sign``.
     The same decomposition gives the resolvents (H^(k) + tI)^{-1} e_1.
+    The update is beta_k times the integral; no surface refines (0 rounds).
     """
 
-    rounds = 0   # no interpolation surface to refine
-
-    def __init__(self, rho, cfg: RestartConfig, beta1: float):
+    def __init__(self, rho, cfg: RestartConfig):
         self.rho = rho
         self.cfg = cfg
-        self.beta = beta1
         self.ritz = np.empty(0, dtype=complex)
         self.log_c = 0.0
         self.sign = 1.0
@@ -436,8 +435,8 @@ class _StieltjesChain:
         log_det = np.log(t[:, None] + self.ritz).sum(axis=1)
         return self.sign * np.exp(self.log_c - log_det)
 
-    def cycle(self, dec: KrylovDecomposition, cache: SpectralCache, k: int,
-              prev_iterate_norm: float) -> np.ndarray:
+    def cycle(self, dec: KrylovDecomposition, cache: SpectralCache, k: int, beta: float,
+              prev_iterate_norm: float) -> tuple[np.ndarray, int]:
         H = dec.H
         m = dec.m
         if k == 1:
@@ -456,23 +455,22 @@ class _StieltjesChain:
 
         try:
             rule = build_laplace_rule(integrand, 0.0, self.cfg.eps_q)
-            contribution = self.beta * (rule.weights @ rule.values)
+            contribution = beta * (rule.weights @ rule.values)
         except ZeroIntegrandError:   # nothing left to resolve
             contribution = np.zeros(m)
         self.ritz = np.concatenate([self.ritz, D])
         self.log_c += np.log(np.diag(H, -1)).sum()
         self.sign *= (-1.0) ** (m + 1)
-        self.beta = -self.beta * dec.h_next
-        return contribution
+        return contribution, 0
 
 
-def _chains(fn: TransformFunction, cfg: RestartConfig, bnorm: float) -> list:
+def _chains(fn: TransformFunction, cfg: RestartConfig) -> list:
     """The error chains that together carry the update of one transform kind."""
     if fn.kind == "stieltjes":
-        return [_StieltjesChain(fn.kernel, cfg, bnorm)]
+        return [_StieltjesChain(fn.kernel, cfg)]
     # two-sided transforms run a reflected chain on (-H, -h_next) over the same basis
     flips = (False, True) if fn.kind == "two_sided" else (False,)
-    return [_LaplaceChain(fn, cfg, bnorm, flip) for flip in flips]
+    return [_LaplaceChain(fn, cfg, flip) for flip in flips]
 
 
 def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
@@ -484,11 +482,11 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     shared basis for two-sided transforms, or resolvent-based updates for
     Stieltjes functions. The report counts the operator's matvecs of the run.
     """
-    bnorm = _checked_norm(b, "b", op.n)
+    beta = _checked_norm(b, "b", op.n)   # beta_1 = ||b||
     if cfg.stopping == "reference_error" and reference is None:
         raise ValueError("reference_error stopping needs a reference vector")
     ref_norm = _checked_norm(reference, "reference", op.n) if reference is not None else 0.0
-    chains = _chains(fn, cfg, bnorm)
+    chains = _chains(fn, cfg)
     fm, itn = np.zeros(op.n), 0.0
     base_count = op.matvec_count
     report = RestartReport()
@@ -499,14 +497,14 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
     for k in range(1, cfg.max_cycles + 1):
         t0 = time.perf_counter()
         dec = arnoldi(op, start, cfg.m, _basis=basis)  # the next cycle overwrites dec.V
-        beta_k = chains[0].beta
         cache = (eig_hermitian if op.hermitian else eig_general)(dec.H)   # one per cycle
         try:
-            d = dec.V @ sum(chain.cycle(dec, cache, k, itn) for chain in chains)
+            outs = [chain.cycle(dec, cache, k, beta, itn) for chain in chains]
         except QuadratureDivergenceError:
             if k == 1:
                 raise
-            d, report.reason = None, "quadrature_divergence"   # keep cycle k - 1's iterate
+            outs, report.reason = [], "quadrature_divergence"   # keep cycle k - 1's iterate
+        d = dec.V @ sum(u for u, _ in outs) if outs else None
         kept, fm = fm, fm if d is None else fm + d
         wall_ms = 1e3 * (time.perf_counter() - t0)
 
@@ -519,8 +517,8 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
         report.records.append(CycleRecord(
             cycle=k, matvecs=op.matvec_count - base_count, update_norm=upd,
             iterate_norm=itn, rel_error=rel, wall_ms=wall_ms,
-            h_next=dec.h_next, beta=beta_k,
-            refine_rounds=max(chain.rounds for chain in chains),
+            h_next=dec.h_next, beta=beta,
+            refine_rounds=max((rounds for _, rounds in outs), default=0),
         ))
 
         if not (math.isfinite(upd) and math.isfinite(itn)):
@@ -541,7 +539,7 @@ def restarted_laplace(op: LinearOperator, b: np.ndarray, fn: TransformFunction,
             report.converged = True
             report.reason = "breakdown" if dec.breakdown else cfg.stopping
             return fm, report
-        start = dec.v_next
+        start, beta = dec.v_next, -beta * dec.h_next
 
     report.reason = "max_cycles"
     return fm, report

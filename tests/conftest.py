@@ -1,10 +1,13 @@
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+
+from laplace_krylov.restart import TransformFunction
 
 CHECKOUT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +47,20 @@ def complex_non_hermitian(kind):
     a = d + (0.01j * (s + s.T) if kind == "symmetric" else 0.05j * np.triu(s, 1))
     b = np.random.default_rng(1).standard_normal(n)
     return a, b / np.linalg.norm(b)
+
+
+def power_transforms(alpha):
+    """s^{-alpha} for 0 < alpha < 1 as a Laplace transform, kernel
+    t^{alpha-1} / Gamma(alpha), and as a Stieltjes function, density
+    sin(alpha pi) / pi * t^{-alpha}: (laplace, stieltjes)."""
+    gamma, density = math.gamma(alpha), math.sin(alpha * math.pi) / math.pi
+    laplace = TransformFunction(
+        name=f"power-neg-{alpha}-laplace", kind="laplace",
+        kernel=lambda t: np.asarray(t, dtype=float) ** (alpha - 1) / gamma)
+    stieltjes = TransformFunction(
+        name=f"power-neg-{alpha}-stieltjes", kind="stieltjes",
+        kernel=lambda t: density * np.asarray(t, dtype=float) ** -alpha)
+    return laplace, stieltjes
 
 
 def eig_apply(a, b, scalar):

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg as la
 import scipy.special
-from conftest import complex_non_hermitian, eig_apply
+from conftest import complex_non_hermitian, eig_apply, power_transforms
 
 from laplace_krylov.krylov import arnoldi
 from laplace_krylov import cli, restart, smallmat
@@ -62,14 +62,6 @@ def sqrt_kernel():
     return TransformFunction(name="sqrt-t", kind="laplace", kernel=np.sqrt,
                              abscissa=0.0,
                              scalar_form=lambda s: (SQRT_PI / 2.0) * s**-1.5)
-
-
-def inv_sqrt_laplace():
-    """s^{-1/2} written as a one-sided Laplace transform."""
-    return TransformFunction(
-        name="inv-sqrt-laplace", kind="laplace",
-        kernel=lambda t: 1.0 / np.sqrt(math.pi * np.asarray(t, dtype=float)),
-        abscissa=0.0, scalar_form=lambda s: s**-0.5)
 
 
 class TestConfigAndTypes:
@@ -504,8 +496,8 @@ class TestAnchor:
     def anchor(a, kind="power-neg-3-2"):
         op = LinearOperator.from_matrix(np.asarray(a, dtype=float))
         dec = arnoldi(op, np.ones(op.n) / math.sqrt(op.n), op.n)
-        chain = restart._LaplaceChain(builtin_kernels()[kind], RestartConfig(m=op.n), 1.0)
-        chain.cycle(dec, spectral_cache(op, dec), 1, 0.0)
+        chain = restart._LaplaceChain(builtin_kernels()[kind], RestartConfig(m=op.n))
+        chain.cycle(dec, spectral_cache(op, dec), 1, 1.0, 0.0)
         return chain.nu
 
     def test_diagonal(self):
@@ -598,9 +590,9 @@ class TestAnchor:
         fn = builtin_kernels()["gamma"]
         op = LinearOperator.from_matrix(np.diag([1.0, 2.0, 3.0]))
         dec = arnoldi(op, np.ones(3) / math.sqrt(3.0), 3)
-        chains = restart._chains(fn, RestartConfig(m=3), 1.0)
+        chains = restart._chains(fn, RestartConfig(m=3))
         for chain in chains:
-            chain.cycle(dec, spectral_cache(op, dec), 1, 0.0)
+            chain.cycle(dec, spectral_cache(op, dec), 1, 1.0, 0.0)
         assert [c.flip for c in chains] == [False, True]
         assert [c.nu for c in chains] == pytest.approx([1.0, -3.0])
         assert chains[1].shift == chains[1].nu
@@ -665,9 +657,9 @@ class TestRefinementRounds:
         fits = []   # one list of knot arrays per chain cycle
         real_cycle, real_fit = restart._LaplaceChain.cycle, restart.spline_fit
 
-        def recording_cycle(chain, dec, cache, k, prev_iterate_norm):
+        def recording_cycle(chain, dec, cache, k, beta, prev_iterate_norm):
             fits.append([])
-            return real_cycle(chain, dec, cache, k, prev_iterate_norm)
+            return real_cycle(chain, dec, cache, k, beta, prev_iterate_norm)
 
         def recording_fit(knots, values):
             fits[-1].append(np.array(knots))
@@ -692,10 +684,10 @@ class TestRefinementRounds:
         real_cycle, real_fit = restart._LaplaceChain.cycle, restart.spline_fit
         real_values = restart.error_function_values
 
-        def recording_cycle(chain, dec, cache, k, prev_iterate_norm):
+        def recording_cycle(chain, dec, cache, k, beta, prev_iterate_norm):
             # cycle k's model holds cycle k-1's model, which evaluates f^(k-1), as its surface
             cycles.append({"model": chain.model and chain.model.surface, "evals": [], "fits": []})
-            return real_cycle(chain, dec, cache, k, prev_iterate_norm)
+            return real_cycle(chain, dec, cache, k, beta, prev_iterate_norm)
 
         def recording_values(model, nodes):
             if model is cycles[-1]["model"]:
@@ -736,15 +728,14 @@ class TestDeadChain:
     @staticmethod
     def kill_chains(monkeypatch, dies):
         """Record every chain cycle; rule builds raise where ``dies(chain, k)``."""
-        calls = []   # (chain, k, h_next, beta before the cycle, contribution)
+        calls = []   # (chain, k, the beta it was passed, contribution, rounds)
         current = {}
         real_cycle, real_rule = restart._LaplaceChain.cycle, restart.build_laplace_rule
 
-        def recording_cycle(chain, dec, cache, k, prev_iterate_norm):
+        def recording_cycle(chain, dec, cache, k, beta, prev_iterate_norm):
             current.update(chain=chain, k=k)
-            beta = chain.beta
-            out = real_cycle(chain, dec, cache, k, prev_iterate_norm)
-            calls.append((chain, k, dec.h_next, beta, out))
+            out = real_cycle(chain, dec, cache, k, beta, prev_iterate_norm)
+            calls.append((chain, k, beta, *out))
             return out
 
         def failing_rule(*args, **kwargs):
@@ -769,6 +760,7 @@ class TestDeadChain:
         assert np.array_equal(x, x1)
 
     def test_two_sided_dead_chain_keeps_its_beta(self, monkeypatch):
+        # the driver owns beta_k: a dead chain only stops contributing
         op = LinearOperator.from_matrix(laplacian_nd(10, 2))
         b = np.ones(op.n) / math.sqrt(op.n)
         calls = self.kill_chains(monkeypatch, lambda chain, k: k >= 2 and not chain.flip)
@@ -779,15 +771,17 @@ class TestDeadChain:
         positive = [c for c in calls if not c[0].flip]
         reflected = [c for c in calls if c[0].flip]
         assert [c[1] for c in positive] == [c[1] for c in reflected] == [1, 2, 3, 4, 5]
-        assert np.any(positive[0][4] != 0)
-        for _, _, _, _, out in positive[1:]:
+        assert np.any(positive[0][3] != 0)
+        for *_, out, rounds in positive[1:]:
             assert np.array_equal(out, np.zeros(5))
-        assert all(np.any(out != 0) for *_, out in reflected)
+            assert rounds == 0
+        assert all(np.any(out != 0) for *_, out, _ in reflected)
         # beta_{k+1} = -beta_k h_{k+1,k} runs on through the dead cycles, and
-        # the report's beta column is the positive chain's
-        for (_, _, h, beta, _), nxt in zip(positive, positive[1:]):
-            assert nxt[3] == -beta * h
-        assert [r.beta for r in rep.records] == [c[3] for c in positive]
+        # both chains of a cycle are passed the record's beta_k
+        assert rep.records[0].beta == 1.0
+        for prev, cur in zip(rep.records, rep.records[1:]):
+            assert cur.beta == -(prev.beta * prev.h_next)
+        assert [r.beta for r in rep.records] == [c[2] for c in positive] == [c[2] for c in reflected]
 
 
 class TestQuadratureDivergence:
@@ -819,6 +813,18 @@ class TestQuadratureDivergence:
         assert rep.cycles == 2 and rep.matvecs == 10
         assert math.isnan(rep.records[1].update_norm)
         assert rep.records[1].iterate_norm == rep1.records[0].iterate_norm
+
+    def test_diverged_cycle_records_no_refinement_rounds(self, monkeypatch):
+        # gamma builds two rules a cycle, so build 7 is the positive chain's
+        # in cycle 4 and the reflected chain never runs that cycle: its
+        # cycle-3 rounds (4 on a clean run too) must not reach the record
+        mat = convection_diffusion_nd(15, 1e-3, 2)
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        self.diverge_on_call(monkeypatch, 7)
+        _, rep = restarted_laplace(LinearOperator.from_matrix(mat), b / np.linalg.norm(b),
+                                   builtin_kernels()["gamma"], RestartConfig(m=8))
+        assert rep.reason == "quadrature_divergence"
+        assert [r.refine_rounds for r in rep.records] == [0, 0, 4, 0]
 
     def test_cycle_one_raises(self, monkeypatch):
         self.diverge_on_call(monkeypatch, 1)
@@ -1028,9 +1034,9 @@ class TestStieltjes:
     def test_ritz_form_matches_dense_solves(self, case):
         cycles, known = ritz_case(case)
         rho = builtin_kernels()["inv-sqrt-stieltjes"].kernel
-        chain = restart._StieltjesChain(rho, RestartConfig(m=1, tol=1e-6), 1.0)
+        chain = restart._StieltjesChain(rho, RestartConfig(m=1, tol=1e-6))
         for k, (dec, cache) in enumerate(cycles, start=1):
-            chain.cycle(dec, cache, k, 1.0)
+            chain.cycle(dec, cache, k, 1.0, 1.0)
             ref = dense_psi([d for d, _ in cycles[:k]], RITZ_POINTS)
             assert np.all(np.abs(chain._psi(RITZ_POINTS) - ref) <= 1e-12 * np.abs(ref))
         for t, value, atol in known:
@@ -1091,7 +1097,7 @@ class TestStieltjes:
                             stopping="update_norm")
         cfg.tol = 1e-30  # force exactly two cycles
         op1 = LinearOperator.from_matrix(a)
-        x_lap, _ = restarted_laplace(op1, b, inv_sqrt_laplace(), cfg)
+        x_lap, _ = restarted_laplace(op1, b, power_transforms(0.5)[0], cfg)
         op2 = LinearOperator.from_matrix(a)
         x_sti, _ = restarted_laplace(op2, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg)
         exact = spectral_apply(a, b, lambda w: w**-0.5)
@@ -1099,11 +1105,30 @@ class TestStieltjes:
         # cross-method agreement within 2 tol of each other's converged runs
         cfg2 = RestartConfig(m=3, tol=1e-8)
         op3 = LinearOperator.from_matrix(a)
-        y_lap, rep1 = restarted_laplace(op3, b, inv_sqrt_laplace(), cfg2)
+        y_lap, rep1 = restarted_laplace(op3, b, power_transforms(0.5)[0], cfg2)
         op4 = LinearOperator.from_matrix(a)
         y_sti, rep2 = restarted_laplace(op4, b, builtin_kernels()["inv-sqrt-stieltjes"], cfg2)
         assert rep1.converged and rep2.converged
         assert np.linalg.norm(y_lap - y_sti) <= 2 * cfg2.tol * np.linalg.norm(exact)
+
+    # c = 20 below: twice the largest distance a whole run reaches, 10.3 at
+    # lap2d's converged cycle 28, as the chains' per-cycle quadrature and
+    # spline errors of ~eps_q ||x|| add up (2.3 at cycle 12, 0.04 on cd2d);
+    # a wrong sign of beta_k in either chain is off by a whole update
+    @pytest.mark.parametrize("problem, k", [("lap2d", 2), ("lap2d", 3), ("lap2d", 4), ("lap2d", 12),
+                                            ("cd2d", 2), ("cd2d", 3), ("cd2d", 5), ("cd2d", 8)])
+    def test_laplace_and_stieltjes_chains_agree_at_cycle_k(self, problem, k):
+        # the restarted iterate after k cycles is unique, so both
+        # representations of s^{-1/2} give it up to their quadrature errors
+        mat, m = ((laplacian_nd(30, 2), 10) if problem == "lap2d"
+                  else (convection_diffusion_nd(15, 1e-2, 2), 8))
+        b = np.random.default_rng(0).standard_normal(mat.n)
+        cfg = RestartConfig(m=m, max_cycles=k)
+        runs = [restarted_laplace(LinearOperator.from_matrix(mat), b / np.linalg.norm(b), fn, cfg)
+                for fn in power_transforms(0.5)]
+        (x_lap, rep_lap), (x_sti, rep_sti) = runs
+        assert rep_lap.reason == rep_sti.reason == "max_cycles"
+        assert np.linalg.norm(x_lap - x_sti) <= 20 * cfg.eps_q * np.linalg.norm(x_sti)
 
 
 class TestStieltjesResolvents:
